@@ -9,9 +9,7 @@ samples and bare target feature rows, nothing else.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -41,13 +39,6 @@ class KeyDraw:
     index: int
 
 
-@dataclass(frozen=True)
-class ShiftDescriptor:
-    angle: float
-    translation: tuple[float, ...]
-    scale: float
-
-
 @dataclass
 class DomainPair:
     """Labeled source set plus unlabeled target features.
@@ -58,19 +49,13 @@ class DomainPair:
 
     source: list[LabeledSample]
     target_x: np.ndarray
-    shift: ShiftDescriptor | None = None
     _eval_labels: tuple[CategoryLabel, ...] = field(default=(), repr=False)
 
     @classmethod
-    def from_lists(
-        cls,
-        source: list[LabeledSample],
-        target: list[LabeledSample],
-        shift: ShiftDescriptor | None = None,
-    ) -> "DomainPair":
+    def from_lists(cls, source: list[LabeledSample], target: list[LabeledSample]) -> "DomainPair":
         target_x = np.stack([s.x for s in target]) if target else np.zeros((0, 0))
         target_x.flags.writeable = False
-        return cls(source, target_x, shift, tuple(s.y for s in target))
+        return cls(source, target_x, tuple(s.y for s in target))
 
     @property
     def num_categories(self) -> int:
@@ -117,10 +102,7 @@ def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
         child_seed(root_seed, "target_data"),
         separation=config.separation,
     )
-    shift = ShiftDescriptor(
-        float(config.angle), _as_translation(config.translation, config.dim), float(config.scale)
-    )
-    return DomainPair.from_lists(source, target, shift)
+    return DomainPair.from_lists(source, target)
 
 
 def mixture_centers(num_categories: int, dim: int, separation: float) -> np.ndarray:
@@ -175,14 +157,13 @@ def shift_domain(
     dim = source[0].x.shape[0]
     counts = [sum(1 for s in source if s.y.index == c) for c in range(1, num_categories + 1)]
 
-    shift = ShiftDescriptor(float(angle), _as_translation(translation, dim), float(scale))
+    offset = np.asarray(_as_translation(translation, dim))
     rng = np.random.default_rng(seed)
     centers = mixture_centers(num_categories, dim, separation)
     rot = np.eye(dim)
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1] = -np.sin(angle)
     rot[1, 0] = np.sin(angle)
-    offset = np.asarray(shift.translation)
 
     samples: list[LabeledSample] = []
     for c in range(1, num_categories + 1):
@@ -204,19 +185,12 @@ def _as_translation(translation, dim: int) -> tuple[float, ...]:
     return vec + (0.0,) * (dim - len(vec))
 
 
-def sample_query_batch(
-    pair: DomainPair, n: int, rng: np.random.Generator, *, indices: bool = False
-) -> np.ndarray:
-    """Uniform without-replacement draw of target feature rows (labels stripped).
-
-    With ``indices`` it returns the drawn row indices into pair.target_x
-    instead, from the same draw.
-    """
+def sample_query_batch(pair: DomainPair, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform without-replacement draw of row indices into pair.target_x."""
     total = pair.target_x.shape[0]
     if n > total:
         raise ContractError(f"requested {n} queries from {total} target samples")
-    idx = rng.choice(total, size=n, replace=False)
-    return idx if indices else pair.target_x[idx].copy()
+    return rng.choice(total, size=n, replace=False)
 
 
 def sample_key_batch(
@@ -246,38 +220,3 @@ def sample_key_batch(
         return draw_target(n)
     return draw_source(n // 2) + draw_target(n // 2)
 
-
-# ---------------------------------------------------------------------------
-# CSV exchange format: x1..xD, y, domain
-# ---------------------------------------------------------------------------
-
-
-def save_csv(path: str | Path, pair: DomainPair) -> None:
-    dim = pair.source[0].x.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["y", "domain"])
-        for s in pair.source:
-            writer.writerow([repr(float(v)) for v in s.x] + [s.y.index, SOURCE])
-        for s in pair.evaluation_samples():
-            writer.writerow([repr(float(v)) for v in s.x] + [s.y.index, TARGET])
-
-
-def load_csv(path: str | Path) -> DomainPair:
-    rows: list[tuple[np.ndarray, int, str]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 2
-        for row in reader:
-            rows.append((np.array([float(v) for v in row[:dim]]), int(row[dim]), row[dim + 1]))
-    num_categories = max(c for _, c, _ in rows)
-    source = [
-        LabeledSample(x, CategoryLabel.of(c, num_categories))
-        for x, c, d in rows if d == SOURCE
-    ]
-    target = [
-        LabeledSample(x, CategoryLabel.of(c, num_categories))
-        for x, c, d in rows if d == TARGET
-    ]
-    return DomainPair.from_lists(source, target)

@@ -20,6 +20,7 @@ from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
 _INIT_VERSION = 1
+_HEADER_FIELDS = ("layer_widths", "num_categories", "seed", "encoder_momentum", "arrays")
 
 
 @dataclass(frozen=True)
@@ -192,19 +193,23 @@ class CacoModel:
 # ---------------------------------------------------------------------------
 
 
-def _declared_arrays(model: CacoModel) -> list[tuple[str, Tensor]]:
-    out = []
-    for side, params in (("query", model.encoders.query), ("key", model.encoders.key)):
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            out.append((f"{side}.w{i}", w))
-            out.append((f"{side}.b{i}", b))
-    out.append(("classifier.weight", model.classifier.weight))
-    out.append(("classifier.bias", model.classifier.bias))
-    return out
+def _array_layout(spec: MlpSpec, num_categories: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every checkpoint array, in payload order."""
+    layout = []
+    for side in ("query", "key"):
+        for i, (fan_in, fan_out) in enumerate(zip(spec.layer_widths, spec.layer_widths[1:])):
+            layout += [(f"{side}.w{i}", (fan_in, fan_out)), (f"{side}.b{i}", (fan_out,))]
+    layout += [
+        ("classifier.weight", (spec.embed_dim, num_categories)),
+        ("classifier.bias", (num_categories,)),
+    ]
+    return layout
 
 
 def save_checkpoint(path: str | Path, model: CacoModel) -> None:
-    arrays = _declared_arrays(model)
+    names = [name for name, _ in _array_layout(model.mlp_spec, model.num_categories)]
+    tensors = model.encoders.query.tensors() + model.encoders.key.tensors()
+    tensors += [model.classifier.weight, model.classifier.bias]
     header = {
         "format": _INIT_NAME,
         "version": _INIT_VERSION,
@@ -212,34 +217,50 @@ def save_checkpoint(path: str | Path, model: CacoModel) -> None:
         "num_categories": model.num_categories,
         "seed": model.seed,
         "encoder_momentum": model.encoders.momentum,
-        "arrays": [{"name": name, "shape": list(t.shape)} for name, t in arrays],
+        "arrays": [{"name": name, "shape": list(t.shape)} for name, t in zip(names, tensors)],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for _, t in arrays:
+        for t in tensors:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> CacoModel:
+    """Read a checkpoint; ContractError unless its header and payload agree with each other."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != _INIT_NAME or header.get("version") != _INIT_VERSION:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ContractError(f"not a recognizable checkpoint: {path}") from exc
+        if not isinstance(header, dict) or header.get("format") != _INIT_NAME \
+                or header.get("version") != _INIT_VERSION:
             raise ContractError(f"not a recognizable checkpoint: {path}")
+        missing = [name for name in _HEADER_FIELDS if name not in header]
+        if missing:
+            raise ContractError(f"checkpoint header lacks {missing}: {path}")
         blob = fh.read()
 
     spec = MlpSpec(tuple(header["layer_widths"]))
     num_categories = int(header["num_categories"])
+    layout = _array_layout(spec, num_categories)
+    declared = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    if declared != layout:
+        raise ContractError(
+            f"checkpoint array names or shapes do not match layer_widths "
+            f"{list(spec.layer_widths)} and num_categories {num_categories}"
+        )
+    counts = [int(np.prod(shape)) for _, shape in layout]
+    if 8 * sum(counts) != len(blob):
+        raise ContractError(
+            f"checkpoint payload holds {len(blob)} bytes, its header declares {8 * sum(counts)}"
+        )
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for (name, shape), count in zip(layout, counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
-    if offset != len(blob):
-        raise ContractError("checkpoint payload length does not match its header")
 
     n_layers = len(spec.layer_widths) - 1
 

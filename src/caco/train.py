@@ -1,13 +1,16 @@
-"""Training loops: source-only baseline and the category-contrast variants.
+"""One training loop for the source-only baseline and the category-contrast variants.
 
-Each contrastive epoch starts by labelling every target row once: spherical
-k-means over key-encoder embeddings, seeded at the source class means. Each
-contrastive step: compute the supervised loss on a source batch, refresh
-the dictionary with momentum-encoded keys (ground-truth labels for source
-keys, the epoch's labels for target keys, entropy-scaled temperatures),
-and, once every queue is full, add the category contrastive loss on a
-target query batch labelled the same way. Only the query encoder and the
-classifier receive gradients; the key encoder moves by EMA after every step.
+The baseline is the zero-contrast case: it trains the query encoder and the
+classifier on the supervised loss alone, and never touches the key encoder
+or the dictionary. Each contrastive epoch starts by labelling every target
+row once: spherical k-means over key-encoder embeddings, seeded at the
+source class means. Each contrastive step: compute the supervised loss on
+a source batch, refresh the dictionary with momentum-encoded keys
+(ground-truth labels for source keys, the epoch's labels for target keys,
+entropy-scaled temperatures), and, once every queue is full, add the
+category contrastive loss on a target query batch labelled the same way.
+Only the query encoder and the classifier receive gradients; the key
+encoder moves by EMA after every contrastive step.
 
 Runs are bit-reproducible: all randomness flows from named child streams
 of the config seed, and gradient accumulation order is fixed by the tape.
@@ -28,7 +31,7 @@ from .autodiff import Tape, Tensor, backward
 from .data import DomainPair, LabeledSample, sample_key_batch, sample_query_batch
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, ParameterError
-from .labels import TARGET, CategoryLabel, assign_pseudo_label, key_label, prototype_memberships
+from .labels import TARGET, assign_pseudo_label, key_label, prototype_memberships
 from .losses import cat_nce, key_temperature, prediction_entropy, supervised_loss
 from .model import (
     CacoModel,
@@ -89,10 +92,23 @@ class TrainConfig:
             raise ParameterError("warmup_epochs must be non-negative")
         if self.key_batch_size < 0:
             raise ParameterError("key_batch_size must be non-negative")
+        n_keys = self.key_batch_size or self.batch_size
+        if self.variant == "full" and n_keys % 2:
+            raise ParameterError(
+                f"the full variant splits each key batch evenly between the domains; "
+                f"got an odd key batch of {n_keys}"
+            )
 
 
 @dataclass
 class EpochRecord:
+    """One line of metrics.jsonl.
+
+    ``pseudo_label_churn`` is the fraction of target rows whose classifier
+    argmax changed since the previous epoch (None in the first epoch). It is
+    not the churn of the epoch labels that contrastive training uses.
+    """
+
     epoch: int
     loss_sup: float
     loss_catnce: float | None
@@ -171,6 +187,7 @@ class EvalResult:
     per_class: dict[int, float]
     mean_class_accuracy: float
     missing_classes: list[int]
+    predicted: np.ndarray  # 1-based argmax category per sample, in sample order
 
     @property
     def has_missing_classes(self) -> bool:
@@ -194,21 +211,20 @@ def evaluate(model: CacoModel, samples: Sequence[LabeledSample]) -> EvalResult:
         else:
             missing.append(c)
     mean_acc = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return EvalResult(accuracy, per_class, mean_acc, missing)
+    return EvalResult(accuracy, per_class, mean_acc, missing, predicted)
 
 
-def pseudo_label_churn(labels_t: Sequence, labels_prev: Sequence) -> float:
-    """Fraction of samples whose label index changed between two passes."""
+def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> float:
+    """Fraction of rows whose 1-based category index changed between two passes.
+
+    Training records it for the classifier's argmax over the target rows in
+    consecutive epochs, not for the epoch labels that training uses.
+    """
     if len(labels_t) != len(labels_prev):
         raise ContractError(
             f"label lists differ in length: {len(labels_t)} vs {len(labels_prev)}"
         )
-
-    def indices(labels):
-        return [l.index if isinstance(l, CategoryLabel) else int(l) for l in labels]
-
-    a, b = indices(labels_t), indices(labels_prev)
-    return float(np.mean([x != y for x, y in zip(a, b)]))
+    return float(np.mean(np.asarray(labels_t) != np.asarray(labels_prev)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +292,13 @@ class _QueryCycler:
 
     def next(self) -> np.ndarray:
         if self._buffer.shape[0] < self.batch_size:
-            fresh = sample_query_batch(
-                self.pair, self.pair.target_x.shape[0], self.rng, indices=True
-            )
+            fresh = sample_query_batch(self.pair, self.pair.target_x.shape[0], self.rng)
             self._buffer = np.concatenate([self._buffer, fresh])
         batch, self._buffer = (
             self._buffer[: self.batch_size],
             self._buffer[self.batch_size:],
         )
         return batch
-
-
-def _target_pseudo_indices(model: CacoModel, pair: DomainPair) -> np.ndarray:
-    return model.predict_indices(pair.target_x)
 
 
 def _epoch_record(
@@ -301,8 +311,7 @@ def _epoch_record(
     warm: bool,
 ) -> tuple[EpochRecord, np.ndarray]:
     result = evaluate(model, pair.evaluation_samples())
-    pseudo = _target_pseudo_indices(model, pair)
-    churn = None if prev_pseudo is None else pseudo_label_churn(pseudo, prev_pseudo)
+    churn = None if prev_pseudo is None else pseudo_label_churn(result.predicted, prev_pseudo)
     record = EpochRecord(
         epoch=epoch,
         loss_sup=float(np.mean(sup_losses)) if sup_losses else 0.0,
@@ -312,7 +321,7 @@ def _epoch_record(
         pseudo_label_churn=churn,
         dictionary_warm=warm,
     )
-    return record, pseudo
+    return record, result.predicted
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +330,10 @@ def _epoch_record(
 
 
 def train_source_only(config: TrainConfig, pair: DomainPair) -> tuple[CacoModel, RunMetrics]:
-    """Supervised training on source data only; key encoder and dictionary untouched."""
-    config.validate()
+    """Supervised training on source data only: train_caco's zero-contrast case."""
     if config.variant != "baseline":
         raise ContractError(f"source-only training expects variant 'baseline', got {config.variant!r}")
-    started = time.monotonic()
-    model = _init_model(config, pair)
-    trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
-    steps_per_epoch = -(-len(pair.source) // config.batch_size)
-    optimizer = _Sgd(trainable, config, config.epochs * steps_per_epoch)
-    rng_source = child_rng(config.seed, "source_batches")
-
-    metrics = RunMetrics(config.variant, config.seed)
-    prev_pseudo: np.ndarray | None = None
-    source_x = np.stack([s.x for s in pair.source])
-    source_y = [s.y for s in pair.source]
-
-    for epoch in range(1, config.epochs + 1):
-        sup_losses: list[float] = []
-        for idx in _source_epoch_batches(pair, config.batch_size, rng_source):
-            with Tape() as tape:
-                emb = encode(model.encoders.query, Tensor(source_x[idx]))
-                loss = supervised_loss(
-                    classifier_logits(model.classifier, emb), [source_y[i] for i in idx]
-                )
-            optimizer.step(backward(loss.value, tape))
-            sup_losses.append(loss.item())
-        record, prev_pseudo = _epoch_record(
-            model, pair, epoch, sup_losses, [], prev_pseudo, warm=False
-        )
-        metrics.records.append(record)
-
-    metrics.wall_clock_s = time.monotonic() - started
-    return model, metrics
+    return train_caco(config, pair)
 
 
 def train_caco(
@@ -362,20 +342,21 @@ def train_caco(
     *,
     keys_dump_fp: IO[str] | None = None,
 ) -> tuple[CacoModel, RunMetrics]:
-    """Category-contrast training with an S / T / full key dictionary.
+    """Training for every variant; S / T / full add a key dictionary and its contrast.
 
-    Per contrastive epoch: label every target row once from the key
-    encoder (prototype_memberships); a target row keeps that label as a
-    query and as a key until the next epoch. Per step: supervised loss on a
-    source batch; encode a key batch with the key encoder and enqueue it
+    Per step: supervised loss on a source batch, then an SGD step on the
+    query encoder and classifier. That is all the baseline does. The other
+    variants add, per contrastive epoch: label every target row once from
+    the key encoder (prototype_memberships); a target row keeps that label
+    as a query and as a key until the next epoch. And per step, before the
+    supervised loss: encode a key batch with the key encoder and enqueue it
     (keys drawn from source with true labels until the dictionary warms,
     then per variant); once warm, add the weighted category contrastive
-    loss on a target query batch; SGD step on the query encoder and
-    classifier; EMA step on the key encoder.
+    loss on a target query batch; after the SGD step, an EMA step on the
+    key encoder, warm-up included.
     """
     config.validate()
-    if config.variant == "baseline":
-        raise ContractError("use train_source_only for the baseline variant")
+    contrastive = config.variant != "baseline"
     started = time.monotonic()
     model = _init_model(config, pair)
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
@@ -397,8 +378,8 @@ def train_caco(
     for epoch in range(1, config.epochs + 1):
         sup_losses: list[float] = []
         cat_losses: list[float] = []
-        enqueueing = epoch > config.warmup_epochs
-        if config.warmup_epochs and epoch == config.warmup_epochs + 1:
+        enqueueing = contrastive and epoch > config.warmup_epochs
+        if enqueueing and epoch == config.warmup_epochs + 1:
             # contrastive phase begins: bootstrap the key encoder from the
             # trained query encoder, exactly as at initialization
             for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
@@ -440,7 +421,8 @@ def train_caco(
                     total = ad.add(total, ad.scale(cat.value, config.catnce_weight))
                     cat_losses.append(cat.item())
             optimizer.step(backward(total, tape))
-            momentum_update(model.encoders)
+            if contrastive:
+                momentum_update(model.encoders)
             sup_losses.append(sup.item())
 
         record, prev_pseudo = _epoch_record(

@@ -1,4 +1,4 @@
-"""Synthetic task generation, batch sampling and CSV round-trip."""
+"""Synthetic task generation and batch sampling."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from caco.data import (
     mixture_centers,
     sample_key_batch,
     sample_query_batch,
-    save_csv,
-    load_csv,
     shift_domain,
 )
 from caco.errors import ContractError
@@ -96,8 +94,10 @@ def test_query_batch_comes_from_target_only():
     pair = small_pair()
     rng = np.random.default_rng(0)
     batch = sample_query_batch(pair, 10, rng)
-    target_rows = {tuple(row) for row in pair.target_x}
-    assert all(tuple(row) in target_rows for row in batch)
+    assert batch.shape == (10,)
+    assert np.issubdtype(batch.dtype, np.integer)
+    assert ((0 <= batch) & (batch < pair.target_x.shape[0])).all()
+    assert len(set(batch.tolist())) == 10
 
 
 def test_query_batch_full_draw_is_permutation():
@@ -105,9 +105,7 @@ def test_query_batch_full_draw_is_permutation():
     rng = np.random.default_rng(1)
     n = pair.target_x.shape[0]
     batch = sample_query_batch(pair, n, rng)
-    got = sorted(map(tuple, batch))
-    want = sorted(map(tuple, pair.target_x))
-    assert got == want
+    assert sorted(batch.tolist()) == list(range(n))
 
 
 def test_query_batch_too_large_rejected():
@@ -122,10 +120,8 @@ def test_query_batch_frequencies_uniform():
     total = pair.target_x.shape[0]
     counts = np.zeros(total)
     draws = 3000
-    lookup = {tuple(row): i for i, row in enumerate(pair.target_x)}
     for _ in range(draws):
-        for row in sample_query_batch(pair, 4, rng):
-            counts[lookup[tuple(row)]] += 1
+        counts[sample_query_batch(pair, 4, rng)] += 1
     expected = np.full(total, draws * 4 / total)
     assert stats.chisquare(counts, expected).pvalue > 1e-3
 
@@ -153,7 +149,7 @@ def test_key_batch_variant_contracts():
 def test_target_labels_live_only_behind_evaluation_accessors():
     pair = small_pair()
     batch = sample_query_batch(pair, 5, np.random.default_rng(5))
-    assert isinstance(batch, np.ndarray)  # bare feature rows
+    assert isinstance(batch, np.ndarray) and batch.ndim == 1  # bare row indices
     labels = pair.evaluation_labels()
     assert len(labels) == pair.target_x.shape[0]
     samples = pair.evaluation_samples()
@@ -172,19 +168,3 @@ def test_build_domain_pair_deterministic():
         np.testing.assert_array_equal(sa.x, sb.x)
     assert (a.target_x != c.target_x).any()
     assert a.num_categories == 3
-    assert a.shift.angle == 0.4
-
-
-def test_csv_round_trip(tmp_path):
-    pair = small_pair(n=6)
-    path = tmp_path / "pair.csv"
-    save_csv(path, pair)
-    loaded = load_csv(path)
-    assert len(loaded.source) == len(pair.source)
-    for a, b in zip(pair.source, loaded.source):
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.y.index == b.y.index
-    np.testing.assert_array_equal(pair.target_x, loaded.target_x)
-    assert [l.index for l in loaded.evaluation_labels()] == [
-        l.index for l in pair.evaluation_labels()
-    ]

@@ -1,5 +1,7 @@
 """Encoder, classifier, momentum update and checkpoint contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -241,8 +243,50 @@ def test_checkpoint_round_trip_is_byte_exact(tmp_path):
     )
 
 
+def _saved_checkpoint(tmp_path):
+    spec = MlpSpec((4, 6, 3))
+    model = CacoModel(spec, 3, 42, new_encoder_pair(spec, 42, 0.999), init_classifier(3, 3, 9))
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(path, model)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(header), payload
+
+
+def _write(path, header, payload):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b'{"format":"something-else"}\n')
     with pytest.raises(ContractError):
         load_checkpoint(path)
+    path.write_bytes(b"\x89PNG\r\n")
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
+    path.write_bytes(b'{"format":"caco-checkpoint","version":1}\n')
+    with pytest.raises(ContractError, match="lacks"):
+        load_checkpoint(path)
+    # a truncated or overlong payload is named, not left to numpy
+    path, header, payload = _saved_checkpoint(tmp_path)
+    for bad in (payload[:-100], payload + bytes(8)):
+        _write(path, header, bad)
+        with pytest.raises(ContractError, match="payload"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_shapes_that_disagree_with_its_header(tmp_path):
+    path, header, payload = _saved_checkpoint(tmp_path)
+    # same element count, so only the shape check can catch it
+    reshaped = json.loads(json.dumps(header))
+    reshaped["arrays"][0]["shape"] = [6, 4]
+    _write(path, reshaped, payload)
+    with pytest.raises(ContractError, match="layer_widths"):
+        load_checkpoint(path)
+    # the classifier no longer fits the declared number of categories
+    recounted = dict(header, num_categories=4)
+    _write(path, recounted, payload)
+    with pytest.raises(ContractError, match="num_categories"):
+        load_checkpoint(path)
+    _write(path, header, payload)
+    load_checkpoint(path)

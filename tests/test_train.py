@@ -56,13 +56,24 @@ def test_config_validation():
         TrainConfig(encoder_momentum=1.5).validate()
     with pytest.raises(ParameterError):
         TrainConfig(learning_rate=0.0).validate()
+    # the full variant splits its key batch evenly, so an odd one must fail
+    # here, not after warm-up; an explicit key batch or the query batch size
+    with pytest.raises(ParameterError):
+        TrainConfig(variant="full", key_batch_size=7).validate()
+    with pytest.raises(ParameterError):
+        TrainConfig(variant="full", key_batch_size=0, batch_size=33).validate()
+    TrainConfig(variant="T", key_batch_size=7).validate()
+    TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
 
 
 def test_variant_routing(tiny_pair):
     with pytest.raises(ContractError):
         train_source_only(tiny_config(variant="full"), tiny_pair)
-    with pytest.raises(ContractError):
-        train_caco(tiny_config(variant="baseline"), tiny_pair)
+    # the baseline is train_caco's zero-contrast case, whichever entry point runs it
+    model_a, ma = train_source_only(tiny_config(variant="baseline"), tiny_pair)
+    model_b, mb = train_caco(tiny_config(variant="baseline"), tiny_pair)
+    assert params_bytes(model_a) == params_bytes(model_b)
+    assert ma.jsonl_lines() == mb.jsonl_lines()
 
 
 def test_metrics_bit_identical_across_runs(tiny_pair):
@@ -91,17 +102,35 @@ def test_zero_encoder_momentum_tracks_query(tiny_pair):
         np.testing.assert_array_equal(tq.data, tk.data)
 
 
-def test_unit_encoder_momentum_freezes_key_encoder(tiny_pair):
-    # with momentum 1 any change to the key encoder could only come from a
-    # gradient leak, so bitwise equality with the init is the isolation check
-    cfg = tiny_config(encoder_momentum=1.0, warmup_epochs=0)
+def _initial_key_encoder(cfg: TrainConfig):
     from caco.model import new_encoder_pair
     from caco.seeding import child_seed
 
     spec = MlpSpec((TINY_DATA.dim, *cfg.hidden, cfg.embed_dim))
-    init = new_encoder_pair(spec, child_seed(cfg.seed, "encoder_init"), 1.0)
+    return new_encoder_pair(spec, child_seed(cfg.seed, "encoder_init"), cfg.encoder_momentum).key
+
+
+@pytest.mark.parametrize("variant", ["baseline", "S", "T", "full"])
+def test_only_contrastive_variants_move_the_key_encoder(tiny_pair, variant):
+    # runs that end inside warm-up: the EMA alone moves the key encoder,
+    # on every step of every contrastive variant, and never for the baseline
+    cfg = tiny_config(variant=variant, epochs=2, warmup_epochs=5)
     model, _ = train_caco(cfg, tiny_pair)
-    for ti, tk in zip(init.key.tensors(), model.encoders.key.tensors()):
+    init = _initial_key_encoder(cfg)
+    moved = [
+        not np.array_equal(ti.data, tk.data)
+        for ti, tk in zip(init.tensors(), model.encoders.key.tensors())
+    ]
+    assert all(moved) if variant != "baseline" else not any(moved)
+
+
+def test_unit_encoder_momentum_freezes_key_encoder(tiny_pair):
+    # with momentum 1 any change to the key encoder could only come from a
+    # gradient leak, so bitwise equality with the init is the isolation check
+    cfg = tiny_config(encoder_momentum=1.0, warmup_epochs=0)
+    init = _initial_key_encoder(cfg)
+    model, _ = train_caco(cfg, tiny_pair)
+    for ti, tk in zip(init.tensors(), model.encoders.key.tensors()):
         np.testing.assert_array_equal(ti.data, tk.data)
 
 
@@ -388,9 +417,3 @@ def test_churn_identities():
     assert pseudo_label_churn(labels, prev) == 0.25
     with pytest.raises(ContractError):
         pseudo_label_churn([1, 2], [1])
-
-
-def test_churn_accepts_category_labels():
-    a = [CategoryLabel.of(1, 2), CategoryLabel.of(2, 2)]
-    b = [1, 1]
-    assert pseudo_label_churn(a, b) == 0.5
