@@ -23,6 +23,11 @@ GOLDEN = {
         "keys.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "model.ckpt": "babbec64d94598c21dee5239a3449d5cfca1596c0a75051ac46b0c38d2991f25",
     },
+    "S": {
+        "metrics.jsonl": "8057bfbac3e53b8d9e9640a15f80d0d7f6d2f58457a66b7b850d653c663a7720",
+        "keys.jsonl": "07e5049298a9ede05d3e46b02573a100f19075fc2949a251be55f24d977250e7",
+        "model.ckpt": "068c869f7d1fc75dbfd76fb4111c8558e1a6d13f3ffe5b51ab3557c1d4726278",
+    },
     "T": {
         "metrics.jsonl": "10c54d2a9e311d5a723b1fa2d8c12629060734d0e36d6c7ce4b38876050d9703",
         "keys.jsonl": "268c0ed413d07ba4567c6feb054cfa15eaa5cc0e747d9ff26050ed5b4ce1e165",

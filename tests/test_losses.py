@@ -196,6 +196,46 @@ def test_cat_nce_matches_scalar_double_loop_oracle():
         assert abs(got - want) <= 1e-10
 
 
+def catnce_slot_loop_reference(queries, labels, dictionary):
+    """cat_nce with its key block built slot by slot from group(m), same ops after."""
+    num_cat, capacity = dictionary.num_categories, dictionary.capacity
+    batch, dim = queries.shape
+    scaled = np.empty((capacity * num_cat, dim))
+    for m in range(1, capacity + 1):
+        for c, key in enumerate(dictionary.group(m)):
+            scaled[(m - 1) * num_cat + c] = key.vector / key.temperature
+    logits = ad.matmul(queries, Tensor(scaled.T))
+    per_group = ad.reshape(logits, (batch * capacity, num_cat))
+    idx = np.repeat([lab.index - 1 for lab in labels], capacity)
+    positives = ad.take_per_row(per_group, idx)
+    return ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+
+
+def test_cat_nce_bit_equal_to_slot_loop_reference():
+    # random temperatures, and extra enqueues in random category order so the
+    # queues have wrapped past their capacity a different number of times
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        C, M = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        dim, B = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        d = random_warm_dictionary(rng, C, M, dim)
+        for _ in range(int(rng.integers(0, 3 * C * M))):
+            d.enqueue(unit_rows(rng, 1, dim)[0], int(rng.integers(1, C + 1)),
+                      float(rng.uniform(0.07, 0.14)), SOURCE)
+        q0 = unit_rows(rng, B, dim)
+        labels = random_labels(rng, B, C)
+        losses, grads = [], []
+        for fn in (lambda q: cat_nce(q, labels, d).value,
+                   lambda q: catnce_slot_loop_reference(q, labels, d)):
+            queries = Tensor(q0, requires_grad=True)
+            with Tape() as tape:
+                loss = fn(queries)
+            losses.append(loss.data)
+            grads.append(backward(loss, tape)[queries.id].data)
+        assert np.array_equal(losses[0], losses[1])
+        assert np.array_equal(grads[0], grads[1])
+
+
 def test_cat_nce_requires_warm_dictionary():
     d = CategoricalDictionary(2, 2)
     d.enqueue(np.array([1.0, 0.0]), 1, 0.07, SOURCE)
