@@ -17,6 +17,7 @@ from .errors import (
     ContractError,
     DegenerateEmbeddingError,
     DimensionError,
+    DivergenceError,
     NotWarmError,
     ParameterError,
 )

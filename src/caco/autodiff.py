@@ -13,6 +13,7 @@ threads, but a tape must never be written from two threads at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -284,7 +285,9 @@ def row_logsumexp(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError("row_logsumexp expects a 2-d tensor")
-    m = x.data.max(axis=1, keepdims=True)
+    # a column fold: numpy's max along a short trailing axis is about ten
+    # times slower, and a max is exact in any order
+    m = functools.reduce(np.maximum, x.data.T)[:, None]
     out = (m + np.log(np.exp(x.data - m).sum(axis=1, keepdims=True)))[:, 0]
     xd = x.data
 

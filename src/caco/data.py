@@ -59,7 +59,8 @@ class DomainPair:
 
     @property
     def num_categories(self) -> int:
-        return max(s.y.index for s in self.source)
+        """The label space's size, which a category without source rows still counts in."""
+        return len(self.source[0].y.one_hot)
 
     def evaluation_labels(self) -> list[CategoryLabel]:
         """Held-out target labels; for evaluation and export only."""
@@ -147,13 +148,14 @@ def shift_domain(
 ) -> list[LabeledSample]:
     """Fresh draws from the source mixture, then rotate/scale/translate.
 
-    Category count, dimension and per-class counts are inferred from the
-    source list; ``separation`` pins down the generating centers. Labels are
-    retained so the caller can park them on the evaluation side of a pair.
+    Category count (the size of the source labels' label space), dimension
+    and per-class counts are inferred from the source list; ``separation``
+    pins down the generating centers. Labels are retained so the caller can
+    park them on the evaluation side of a pair.
     """
     if scale <= 0.0:
         raise ParameterError(f"scale must be positive, got {scale}")
-    num_categories = max(s.y.index for s in source)
+    num_categories = len(source[0].y.one_hot)
     dim = source[0].x.shape[0]
     counts = [sum(1 for s in source if s.y.index == c) for c in range(1, num_categories + 1)]
 

@@ -1,25 +1,28 @@
-"""Category-balanced key store: one FIFO queue of capacity M per category.
+"""Category-balanced key store: per-category ring buffers of capacity M.
 
 Keys are unit-norm embeddings frozen at enqueue time together with their
-category, per-key temperature and domain of origin. When every queue is
-full ("warm"), slot m of each queue lines up into a group of C keys, one
-per category, which is the comparison unit of the category contrastive
-loss. Single writer; snapshots are safe to read from anywhere.
+category, per-key temperature and domain of origin. They live in a
+(C, M, d) vector array with (C, M) temperature, age and domain arrays;
+each category writes its next key at its head slot and overwrites the
+oldest once full. When every queue is full ("warm"), slot m of each queue
+lines up into a group of C keys, one per category, which is the
+comparison unit of the category contrastive loss. Single writer;
+snapshots are safe to read from anywhere.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import ContractError, NotWarmError, ParameterError
+from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import SOURCE, TARGET
 
 _UNIT_TOL = 1e-9
+_DOMAINS = (SOURCE, TARGET)  # domain codes stored in the domain array
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class CategoricalKey:
 
 
 class CategoricalDictionary:
-    """C FIFO queues of capacity M holding categorical keys."""
+    """C ring buffers of capacity M holding categorical keys."""
 
     def __init__(self, num_categories: int, capacity: int):
         if num_categories < 1:
@@ -43,60 +46,106 @@ class CategoricalDictionary:
             raise ParameterError(f"queue capacity must be positive, got {capacity}")
         self.num_categories = int(num_categories)
         self.capacity = int(capacity)
-        self._queues: list[deque[CategoricalKey]] = [
-            deque(maxlen=self.capacity) for _ in range(self.num_categories)
-        ]
+        shape = (self.num_categories, self.capacity)
+        self._vectors = np.zeros((*shape, 0))  # key dimension fixed by the first enqueue
+        self._temperatures = np.zeros(shape)
+        self._ages = np.zeros(shape, dtype=np.int64)
+        self._domains = np.zeros(shape, dtype=np.int8)
+        # per category: the next slot to write, and how many slots hold keys
+        self._head = [0] * self.num_categories
+        self._fill = [0] * self.num_categories
         self._next_age = 0
         self.enqueued_by_domain = {SOURCE: 0, TARGET: 0}
 
     def enqueue(self, vector, category: int, temperature: float, domain: str) -> CategoricalKey:
-        """Append a key to its category queue, evicting the oldest when full."""
+        """Write a key at its category's head, overwriting the oldest when full."""
         if not isinstance(category, (int, np.integer)) or not 1 <= category <= self.num_categories:
             raise ContractError(
                 f"category {category} outside [1..{self.num_categories}]"
             )
-        if domain not in (SOURCE, TARGET):
+        if domain not in _DOMAINS:
             raise ContractError(f"unknown domain {domain!r}")
-        if temperature <= 0.0:
+        if not temperature > 0.0:
             raise ParameterError(f"key temperature must be positive, got {temperature}")
         vec = np.asarray(vector, dtype=np.float64).copy()
-        if abs(np.linalg.norm(vec) - 1.0) > _UNIT_TOL:
-            raise ContractError("key vectors must be unit-norm")
+        if vec.ndim != 1 or (self._next_age and vec.shape[0] != self._vectors.shape[2]):
+            raise DimensionError(
+                f"keys are 1-d and as long as the first one; got shape {vec.shape}"
+            )
+        # written so that a NaN or infinite norm fails it too
+        if not abs(np.linalg.norm(vec) - 1.0) <= _UNIT_TOL:
+            raise ContractError("key vectors must be finite and unit-norm")
+        if not self._next_age:
+            self._vectors = np.zeros((self.num_categories, self.capacity, vec.shape[0]))
         vec.flags.writeable = False
         key = CategoricalKey(vec, int(category), float(temperature), domain, self._next_age)
+        c = category - 1
+        slot = self._head[c]
+        self._vectors[c, slot] = vec
+        self._temperatures[c, slot] = key.temperature
+        self._ages[c, slot] = key.age
+        self._domains[c, slot] = _DOMAINS.index(domain)
+        self._head[c] = (slot + 1) % self.capacity
+        self._fill[c] = min(self._fill[c] + 1, self.capacity)
         self._next_age += 1
-        self._queues[category - 1].append(key)
         self.enqueued_by_domain[domain] += 1
         return key
 
-    def group(self, m: int) -> list[CategoricalKey]:
-        """The m-th newest key of every category, in category order (m >= 1)."""
+    def _key(self, c: int, slot: int) -> CategoricalKey:
+        vec = self._vectors[c, slot].copy()
+        vec.flags.writeable = False
+        return CategoricalKey(
+            vec, c + 1, float(self._temperatures[c, slot]),
+            _DOMAINS[self._domains[c, slot]], int(self._ages[c, slot]),
+        )
+
+    def _require_slots(self, m: int) -> None:
         if m < 1:
             raise ContractError(f"slot index must be >= 1, got {m}")
-        for c, queue in enumerate(self._queues, start=1):
-            if len(queue) < m:
-                raise NotWarmError(f"queue {c} holds {len(queue)} keys, slot {m} requested")
-        return [queue[-m] for queue in self._queues]
+        for c, n in enumerate(self._fill):
+            if n < m:
+                raise NotWarmError(f"queue {c + 1} holds {n} keys, slot {m} requested")
+
+    def group(self, m: int) -> list[CategoricalKey]:
+        """The m-th newest key of every category, in category order (m >= 1)."""
+        self._require_slots(m)
+        return [self._key(c, (self._head[c] - m) % self.capacity)
+                for c in range(self.num_categories)]
+
+    def scaled_block(self) -> np.ndarray:
+        """Every key divided by its temperature, one C-contiguous (M*C, d) array.
+
+        Slot-major: row (m-1)*C + (c-1) holds the m-th newest key of
+        category c, so rows (m-1)*C .. m*C-1 are group(m). Needs a warm
+        dictionary.
+        """
+        self._require_slots(self.capacity)
+        slots = (np.array(self._head) - np.arange(1, self.capacity + 1)[:, None]) % self.capacity
+        cats = np.arange(self.num_categories)
+        block = self._vectors[cats, slots] / self._temperatures[cats, slots][:, :, None]
+        return block.reshape(self.capacity * self.num_categories, -1)
 
     def is_warm(self) -> bool:
-        return all(len(q) == self.capacity for q in self._queues)
+        return min(self._fill) == self.capacity
 
     def queue_lengths(self) -> list[int]:
-        return [len(q) for q in self._queues]
+        return list(self._fill)
 
     def keys(self) -> Iterator[CategoricalKey]:
         """All keys, by category then oldest to newest."""
-        for queue in self._queues:
-            yield from queue
+        for c in range(self.num_categories):
+            oldest = self._head[c] - self._fill[c]
+            for j in range(self._fill[c]):
+                yield self._key(c, (oldest + j) % self.capacity)
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return sum(self._fill)
 
     def snapshot(self) -> "CategoricalDictionary":
         """A copy safe to read while the original keeps being updated."""
         copy = CategoricalDictionary(self.num_categories, self.capacity)
-        for c, queue in enumerate(self._queues):
-            copy._queues[c].extend(queue)
+        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill"):
+            setattr(copy, name, getattr(self, name).copy())
         copy._next_age = self._next_age
         copy.enqueued_by_domain = dict(self.enqueued_by_domain)
         return copy

@@ -23,3 +23,12 @@ class DegenerateEmbeddingError(CacoError):
 
 class NotWarmError(CacoError):
     """The categorical dictionary does not yet hold a full group per slot."""
+
+
+class DivergenceError(CacoError):
+    """A training step's loss is not finite; carries the epoch and the step within it."""
+
+    def __init__(self, epoch: int, step: int, loss: float):
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: loss {loss}")
+        self.epoch = epoch
+        self.step = step

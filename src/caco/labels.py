@@ -103,7 +103,7 @@ def prototype_memberships(
         )
     counts = np.bincount(source_labels - 1, minlength=num_categories)[:num_categories]
     if (counts == 0).any():
-        missing = [c + 1 for c in np.flatnonzero(counts == 0)]
+        missing = (np.flatnonzero(counts == 0) + 1).tolist()
         raise ContractError(f"no source rows to seed the prototypes of categories {missing}")
     hot = np.eye(num_categories)
     prototypes = _unit_rows(hot[source_labels - 1].T @ source_emb)

@@ -106,15 +106,10 @@ def cat_nce(
             f"batch mismatch: {batch} queries, {len(query_labels)} labels"
         )
     num_cat, capacity = dictionary.num_categories, dictionary.capacity
-    key_dim = dictionary.group(1)[0].vector.shape[0]
-    if key_dim != dim:
-        raise DimensionError(f"query dim {dim} does not match key dim {key_dim}")
-
     # one row per (slot, category), each key pre-divided by its temperature
-    scaled = np.empty((capacity * num_cat, dim))
-    for m in range(1, capacity + 1):
-        for c, key in enumerate(dictionary.group(m)):
-            scaled[(m - 1) * num_cat + c] = key.vector / key.temperature
+    scaled = dictionary.scaled_block()
+    if scaled.shape[1] != dim:
+        raise DimensionError(f"query dim {dim} does not match key dim {scaled.shape[1]}")
 
     logits = ad.matmul(queries, Tensor(scaled.T))          # (batch, M*C)
     per_group = ad.reshape(logits, (batch * capacity, num_cat))

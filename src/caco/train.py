@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .data import DomainPair, LabeledSample, sample_key_batch, sample_query_batch
 from .dictionary import CategoricalDictionary
-from .errors import ContractError, ParameterError
+from .errors import ContractError, DivergenceError, ParameterError
 from .labels import TARGET, assign_pseudo_label, key_label, prototype_memberships
 from .losses import cat_nce, key_temperature, prediction_entropy, supervised_loss
 from .model import (
@@ -353,7 +353,8 @@ def train_caco(
     (keys drawn from source with true labels until the dictionary warms,
     then per variant); once warm, add the weighted category contrastive
     loss on a target query batch; after the SGD step, an EMA step on the
-    key encoder, warm-up included.
+    key encoder, warm-up included. A step whose loss is not finite raises
+    DivergenceError before its backward pass.
     """
     config.validate()
     contrastive = config.variant != "baseline"
@@ -374,6 +375,9 @@ def train_caco(
     source_y = [s.y for s in pair.source]
     source_labels = np.array([y.index for y in source_y])
     num_cat = pair.num_categories
+    if contrastive:
+        # a query's label is the label of its membership row, a simplex vertex
+        vertex_labels = [assign_pseudo_label(row) for row in np.eye(num_cat)]
 
     for epoch in range(1, config.epochs + 1):
         sup_losses: list[float] = []
@@ -389,7 +393,8 @@ def train_caco(
             memberships = prototype_memberships(
                 embed(key_enc, source_x), source_labels, embed(key_enc, pair.target_x), num_cat
             )
-        for idx in _source_epoch_batches(pair, config.batch_size, rng_source):
+            row_categories = np.argmax(memberships, axis=1)
+        for step, idx in enumerate(_source_epoch_batches(pair, config.batch_size, rng_source), 1):
             if enqueueing:
                 # keys first: cold dictionaries fill from ground-truth source samples
                 key_variant = config.variant if dictionary.is_warm() else "S"
@@ -416,10 +421,12 @@ def train_caco(
                 if dictionary.is_warm() and config.catnce_weight != 0.0:
                     q_idx = queries.next()
                     q_emb = encode(model.encoders.query, Tensor(pair.target_x[q_idx]))
-                    q_labels = [assign_pseudo_label(memberships[i]) for i in q_idx]
+                    q_labels = [vertex_labels[c] for c in row_categories[q_idx]]
                     cat = cat_nce(q_emb, q_labels, dictionary.snapshot())
                     total = ad.add(total, ad.scale(cat.value, config.catnce_weight))
                     cat_losses.append(cat.item())
+            if not np.isfinite(total.data):
+                raise DivergenceError(epoch, step, total.item())
             optimizer.step(backward(total, tape))
             if contrastive:
                 momentum_update(model.encoders)

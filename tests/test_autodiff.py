@@ -118,6 +118,20 @@ def test_logsumexp_empty_mask_rejected():
         ad.logsumexp(ad.Tensor([1.0, 2.0]), mask=np.zeros(2))
 
 
+def test_row_logsumexp_bit_equal_to_row_max_formula():
+    # the reference takes numpy's row max; ties, signed zeros and -inf included
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = rng.normal(scale=20.0, size=(int(rng.integers(1, 40)), int(rng.integers(1, 13))))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        x[rng.random(x.shape) < 0.05] = -np.inf
+        x[:, 0] = np.where(np.isinf(x).all(axis=1), 1.5, x[:, 0])
+        m = x.max(axis=1, keepdims=True)
+        want = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
+        assert ad.row_logsumexp(ad.Tensor(x)).data.tobytes() == want.tobytes()
+
+
 def test_reshape_size_mismatch():
     with pytest.raises(DimensionError):
         ad.reshape(ad.Tensor(np.zeros(6)), (4, 2))

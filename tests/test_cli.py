@@ -85,6 +85,15 @@ def test_unknown_override_key_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_diverging_run_exits_nonzero_by_name(tmp_path, capsys):
+    argv = ["train", "--out", str(tmp_path), "--set", "train.learning_rate=1e4",
+            "--set", "train.epochs=7", "--set", "data.n_per_class=100"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    assert "training diverged at epoch" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
 def test_train_writes_run_files(tmp_path):
     out = tmp_path / "run"
     rc = main(["train", "--out", str(out)] + fast_args())

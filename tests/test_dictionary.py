@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caco.dictionary import CategoricalDictionary
-from caco.errors import ContractError, NotWarmError
+from caco.errors import ContractError, DimensionError, NotWarmError
 from caco.labels import SOURCE, TARGET
 
 from conftest import random_warm_dictionary, unit_rows
@@ -43,8 +45,21 @@ def test_out_of_range_category_rejected():
 
 def test_non_unit_vector_rejected():
     d = CategoricalDictionary(2, 2)
-    with pytest.raises(ContractError):
-        d.enqueue(np.array([3.0, 4.0]), 1, 0.07, SOURCE)
+    # a NaN norm compares false with everything, so NaN keys must fail too
+    for vector in ([3.0, 4.0], [np.nan, np.nan], [np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ContractError):
+            d.enqueue(np.array(vector), 1, 0.07, SOURCE)
+    assert len(d) == 0
+
+
+def test_key_length_fixed_by_first_key():
+    d = CategoricalDictionary(2, 2)
+    with pytest.raises(DimensionError):
+        d.enqueue(np.eye(2), 1, 0.07, SOURCE)
+    d.enqueue(unit(3), 1, 0.07, SOURCE)
+    with pytest.raises(DimensionError):
+        d.enqueue(unit(4), 2, 0.07, SOURCE)
+    assert d.queue_lengths() == [1, 0]
 
 
 def test_randomized_enqueues_match_reference_lists():
@@ -102,7 +117,10 @@ def test_group_slot_order_against_reference():
             newest_per_cat[c].pop(0)
     second_newest = d.group(2)
     for c in range(1, C + 1):
-        assert second_newest[c - 1] is newest_per_cat[c][-2]
+        got, want = second_newest[c - 1], newest_per_cat[c][-2]
+        assert (got.age, got.category, got.temperature, got.domain) == \
+            (want.age, want.category, want.temperature, want.domain)
+        assert got.vector.tobytes() == want.vector.tobytes()
 
 
 def test_is_warm_transitions():
@@ -160,3 +178,52 @@ def test_jsonl_dump_round_trips_fields():
         assert rec["domain"] == key.domain
         assert rec["temperature"] == key.temperature
         np.testing.assert_array_equal(np.array(rec["vector"]), key.vector)
+
+
+def _fields(key):
+    return key.age, key.category, key.temperature, key.domain, key.vector.tobytes()
+
+
+def _check_against_lists(d, model, C, M):
+    lengths = [len(model[c]) for c in range(1, C + 1)]
+    assert d.queue_lengths() == lengths
+    assert len(d) == sum(lengths)
+    assert d.is_warm() == all(n == M for n in lengths)
+    assert [_fields(k) for k in d.keys()] == [
+        _fields(k) for c in range(1, C + 1) for k in model[c]
+    ]
+    shortest = min(lengths)
+    for m in range(1, shortest + 1):
+        assert [_fields(k) for k in d.group(m)] == [_fields(model[c][-m]) for c in range(1, C + 1)]
+    with pytest.raises(NotWarmError):
+        d.group(shortest + 1)
+
+
+@st.composite
+def _enqueue_runs(draw):
+    C, M = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ops = draw(st.lists(
+        st.tuples(st.integers(1, C), st.floats(0.05, 0.2), st.sampled_from([SOURCE, TARGET])),
+        max_size=40,
+    ))
+    return C, M, ops, draw(st.integers(0, len(ops)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_enqueue_runs())
+def test_ring_buffer_matches_per_category_lists(run):
+    # the model: one plain list per category, trimmed to the newest M keys
+    C, M, ops, snap_at = run
+    d = CategoricalDictionary(C, M)
+    model = {c: [] for c in range(1, C + 1)}
+    snap = None
+    for age, (c, tau, domain) in enumerate(ops):
+        if age == snap_at:
+            snap, snap_model = d.snapshot(), {k: list(v) for k, v in model.items()}
+        vec = unit_rows(np.random.default_rng(age), 1, 3)[0]
+        key = d.enqueue(vec, c, tau, domain)
+        assert _fields(key) == (age, c, tau, domain, vec.tobytes())
+        model[c] = (model[c] + [key])[-M:]
+        _check_against_lists(d, model, C, M)
+        if snap is not None:
+            _check_against_lists(snap, snap_model, C, M)

@@ -222,6 +222,7 @@ def test_cat_nce_bit_equal_to_slot_loop_reference():
         for _ in range(int(rng.integers(0, 3 * C * M))):
             d.enqueue(unit_rows(rng, 1, dim)[0], int(rng.integers(1, C + 1)),
                       float(rng.uniform(0.07, 0.14)), SOURCE)
+        assert d.scaled_block().flags.c_contiguous  # the operand layout matmul saw before
         q0 = unit_rows(rng, B, dim)
         labels = random_labels(rng, B, C)
         losses, grads = [], []

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from caco.data import DataConfig, DomainPair, build_domain_pair
-from caco.errors import ContractError, ParameterError
+from caco.data import DataConfig, DomainPair, LabeledSample, build_domain_pair, shift_domain
+from caco.errors import ContractError, DivergenceError, ParameterError
 from caco.labels import CategoryLabel
 from caco.model import CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
 from caco.autodiff import Tensor
@@ -213,8 +213,7 @@ class _LabelLog:
         self._draws: list = []
         self._query_rows: list[int] = []
         real = {name: getattr(train_mod, name) for name in (
-            "prototype_memberships", "sample_key_batch", "key_label",
-            "assign_pseudo_label", "evaluate",
+            "prototype_memberships", "sample_key_batch", "key_label", "cat_nce", "evaluate",
         )}
         real_next = train_mod._QueryCycler.next
 
@@ -241,10 +240,10 @@ class _LabelLog:
             self._query_rows.extend(int(i) for i in rows)
             return rows
 
-        def query_label(*args, **kwargs):
-            label = real["assign_pseudo_label"](*args, **kwargs)
-            self.events.append(("query", (self._query_rows.pop(0), label.index)))
-            return label
+        def query_labels(queries, labels, dictionary):
+            for label in labels:
+                self.events.append(("query", (self._query_rows.pop(0), label.index)))
+            return real["cat_nce"](queries, labels, dictionary)
 
         def evaluate(*args, **kwargs):
             self.events.append(("evaluate", None))
@@ -253,7 +252,7 @@ class _LabelLog:
         monkeypatch.setattr(train_mod, "prototype_memberships", memberships)
         monkeypatch.setattr(train_mod, "sample_key_batch", key_batch)
         monkeypatch.setattr(train_mod, "key_label", key_label)
-        monkeypatch.setattr(train_mod, "assign_pseudo_label", query_label)
+        monkeypatch.setattr(train_mod, "cat_nce", query_labels)
         monkeypatch.setattr(train_mod, "evaluate", evaluate)
         monkeypatch.setattr(train_mod._QueryCycler, "next", next_queries)
 
@@ -298,6 +297,43 @@ def test_target_labels_change_only_at_epoch_starts(tiny_pair, monkeypatch):
             assert kinds[previous] == "labelling"
     assert len(log.by_labelling()) == 3
     assert all(labelled for labelled in log.by_labelling())
+
+
+def test_non_finite_loss_raises_divergence_before_backward(monkeypatch):
+    # the default model at a learning rate of 1e4 overflows during warm-up
+    import caco.train as train_mod
+
+    real_backward = train_mod.backward
+    backward_losses = []
+
+    def backward(loss, tape):
+        backward_losses.append(loss.item())
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(train_mod, "backward", backward)
+    pair = build_domain_pair(DataConfig(n_per_class=100), 1)
+    with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+        train_caco(TrainConfig(learning_rate=1e4, epochs=7), pair)
+    err = info.value
+    assert 1 <= err.epoch <= 7 and err.step >= 1
+    assert f"epoch {err.epoch}, step {err.step}" in str(err)
+    assert backward_losses and np.isfinite(backward_losses).all()
+
+
+def test_categories_come_from_the_label_space():
+    # labels declare three categories, but no source row has the third
+    rng = np.random.default_rng(0)
+    source = [
+        LabeledSample(row, CategoryLabel.of(c, 3))
+        for c in (1, 2) for row in rng.normal(size=(20, 4)) + 3.0 * c
+    ]
+    pair = DomainPair.from_lists(
+        source, shift_domain(source, 0.3, 0, 1.0, 1, separation=3.0)
+    )
+    assert pair.num_categories == 3
+    assert {len(y.one_hot) for y in pair.evaluation_labels()} == {3}
+    with pytest.raises(ContractError, match=r"categories \[3\]"):
+        train_caco(tiny_config(), pair)
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
