@@ -4,7 +4,6 @@ from .autodiff import Tape, Tensor, backward, finite_diff_grad
 from .data import (
     DataConfig,
     DomainPair,
-    LabeledSample,
     build_domain_pair,
     make_gaussian_mixture,
     sample_key_batch,
@@ -18,6 +17,7 @@ from .errors import (
     DegenerateEmbeddingError,
     DimensionError,
     DivergenceError,
+    NonFiniteError,
     NotWarmError,
     ParameterError,
 )

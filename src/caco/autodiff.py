@@ -23,6 +23,7 @@ from .errors import (
     ContractError,
     DegenerateEmbeddingError,
     DimensionError,
+    NonFiniteError,
     ParameterError,
 )
 
@@ -303,6 +304,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     if x.data.ndim not in (1, 2):
         raise DimensionError("l2_normalize expects a 1-d or 2-d tensor")
     norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("cannot normalize a vector whose norm is not finite")
     if (norms <= _NORM_FLOOR).any():
         raise DegenerateEmbeddingError("cannot normalize a (near-)zero vector")
     out = x.data / norms

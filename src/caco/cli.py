@@ -135,19 +135,14 @@ def _parse_seeds(arg: str | None, default_seed: int) -> list[int]:
 
 def _export_embeddings(path: Path, model: CacoModel, pair: DomainPair) -> None:
     """Final query-encoder embeddings with labels and domain tags, for plotting."""
-    import numpy as np
-
     dim = model.mlp_spec.embed_dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"e{i + 1}" for i in range(dim)] + ["y", "domain"])
-        source_x = np.stack([s.x for s in pair.source])
-        source_emb = embed(model.encoders.query, source_x)
-        for row, sample in zip(source_emb, pair.source):
-            writer.writerow([repr(float(v)) for v in row] + [sample.y.index, "source"])
-        target_emb = embed(model.encoders.query, pair.target_x)
-        for row, label in zip(target_emb, pair.evaluation_labels()):
-            writer.writerow([repr(float(v)) for v in row] + [label.index, "target"])
+        for domain, x, y in (("source", pair.source_x, pair.source_y),
+                             ("target", pair.target_x, pair.evaluation_labels())):
+            for row, label in zip(embed(model.encoders.query, x), y.tolist()):
+                writer.writerow([repr(float(v)) for v in row] + [label, domain])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Classes are isotropic unit-variance Gaussians whose means sit on a circle
 in the first two coordinates. The target domain redraws from the same
 mixture and then rotates, scales and translates it. A DomainPair keeps the
 target labels in an evaluation-only pocket: training code sees source
-samples and bare target feature rows, nothing else.
+rows with their labels and bare target rows, nothing else.
 """
 
 from __future__ import annotations
@@ -13,62 +13,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
-from .labels import SOURCE, TARGET, CategoryLabel
+from .errors import ContractError, DimensionError, ParameterError
 
 KEY_VARIANTS = ("S", "T", "full")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    y: CategoryLabel
-
-
-@dataclass(frozen=True)
-class KeyDraw:
-    """One key-batch element: features, domain tag, ground truth for source only.
-
-    ``index`` is the row's position in its domain: pair.source for source
-    keys, pair.target_x for target keys.
-    """
-
-    x: np.ndarray
-    domain: str
-    label: CategoryLabel | None
-    index: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DomainPair:
-    """Labeled source set plus unlabeled target features.
+    """Labeled source rows plus unlabeled target rows, as read-only arrays.
 
-    Target labels exist only behind evaluation_samples()/evaluation_labels();
-    training code paths receive source samples and target feature rows.
+    Labels are 1-based categories in [1..num_categories]; a category may
+    have no source row and still count. The target labels exist only
+    behind evaluation_labels(); training reads source_x, source_y and
+    target_x.
     """
 
-    source: list[LabeledSample]
+    source_x: np.ndarray
+    source_y: np.ndarray
     target_x: np.ndarray
-    _eval_labels: tuple[CategoryLabel, ...] = field(default=(), repr=False)
+    num_categories: int
+    _eval_labels: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_lists(cls, source: list[LabeledSample], target: list[LabeledSample]) -> "DomainPair":
-        target_x = np.stack([s.x for s in target]) if target else np.zeros((0, 0))
-        target_x.flags.writeable = False
-        return cls(source, target_x, tuple(s.y for s in target))
+    def __post_init__(self):
+        for name in ("source_x", "source_y", "target_x", "_eval_labels"):
+            given = getattr(self, name)
+            array = np.array(given, dtype=np.float64) if name.endswith("_x") else np.array(given)
+            array.flags.writeable = False  # a private copy, so no caller can change it either
+            object.__setattr__(self, name, array)
+        sx, sy, tx, ty = self.source_x, self.source_y, self.target_x, self._eval_labels
+        if sx.ndim != 2 or tx.ndim != 2 or sx.shape[1] != tx.shape[1] \
+                or sy.shape != sx.shape[:1] or ty.shape != tx.shape[:1]:
+            raise DimensionError(f"need (n, d) rows with n labels per domain; got source "
+                                 f"{sx.shape} with {sy.shape}, target {tx.shape} with {ty.shape}")
+        c = self.num_categories
+        for labels in (sy, ty):
+            if labels.dtype.kind not in "iu" or ((labels < 1) | (labels > c)).any():
+                raise ContractError(f"labels must be integer categories in [1..{c}]")
 
     @property
-    def num_categories(self) -> int:
-        """The label space's size, which a category without source rows still counts in."""
-        return len(self.source[0].y.one_hot)
+    def source(self) -> np.ndarray:
+        """source_x under its earlier name, kept because the benchmark reads len(pair.source)."""
+        return self.source_x
 
-    def evaluation_labels(self) -> list[CategoryLabel]:
-        """Held-out target labels; for evaluation and export only."""
-        return list(self._eval_labels)
-
-    def evaluation_samples(self) -> list[LabeledSample]:
-        labels = self.evaluation_labels()
-        return [LabeledSample(x, y) for x, y in zip(self.target_x, labels)]
+    def evaluation_labels(self) -> np.ndarray:
+        """Held-out 1-based target labels; for evaluation and export only."""
+        return self._eval_labels
 
 
 @dataclass
@@ -88,22 +77,24 @@ def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
     """Source and shifted target sets from named child streams of one seed."""
     from .seeding import child_seed
 
-    source = make_gaussian_mixture(
+    source_x, source_y = make_gaussian_mixture(
         config.num_categories,
         config.dim,
         config.n_per_class,
         config.separation,
         child_seed(root_seed, "source_data"),
     )
-    target = shift_domain(
-        source,
+    target_x, target_y = shift_domain(
+        source_x,
+        source_y,
         config.angle,
         config.translation,
         config.scale,
         child_seed(root_seed, "target_data"),
         separation=config.separation,
+        num_categories=config.num_categories,
     )
-    return DomainPair.from_lists(source, target)
+    return DomainPair(source_x, source_y, target_x, config.num_categories, target_y)
 
 
 def mixture_centers(num_categories: int, dim: int, separation: float) -> np.ndarray:
@@ -121,43 +112,42 @@ def make_gaussian_mixture(
     n_per_class: int,
     separation: float,
     seed: int,
-) -> list[LabeledSample]:
-    """Unit-variance Gaussian blobs, class-major order, deterministic per seed."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-variance Gaussian blobs as (x, 1-based y), class-major order, deterministic per seed."""
     if num_categories < 2:
         raise ParameterError("need at least 2 categories")
     if dim < 2:
         raise ParameterError("need at least 2 dimensions")
     rng = np.random.default_rng(seed)
     centers = mixture_centers(num_categories, dim, separation)
-    samples: list[LabeledSample] = []
-    for c in range(1, num_categories + 1):
-        label = CategoryLabel.of(c, num_categories)
-        block = centers[c - 1] + rng.standard_normal((n_per_class, dim))
-        samples.extend(LabeledSample(row, label) for row in block)
-    return samples
+    x = np.concatenate([
+        centers[c] + rng.standard_normal((n_per_class, dim)) for c in range(num_categories)
+    ])
+    return x, np.repeat(np.arange(1, num_categories + 1), n_per_class)
 
 
 def shift_domain(
-    source: list[LabeledSample],
+    source_x: np.ndarray,
+    source_y: np.ndarray,
     angle: float,
     translation,
     scale: float,
     seed: int,
     *,
     separation: float,
-) -> list[LabeledSample]:
+    num_categories: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Fresh draws from the source mixture, then rotate/scale/translate.
 
-    Category count (the size of the source labels' label space), dimension
-    and per-class counts are inferred from the source list; ``separation``
-    pins down the generating centers. Labels are retained so the caller can
-    park them on the evaluation side of a pair.
+    The dimension and the per-class counts come from the source rows and
+    their 1-based labels; ``separation`` and ``num_categories`` pin down the
+    generating centers. Returns (x, y): the labels are kept so the caller
+    can park them on the evaluation side of a pair.
     """
     if scale <= 0.0:
         raise ParameterError(f"scale must be positive, got {scale}")
-    num_categories = len(source[0].y.one_hot)
-    dim = source[0].x.shape[0]
-    counts = [sum(1 for s in source if s.y.index == c) for c in range(1, num_categories + 1)]
+    dim = source_x.shape[1]
+    counts = np.bincount(source_y, minlength=num_categories + 1)[1:num_categories + 1]
 
     offset = np.asarray(_as_translation(translation, dim))
     rng = np.random.default_rng(seed)
@@ -167,13 +157,12 @@ def shift_domain(
     rot[0, 1] = -np.sin(angle)
     rot[1, 0] = np.sin(angle)
 
-    samples: list[LabeledSample] = []
-    for c in range(1, num_categories + 1):
-        label = CategoryLabel.of(c, num_categories)
-        block = centers[c - 1] + rng.standard_normal((counts[c - 1], dim))
-        block = scale * (block @ rot.T) + offset
-        samples.extend(LabeledSample(row, label) for row in block)
-    return samples
+    # transform each class block on its own: one matmul over all rows may round differently
+    x = np.concatenate([
+        scale * ((centers[c] + rng.standard_normal((counts[c], dim))) @ rot.T) + offset
+        for c in range(num_categories)
+    ])
+    return x, np.repeat(np.arange(1, num_categories + 1), counts)
 
 
 def _as_translation(translation, dim: int) -> tuple[float, ...]:
@@ -197,28 +186,24 @@ def sample_query_batch(pair: DomainPair, n: int, rng: np.random.Generator) -> np
 
 def sample_key_batch(
     pair: DomainPair, n: int, variant: str, rng: np.random.Generator
-) -> list[KeyDraw]:
-    """Key samples per dictionary variant: source only, target only, or an even mix."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a key batch per dictionary variant: source only, target only, or an even mix.
+
+    Returns the drawn row indices into pair.source_x and into pair.target_x,
+    source first; a domain the variant does not draw from gets an empty array.
+    """
     if variant not in KEY_VARIANTS:
         raise ContractError(f"variant must be one of {KEY_VARIANTS}, got {variant!r}")
     if variant == "full" and n % 2:
         raise ContractError(f"the mixed variant needs an even batch, got {n}")
+    n_source = {"S": n, "T": 0, "full": n // 2}[variant]
+    return (_draw_rows(pair.source_x, n_source, "source", rng),
+            _draw_rows(pair.target_x, n - n_source, "target", rng))
 
-    def draw_source(count: int) -> list[KeyDraw]:
-        if count > len(pair.source):
-            raise ContractError("key batch larger than the source pool")
-        idx = rng.choice(len(pair.source), size=count, replace=False)
-        return [KeyDraw(pair.source[i].x, SOURCE, pair.source[i].y, int(i)) for i in idx]
 
-    def draw_target(count: int) -> list[KeyDraw]:
-        if count > pair.target_x.shape[0]:
-            raise ContractError("key batch larger than the target pool")
-        idx = rng.choice(pair.target_x.shape[0], size=count, replace=False)
-        return [KeyDraw(pair.target_x[i], TARGET, None, int(i)) for i in idx]
-
-    if variant == "S":
-        return draw_source(n)
-    if variant == "T":
-        return draw_target(n)
-    return draw_source(n // 2) + draw_target(n // 2)
-
+def _draw_rows(rows: np.ndarray, count: int, pool: str, rng) -> np.ndarray:
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    if count > rows.shape[0]:
+        raise ContractError(f"key batch larger than the {pool} pool")
+    return rng.choice(rows.shape[0], size=count, replace=False)

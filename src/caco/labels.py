@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 
 SOURCE = "source"
@@ -46,33 +45,41 @@ class CategoryLabel:
         return hash((self.index, len(self.one_hot)))
 
 
-def as_probability_vector(probs) -> np.ndarray:
-    p = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ContractError(f"expected a probability vector, got shape {p.shape}")
-    if abs(p.sum() - 1.0) > _SIMPLEX_TOL or p.min() < -_SIMPLEX_TOL:
+def as_probability_rows(probs) -> np.ndarray:
+    """An (n, C) block whose every row lies on the probability simplex."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2:
+        raise ContractError(f"expected (n, C) probability rows, got shape {p.shape}")
+    # written so that a row holding NaN fails too
+    on_simplex = (np.abs(p.sum(axis=1) - 1.0) <= _SIMPLEX_TOL) \
+        & (p.min(axis=1, initial=0.0) >= -_SIMPLEX_TOL)
+    if not on_simplex.all():
         raise ContractError("probabilities are not on the simplex")
     return p
 
 
 def assign_pseudo_label(probs) -> CategoryLabel:
     """Hard label at the argmax of a probability vector; ties go to the lowest index."""
-    p = as_probability_vector(probs)
-    return CategoryLabel.of(int(np.argmax(p)) + 1, p.shape[0])
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1:
+        raise ContractError(f"expected a probability vector, got shape {p.shape}")
+    return CategoryLabel.of(int(np.argmax(as_probability_rows(p[None, :]))) + 1, p.shape[0])
 
 
-def key_label(sample_domain: str, ground_truth: CategoryLabel | None, probs) -> CategoryLabel:
-    """Label a dictionary key: ground truth for source, argmax of ``probs`` for target.
+def key_label(source_labels, target_memberships) -> np.ndarray:
+    """1-based labels of a key batch, its source keys first.
 
-    Training passes a target key's row of prototype_memberships as ``probs``.
+    Source keys keep their ground-truth ``source_labels``. Each target key
+    takes the argmax of its row of ``target_memberships`` (training passes
+    the epoch's prototype_memberships rows), ties to the lowest index.
     """
-    if sample_domain == SOURCE:
-        if ground_truth is None:
-            raise ContractError("source samples must carry a ground-truth label")
-        return ground_truth
-    if sample_domain == TARGET:
-        return assign_pseudo_label(probs)
-    raise ContractError(f"unknown domain {sample_domain!r}")
+    memberships = as_probability_rows(target_memberships)
+    num_categories = memberships.shape[1]
+    truth = np.asarray(source_labels)
+    if truth.size and (truth.dtype.kind not in "iu"
+                       or ((truth < 1) | (truth > num_categories)).any()):
+        raise ContractError(f"source keys need ground-truth labels in [1..{num_categories}]")
+    return np.concatenate([truth.astype(np.int64), np.argmax(memberships, axis=1) + 1])
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

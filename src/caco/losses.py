@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
-from .labels import CategoryLabel, as_probability_vector
+from .labels import CategoryLabel, as_probability_rows
 
 
 @dataclass
@@ -33,17 +33,13 @@ class LossValue:
         return self.value.item()
 
 
-def supervised_loss(logits: Tensor, labels: Sequence[CategoryLabel]) -> LossValue:
-    """Mean cross-entropy of (batch, C) logits against hard labels."""
+def supervised_loss(logits: Tensor, labels) -> LossValue:
+    """Mean cross-entropy of (batch, C) logits against 1-based hard labels."""
     if logits.data.ndim != 2:
         raise DimensionError("supervised_loss expects (batch, C) logits")
-    if logits.shape[0] != len(labels):
-        raise DimensionError(
-            f"batch mismatch: {logits.shape[0]} logit rows, {len(labels)} labels"
-        )
-    idx = np.array([lab.index - 1 for lab in labels], dtype=np.intp)
+    idx = np.asarray(labels, dtype=np.intp) - 1  # take_per_row checks its shape and range
     picked = ad.take_per_row(ad.log_softmax(logits, 1.0), idx)
-    return LossValue(ad.neg(ad.reduce_mean(picked)), len(labels))
+    return LossValue(ad.neg(ad.reduce_mean(picked)), idx.shape[0])
 
 
 def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> LossValue:
@@ -62,29 +58,28 @@ def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> LossValue:
     return LossValue(loss, 1)
 
 
-def prediction_entropy(probs) -> float:
-    """Shannon entropy (natural log) of a probability vector, with 0*log(0) = 0."""
-    p = as_probability_vector(probs)
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def prediction_entropy(probs) -> np.ndarray:
+    """Shannon entropy (natural log) of each row of an (n, C) probability block, 0*log(0) = 0."""
+    p = np.clip(as_probability_rows(probs), 0.0, None)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=1)
 
 
-def key_temperature(tau_base: float, entropy: float, num_categories: int) -> float:
-    """Per-key temperature scaled by prediction entropy.
+def key_temperature(tau_base: float, entropies, num_categories: int) -> np.ndarray:
+    """Per-key temperatures scaled by prediction entropy.
 
     Confident keys keep the base temperature; maximally uncertain ones get
-    twice it: tau * (1 + H / log C).
+    twice it: tau * (1 + H / log C), for each entropy H of the vector.
     """
     if tau_base <= 0.0:
         raise ParameterError(f"base temperature must be positive, got {tau_base}")
     if num_categories < 2:
         raise ParameterError("entropy scaling needs at least 2 categories")
     h_max = math.log(num_categories)
-    if entropy < 0.0 or entropy > h_max + 1e-9:
-        raise ParameterError(f"entropy {entropy} outside [0, log C]")
-    h = min(max(entropy, 0.0), h_max)
-    return tau_base * (1.0 + h / h_max)
+    h = np.asarray(entropies, dtype=np.float64)
+    outside = (h < 0.0) | (h > h_max + 1e-9)
+    if outside.any():
+        raise ParameterError(f"entropies {h[outside].tolist()} outside [0, log C]")
+    return tau_base * (1.0 + np.clip(h, 0.0, h_max) / h_max)
 
 
 def cat_nce(

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import DomainPair, LabeledSample, sample_key_batch, sample_query_batch
+from .data import DomainPair, sample_key_batch, sample_query_batch
 from .dictionary import CategoricalDictionary
-from .errors import ContractError, DivergenceError, ParameterError
-from .labels import TARGET, assign_pseudo_label, key_label, prototype_memberships
+from .errors import ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError
+from .labels import SOURCE, TARGET, assign_pseudo_label, key_label, prototype_memberships
 from .losses import cat_nce, key_temperature, prediction_entropy, supervised_loss
 from .model import (
     CacoModel,
@@ -194,12 +194,13 @@ class EvalResult:
         return bool(self.missing_classes)
 
 
-def evaluate(model: CacoModel, samples: Sequence[LabeledSample]) -> EvalResult:
-    """Accuracy and unweighted mean per-class accuracy under argmax prediction."""
-    if not samples:
-        raise ContractError("evaluate needs a non-empty sample list")
-    x = np.stack([s.x for s in samples])
-    truth = np.array([s.y.index for s in samples])
+def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
+    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels."""
+    truth = np.asarray(y)
+    if truth.shape[0] == 0:
+        raise ContractError("evaluate needs at least one row")
+    if truth.shape != (np.shape(x)[0],):
+        raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")
     predicted = model.predict_indices(x)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
@@ -265,7 +266,7 @@ class _Sgd:
 
 
 def _init_model(config: TrainConfig, pair: DomainPair) -> CacoModel:
-    dim = pair.source[0].x.shape[0]
+    dim = pair.source_x.shape[1]
     spec = MlpSpec((dim, *config.hidden, config.embed_dim))
     encoders = new_encoder_pair(
         spec, child_seed(config.seed, "encoder_init"), config.encoder_momentum
@@ -277,7 +278,7 @@ def _init_model(config: TrainConfig, pair: DomainPair) -> CacoModel:
 
 
 def _source_epoch_batches(pair: DomainPair, batch_size: int, rng) -> list[np.ndarray]:
-    perm = rng.permutation(len(pair.source))
+    perm = rng.permutation(pair.source_x.shape[0])
     return [perm[i:i + batch_size] for i in range(0, len(perm), batch_size)]
 
 
@@ -310,7 +311,7 @@ def _epoch_record(
     prev_pseudo: np.ndarray | None,
     warm: bool,
 ) -> tuple[EpochRecord, np.ndarray]:
-    result = evaluate(model, pair.evaluation_samples())
+    result = evaluate(model, pair.target_x, pair.evaluation_labels())
     churn = None if prev_pseudo is None else pseudo_label_churn(result.predicted, prev_pseudo)
     record = EpochRecord(
         epoch=epoch,
@@ -354,14 +355,17 @@ def train_caco(
     then per variant); once warm, add the weighted category contrastive
     loss on a target query batch; after the SGD step, an EMA step on the
     key encoder, warm-up included. A step whose loss is not finite raises
-    DivergenceError before its backward pass.
+    DivergenceError before its backward pass; so does an encoder output
+    whose norm is not finite (NonFiniteError), with the step in which it
+    showed: step 1 for the epoch labelling, the last step for the epoch's
+    evaluation.
     """
     config.validate()
     contrastive = config.variant != "baseline"
     started = time.monotonic()
     model = _init_model(config, pair)
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
-    steps_per_epoch = -(-len(pair.source) // config.batch_size)
+    steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
     optimizer = _Sgd(trainable, config, config.epochs * steps_per_epoch)
     rng_source = child_rng(config.seed, "source_batches")
     rng_keys = child_rng(config.seed, "key_batches")
@@ -371,71 +375,75 @@ def train_caco(
     queries = _QueryCycler(pair, config.batch_size, rng_query)
     metrics = RunMetrics(config.variant, config.seed)
     prev_pseudo: np.ndarray | None = None
-    source_x = np.stack([s.x for s in pair.source])
-    source_y = [s.y for s in pair.source]
-    source_labels = np.array([y.index for y in source_y])
     num_cat = pair.num_categories
     if contrastive:
         # a query's label is the label of its membership row, a simplex vertex
         vertex_labels = [assign_pseudo_label(row) for row in np.eye(num_cat)]
 
-    for epoch in range(1, config.epochs + 1):
-        sup_losses: list[float] = []
-        cat_losses: list[float] = []
-        enqueueing = contrastive and epoch > config.warmup_epochs
-        if enqueueing and epoch == config.warmup_epochs + 1:
-            # contrastive phase begins: bootstrap the key encoder from the
-            # trained query encoder, exactly as at initialization
-            for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
-                tk.data = tq.data.copy()
-        if enqueueing:
-            key_enc = model.encoders.key
-            memberships = prototype_memberships(
-                embed(key_enc, source_x), source_labels, embed(key_enc, pair.target_x), num_cat
-            )
-            row_categories = np.argmax(memberships, axis=1)
-        for step, idx in enumerate(_source_epoch_batches(pair, config.batch_size, rng_source), 1):
+    epoch = step = 0
+    try:
+        for epoch in range(1, config.epochs + 1):
+            step = 1  # the epoch labelling readies step 1
+            sup_losses: list[float] = []
+            cat_losses: list[float] = []
+            enqueueing = contrastive and epoch > config.warmup_epochs
+            if enqueueing and epoch == config.warmup_epochs + 1:
+                # contrastive phase begins: bootstrap the key encoder from the
+                # trained query encoder, exactly as at initialization
+                for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
+                    tk.data = tq.data.copy()
             if enqueueing:
-                # keys first: cold dictionaries fill from ground-truth source samples
-                key_variant = config.variant if dictionary.is_warm() else "S"
-                n_keys = config.key_batch_size or config.batch_size
-                key_batch = sample_key_batch(pair, n_keys, key_variant, rng_keys)
-                key_emb = embed(model.encoders.key, np.stack([k.x for k in key_batch]))
-                key_probs = classify(model.classifier, key_emb)
-                for draw, vec, probs in zip(key_batch, key_emb, key_probs):
-                    row_label = memberships[draw.index] if draw.domain == TARGET else None
-                    label = key_label(draw.domain, draw.label, row_label)
-                    tau = key_temperature(
-                        config.tau_base, prediction_entropy(probs), num_cat
-                    )
-                    dictionary.enqueue(vec, label.index, tau, draw.domain)
-                if metrics.warm_epoch is None and dictionary.is_warm():
-                    metrics.warm_epoch = epoch
-
-            with Tape() as tape:
-                emb = encode(model.encoders.query, Tensor(source_x[idx]))
-                sup = supervised_loss(
-                    classifier_logits(model.classifier, emb), [source_y[i] for i in idx]
+                key_enc = model.encoders.key
+                memberships = prototype_memberships(
+                    embed(key_enc, pair.source_x), pair.source_y,
+                    embed(key_enc, pair.target_x), num_cat,
                 )
-                total = sup.value
-                if dictionary.is_warm() and config.catnce_weight != 0.0:
-                    q_idx = queries.next()
-                    q_emb = encode(model.encoders.query, Tensor(pair.target_x[q_idx]))
-                    q_labels = [vertex_labels[c] for c in row_categories[q_idx]]
-                    cat = cat_nce(q_emb, q_labels, dictionary.snapshot())
-                    total = ad.add(total, ad.scale(cat.value, config.catnce_weight))
-                    cat_losses.append(cat.item())
-            if not np.isfinite(total.data):
-                raise DivergenceError(epoch, step, total.item())
-            optimizer.step(backward(total, tape))
-            if contrastive:
-                momentum_update(model.encoders)
-            sup_losses.append(sup.item())
+                row_categories = np.argmax(memberships, axis=1)
+            for step, idx in enumerate(_source_epoch_batches(pair, config.batch_size, rng_source), 1):
+                if enqueueing:
+                    # keys first: cold dictionaries fill from ground-truth source samples
+                    key_variant = config.variant if dictionary.is_warm() else "S"
+                    n_keys = config.key_batch_size or config.batch_size
+                    src, tgt = sample_key_batch(pair, n_keys, key_variant, rng_keys)
+                    key_emb = embed(
+                        model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]])
+                    )
+                    labels = key_label(pair.source_y[src], memberships[tgt])
+                    entropies = prediction_entropy(classify(model.classifier, key_emb))
+                    taus = key_temperature(config.tau_base, entropies, num_cat)
+                    domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
+                    for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
+                        dictionary.enqueue(vec, label, tau, domain)
+                    if metrics.warm_epoch is None and dictionary.is_warm():
+                        metrics.warm_epoch = epoch
 
-        record, prev_pseudo = _epoch_record(
-            model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm()
-        )
-        metrics.records.append(record)
+                with Tape() as tape:
+                    emb = encode(model.encoders.query, Tensor(pair.source_x[idx]))
+                    sup = supervised_loss(
+                        classifier_logits(model.classifier, emb), pair.source_y[idx]
+                    )
+                    total = sup.value
+                    if dictionary.is_warm() and config.catnce_weight != 0.0:
+                        q_idx = queries.next()
+                        q_emb = encode(model.encoders.query, Tensor(pair.target_x[q_idx]))
+                        q_labels = [vertex_labels[c] for c in row_categories[q_idx]]
+                        cat = cat_nce(q_emb, q_labels, dictionary.snapshot())
+                        total = ad.add(total, ad.scale(cat.value, config.catnce_weight))
+                        cat_losses.append(cat.item())
+                if not np.isfinite(total.data):
+                    raise DivergenceError(epoch, step, f"loss {total.item()}")
+                optimizer.step(backward(total, tape))
+                if contrastive:
+                    momentum_update(model.encoders)
+                sup_losses.append(sup.item())
+
+            record, prev_pseudo = _epoch_record(
+                model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm()
+            )
+            metrics.records.append(record)
+    except NonFiniteError as exc:
+        # an encoder whose outputs overflowed: the run diverged, wherever it showed first
+        raise DivergenceError(epoch, step, str(exc)) from exc
 
     metrics.wall_clock_s = time.monotonic() - started
     if keys_dump_fp is not None:

@@ -10,6 +10,7 @@ from caco.errors import (
     ContractError,
     DegenerateEmbeddingError,
     DimensionError,
+    NonFiniteError,
     ParameterError,
 )
 
@@ -101,6 +102,13 @@ def test_l2_normalize_three_four():
 def test_l2_normalize_zero_vector_rejected():
     with pytest.raises(DegenerateEmbeddingError):
         ad.l2_normalize(ad.Tensor([0.0, 0.0]))
+
+
+def test_l2_normalize_non_finite_norm_rejected():
+    # 1e200 is finite, but its square overflows, so the row's norm is inf
+    for row in ([1e200, 1.0], [np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            ad.l2_normalize(ad.Tensor(np.array([[0.6, 0.8], row])))
 
 
 def test_l2_normalize_unit_norm_property():

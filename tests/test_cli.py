@@ -1,15 +1,22 @@
 """CLI surface: spec parsing, subcommands, output files, determinism."""
 
 import csv
+import dataclasses
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from caco.cli import load_spec, main, parse_spec_text
+from caco.cli import ExperimentSpec, load_spec, main, parse_spec_text
+from caco.data import DataConfig
 from caco.errors import ContractError
 from caco.model import load_checkpoint
+from caco.train import VARIANTS, TrainConfig
 
 FAST = [
     "data.num_categories=3",
@@ -48,6 +55,46 @@ def test_parse_spec_text_round_trip():
     assert spec.data.separation == 2.5
     assert spec.train.variant == "T"
     assert spec.train.hidden == (32, 16)
+
+
+def _config_values(cls):
+    """Random values for every spec field of a config class, by the type of its default."""
+    kinds = {
+        int: st.integers(-10**9, 10**9),
+        float: st.floats(allow_nan=False, allow_infinity=False),
+        str: st.sampled_from(VARIANTS),
+    }
+    fields = {}
+    for f in dataclasses.fields(cls):
+        if f.name == "seed":
+            continue  # a top-level key, not train.seed
+        default = getattr(cls(), f.name)
+        if isinstance(default, tuple):
+            fields[f.name] = st.lists(kinds[type(default[0])], max_size=3).map(tuple)
+        else:
+            fields[f.name] = kinds[type(default)]
+    return st.fixed_dictionaries(fields)
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_values(DataConfig), _config_values(TrainConfig), st.integers(-10**9, 10**9))
+def test_spec_text_and_overrides_parse_to_the_same_spec(data, train, seed):
+    expected = ExperimentSpec(DataConfig(**data), TrainConfig(**train), seed=seed)
+    items = [("seed", seed)] + [(f"data.{k}", v) for k, v in data.items()] \
+        + [(f"train.{k}", v) for k, v in train.items()]
+    text = "\n".join(f"{key} = {_render(value)}" for key, value in items)
+    assert parse_spec_text(text) == expected
+    assert load_spec(None, [f"{key}={_render(value)}" for key, value in items]) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.spec"
+        path.write_text(text)
+        assert load_spec(str(path), []) == expected
 
 
 def test_parse_spec_rejects_unknown_keys():
@@ -91,6 +138,21 @@ def test_diverging_run_exits_nonzero_by_name(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(argv) == 1
     assert "training diverged at epoch" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_overflowing_encoder_exits_as_divergence(tmp_path, capsys):
+    # no warm-up: the encoders' outputs overflow before any loss does, and
+    # the run is named diverged, not by the first check the overflow trips
+    argv = ["train", "--spec", str(Path(__file__).resolve().parents[1] / "configs" / "default.spec"),
+            "--out", str(tmp_path)]
+    for item in ("train.warmup_epochs=0", "train.learning_rate=1e4",
+                 "data.n_per_class=100", "train.epochs=7"):
+        argv += ["--set", item]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"training diverged at epoch \d+, step \d+: .*norm is not finite", err)
     assert not (tmp_path / "metrics.jsonl").exists()
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from caco.errors import ContractError
 from caco.labels import (
-    SOURCE,
-    TARGET,
     CategoryLabel,
     assign_pseudo_label,
     key_label,
@@ -55,25 +53,31 @@ def test_argmax_invariant_under_increasing_transforms():
 
 
 def test_key_label_source_uses_ground_truth():
-    gt = CategoryLabel.of(3, 4)
-    assert key_label(SOURCE, gt, np.array([0.9, 0.05, 0.03, 0.02])) is gt
+    # source keys keep their labels whatever the target rows say; they come first
+    memberships = np.array([[0.9, 0.05, 0.03, 0.02]])
+    labels = key_label(np.array([3, 4]), memberships)
+    np.testing.assert_array_equal(labels, [3, 4, 1])
 
 
 def test_key_label_source_without_ground_truth_rejected():
+    for truth in (np.array([0]), np.array([3]), np.array([None]), np.array([1.0])):
+        with pytest.raises(ContractError):
+            key_label(truth, np.array([[1.0, 0.0]]))
     with pytest.raises(ContractError):
-        key_label(SOURCE, None, np.array([1.0, 0.0]))
+        key_label(np.array([1]), np.array([[0.7, 0.6]]))  # a target row off the simplex
 
 
 def test_key_label_target_uses_pseudo_label():
-    assert key_label(TARGET, None, np.array([0.9, 0.1])).index == 1
+    labels = key_label(np.zeros(0, dtype=int), np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))
+    np.testing.assert_array_equal(labels, [1, 1, 2])  # ties to the lowest index
 
 
 def test_key_label_matches_scalar_softmax_oracle():
     # hand-set logits z, probabilities by direct scalar softmax
     z = np.array([0.4, -1.1, 2.0])
     den = sum(np.exp(zi) for zi in z)
-    probs = np.array([np.exp(zi) / den for zi in z])
-    assert key_label(TARGET, None, probs).index == int(np.argmax(z)) + 1 == 3
+    probs = np.array([[np.exp(zi) / den for zi in z]])
+    assert key_label(np.zeros(0, dtype=int), probs)[0] == int(np.argmax(z)) + 1 == 3
 
 
 def test_label_index_range_checked():

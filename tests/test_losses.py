@@ -50,27 +50,25 @@ def catnce_scalar_oracle(queries, label_indices, dictionary):
 
 def test_supervised_loss_vanishes_with_huge_margin():
     logits = np.full((3, 4), -100.0)
-    labels = [CategoryLabel.of(i + 1, 4) for i in range(3)]
-    for i, lab in enumerate(labels):
-        logits[i, lab.index - 1] = 100.0
+    labels = np.array([1, 2, 3])
+    logits[np.arange(3), labels - 1] = 100.0
     loss = supervised_loss(Tensor(logits), labels)
     assert loss.item() < 1e-12
 
 
 def test_supervised_loss_uniform_logits():
-    labels = [CategoryLabel.of(2, 4), CategoryLabel.of(4, 4)]
-    loss = supervised_loss(Tensor(np.ones((2, 4)) * 0.3), labels)
+    loss = supervised_loss(Tensor(np.ones((2, 4)) * 0.3), np.array([2, 4]))
     assert abs(loss.item() - math.log(4.0)) <= 1e-12
 
 
 def test_supervised_loss_scalar_oracle():
     # two samples, two classes, loss = mean of -log softmax picked entries
     logits = np.array([[1.0, -0.5], [0.25, 2.0]])
-    labels = [CategoryLabel.of(1, 2), CategoryLabel.of(2, 2)]
+    labels = np.array([1, 2])
     expected = 0.0
     for row, lab in zip(logits, labels):
         den = mp.e ** mp.mpf(row[0]) + mp.e ** mp.mpf(row[1])
-        expected += float(-mp.log(mp.e ** mp.mpf(row[lab.index - 1]) / den))
+        expected += float(-mp.log(mp.e ** mp.mpf(row[lab - 1]) / den))
     expected /= 2.0
     loss = supervised_loss(Tensor(logits), labels)
     assert abs(loss.item() - expected) <= 1e-12
@@ -79,7 +77,10 @@ def test_supervised_loss_scalar_oracle():
 
 def test_supervised_loss_batch_mismatch():
     with pytest.raises(DimensionError):
-        supervised_loss(Tensor(np.zeros((2, 3))), [CategoryLabel.of(1, 3)])
+        supervised_loss(Tensor(np.zeros((2, 3))), np.array([1]))
+    for bad in ([0, 1], [1, 4]):  # labels are 1-based categories of the logits
+        with pytest.raises(ContractError):
+            supervised_loss(Tensor(np.zeros((2, 3))), np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -126,41 +127,84 @@ def test_info_nce_rejects_empty_mask_and_bad_tau():
 
 
 def test_entropy_one_hot_is_zero():
-    assert prediction_entropy(np.array([0.0, 1.0, 0.0])) == 0.0
+    assert prediction_entropy(np.array([[0.0, 1.0, 0.0]]))[0] == 0.0
 
 
 def test_entropy_uniform_is_log_c():
     for c in (2, 3, 7):
-        assert abs(prediction_entropy(np.full(c, 1.0 / c)) - math.log(c)) <= 1e-12
+        assert abs(prediction_entropy(np.full((1, c), 1.0 / c))[0] - math.log(c)) <= 1e-12
 
 
 def test_entropy_direct_summation():
     # frozen from -(0.75 log 0.75 + 0.25 log 0.25) at 50-digit precision
-    assert abs(prediction_entropy(np.array([0.75, 0.25])) - 0.5623351446188084) <= 1e-15
+    h = prediction_entropy(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    assert np.abs(h - 0.5623351446188084).max() <= 1e-15
 
 
 def test_entropy_off_simplex_rejected():
+    # one bad row rejects the block, NaN included
+    for bad in ([0.9, 0.2], [1.2, -0.2], [np.nan, 1.0]):
+        with pytest.raises(ContractError):
+            prediction_entropy(np.array([[0.5, 0.5], bad]))
     with pytest.raises(ContractError):
-        prediction_entropy(np.array([0.9, 0.2]))
+        prediction_entropy(np.array([0.5, 0.5]))  # a vector, not a block of rows
 
 
 def test_key_temperature_range():
-    assert key_temperature(0.07, 0.0, 4) == 0.07
-    assert abs(key_temperature(0.07, math.log(4.0), 4) - 0.14) <= 1e-15
-    assert abs(key_temperature(0.07, 0.5 * math.log(4.0), 4) - 0.105) <= 1e-15
+    taus = key_temperature(0.07, np.array([0.0, math.log(4.0), 0.5 * math.log(4.0)]), 4)
+    assert taus[0] == 0.07
+    assert np.abs(taus[1:] - [0.14, 0.105]).max() <= 1e-15
+    # an entropy a rounding error above log C is clipped to it: twice the base, no more
+    assert key_temperature(0.07, np.array([math.log(4.0) + 5e-10]), 4)[0] == 0.07 * 2.0
     rng = np.random.default_rng(1)
     for _ in range(50):
         c = int(rng.integers(2, 9))
-        h = float(rng.uniform(0.0, math.log(c)))
-        t = key_temperature(0.07, h, c)
-        assert 0.07 <= t <= 0.14 + 1e-15
+        t = key_temperature(0.07, rng.uniform(0.0, math.log(c), size=5), c)
+        assert ((0.07 <= t) & (t <= 0.14 + 1e-15)).all()
 
 
 def test_key_temperature_validation():
     with pytest.raises(ParameterError):
-        key_temperature(0.07, 1.0, 1)
+        key_temperature(0.07, np.array([1.0]), 1)
     with pytest.raises(ParameterError):
-        key_temperature(0.07, math.log(2.0) + 1e-3, 2)
+        key_temperature(0.0, np.array([0.1]), 2)
+    for bad in (math.log(2.0) + 1e-3, -1e-3):  # above log C or negative, among valid ones
+        with pytest.raises(ParameterError):
+            key_temperature(0.07, np.array([0.1, bad, 0.2]), 2)
+
+
+def _scalar_entropy(p):
+    """The per-row reference: entropy of one probability vector over its non-zero entries."""
+    p = np.clip(p, 0.0, None)
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _scalar_temperature(tau_base, entropy, num_categories):
+    h_max = math.log(num_categories)
+    return tau_base * (1.0 + min(max(entropy, 0.0), h_max) / h_max)
+
+
+def test_entropy_and_temperature_bit_equal_to_scalar_reference():
+    # softmax rows at growing logit scales: spread out, peaked, and at 800 most
+    # rows hold exact zeros; plus one-hot and uniform rows. Past ten categories
+    # numpy's pairwise summation may group a row holding zeros differently
+    # from its compacted non-zero entries, so the check stops at ten.
+    rng = np.random.default_rng(12)
+    for c in range(2, 11):
+        blocks = [np.eye(c), np.full((1, c), 1.0 / c)]
+        for scale in (0.5, 3.0, 30.0, 800.0):
+            z = rng.normal(scale=scale, size=(200, c))
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            blocks.append(e / e.sum(axis=1, keepdims=True))
+        probs = np.concatenate(blocks)
+        tau = float(rng.uniform(0.05, 0.2))
+        reference = [_scalar_entropy(row) for row in probs]
+        assert np.array_equal(prediction_entropy(probs), reference)
+        assert np.array_equal(
+            key_temperature(tau, prediction_entropy(probs), c),
+            [_scalar_temperature(tau, h, c) for h in reference],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +421,7 @@ def test_losses_finite_and_non_negative():
         batch, num_cat = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         logits = Tensor(rng.normal(scale=3.0, size=(batch, num_cat)))
         labels = random_labels(rng, batch, num_cat)
-        sup = supervised_loss(logits, labels).item()
+        sup = supervised_loss(logits, np.array([lab.index for lab in labels])).item()
         assert np.isfinite(sup) and sup >= 0.0
 
         dim = int(rng.integers(2, 6))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from caco.data import DataConfig, DomainPair, LabeledSample, build_domain_pair, shift_domain
-from caco.errors import ContractError, DivergenceError, ParameterError
-from caco.labels import CategoryLabel
+from caco.data import DataConfig, DomainPair, build_domain_pair, shift_domain
+from caco.errors import (
+    ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError,
+)
 from caco.model import CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
 from caco.autodiff import Tensor
 from caco.train import (
@@ -182,18 +183,18 @@ def test_source_domain_fraction_of_enqueued_keys():
 
 def test_training_never_touches_evaluation_labels(tiny_pair):
     calls = {"count": 0}
-    orig = DomainPair.evaluation_samples
+    orig = DomainPair.evaluation_labels
 
     def spy(self):
         calls["count"] += 1
         return orig(self)
 
-    DomainPair.evaluation_samples = spy
+    DomainPair.evaluation_labels = spy
     try:
         cfg = tiny_config(epochs=2)
         train_caco(cfg, tiny_pair)
     finally:
-        DomainPair.evaluation_samples = orig
+        DomainPair.evaluation_labels = orig
     # exactly one evaluation per epoch; the step code never reads labels
     assert calls["count"] == 2
 
@@ -210,7 +211,7 @@ class _LabelLog:
 
         self.events: list[tuple[str, object]] = []
         self.memberships: list[np.ndarray] = []
-        self._draws: list = []
+        self._target_keys: list[np.ndarray] = []
         self._query_rows: list[int] = []
         real = {name: getattr(train_mod, name) for name in (
             "prototype_memberships", "sample_key_batch", "key_label", "cat_nce", "evaluate",
@@ -224,16 +225,16 @@ class _LabelLog:
             return result
 
         def key_batch(*args, **kwargs):
-            draws = real["sample_key_batch"](*args, **kwargs)
-            self._draws.extend(draws)
-            return draws
+            source, target = real["sample_key_batch"](*args, **kwargs)
+            self._target_keys.append(target)
+            return source, target
 
         def key_label(*args, **kwargs):
-            label = real["key_label"](*args, **kwargs)
-            draw = self._draws.pop(0)
-            if draw.domain == "target":
-                self.events.append(("key", (draw.index, label.index)))
-            return label
+            labels = real["key_label"](*args, **kwargs)
+            rows = self._target_keys.pop(0)  # the batch's target keys come last
+            for row, label in zip(rows, labels[len(labels) - len(rows):]):
+                self.events.append(("key", (int(row), int(label))))
+            return labels
 
         def next_queries(cycler):
             rows = real_next(cycler)
@@ -320,18 +321,38 @@ def test_non_finite_loss_raises_divergence_before_backward(monkeypatch):
     assert backward_losses and np.isfinite(backward_losses).all()
 
 
+def test_non_finite_embedding_raises_divergence_with_its_step(tiny_pair, monkeypatch):
+    # the query encoder's output overflows in the third step of the second epoch
+    import caco.train as train_mod
+
+    real_encode = train_mod.encode
+    steps = []
+
+    def encode(params, x):
+        steps.append(None)
+        if len(steps) == -(-tiny_pair.source_x.shape[0] // 16) + 3:  # 16 rows a batch
+            x = Tensor(np.full(x.shape, 1e300))
+        return real_encode(params, x)
+
+    monkeypatch.setattr(train_mod, "encode", encode)
+    with pytest.raises(DivergenceError, match="epoch 2, step 3: .*not finite") as info, \
+            np.errstate(over="ignore"):
+        train_caco(tiny_config(variant="baseline", catnce_weight=0.0), tiny_pair)
+    assert (info.value.epoch, info.value.step) == (2, 3)
+    assert isinstance(info.value.__cause__, NonFiniteError)
+
+
 def test_categories_come_from_the_label_space():
     # labels declare three categories, but no source row has the third
     rng = np.random.default_rng(0)
-    source = [
-        LabeledSample(row, CategoryLabel.of(c, 3))
-        for c in (1, 2) for row in rng.normal(size=(20, 4)) + 3.0 * c
-    ]
-    pair = DomainPair.from_lists(
-        source, shift_domain(source, 0.3, 0, 1.0, 1, separation=3.0)
+    source_x = np.concatenate([rng.normal(size=(20, 4)) + 3.0 * c for c in (1, 2)])
+    source_y = np.repeat([1, 2], 20)
+    target_x, target_y = shift_domain(
+        source_x, source_y, 0.3, 0, 1.0, 1, separation=3.0, num_categories=3
     )
+    pair = DomainPair(source_x, source_y, target_x, 3, target_y)
     assert pair.num_categories == 3
-    assert {len(y.one_hot) for y in pair.evaluation_labels()} == {3}
+    assert set(pair.evaluation_labels().tolist()) == {1, 2}  # no third-category rows either
     with pytest.raises(ContractError, match=r"categories \[3\]"):
         train_caco(tiny_config(), pair)
 
@@ -354,7 +375,7 @@ def test_baseline_zero_shift_matches_source_accuracy():
         cfg = tiny_config(variant="baseline", epochs=20, batch_size=32,
                           learning_rate=0.1, seed=seed)
         model, metrics = train_source_only(cfg, pair)
-        source_acc = evaluate(model, pair.source).accuracy
+        source_acc = evaluate(model, pair.source_x, pair.source_y).accuracy
         assert metrics.final_accuracy > 0.8  # converged, not chance-level
         gaps.append(abs(metrics.final_accuracy - source_acc))
     assert np.mean(gaps) <= 0.03
@@ -387,18 +408,15 @@ def _stub_model(predictions: dict[tuple, int], num_categories: int) -> CacoModel
                 Classifier(Tensor(np.zeros((2, num_categories))), Tensor(np.zeros(num_categories))))
 
 
-def _samples(rows):
-    num_categories = max(c for _, c in rows)
-    return [
-        (np.array(x, dtype=float), CategoryLabel.of(c, num_categories)) for x, c in rows
-    ]
+def _rows(rows):
+    """(x, y) arrays of ((features), 1-based label) pairs."""
+    return np.array([x for x, _ in rows], dtype=float), np.array([c for _, c in rows])
 
 
 def test_evaluate_perfect_predictor():
     rows = [((0.0, 1.0), 1), ((1.0, 0.0), 2), ((2.0, 0.0), 2)]
-    samples = [type("S", (), {"x": x, "y": y})() for x, y in _samples(rows)]
     model = _stub_model({(0.0, 1.0): 1, (1.0, 0.0): 2, (2.0, 0.0): 2}, 2)
-    result = evaluate(model, samples)
+    result = evaluate(model, *_rows(rows))
     assert result.accuracy == 1.0
     assert result.per_class == {1: 1.0, 2: 1.0}
     assert result.mean_class_accuracy == 1.0
@@ -407,9 +425,8 @@ def test_evaluate_perfect_predictor():
 
 def test_evaluate_constant_predictor_on_balanced_data():
     rows = [((float(i), 0.0), c) for c in (1, 2, 3, 4) for i in range(5)]
-    samples = [type("S", (), {"x": x, "y": y})() for x, y in _samples(rows)]
     model = _stub_model({(float(i), 0.0): 1 for i in range(5)}, 4)
-    result = evaluate(model, samples)
+    result = evaluate(model, *_rows(rows))
     assert result.accuracy == 0.25
     assert result.mean_class_accuracy == 0.25
 
@@ -419,9 +436,8 @@ def test_evaluate_hand_built_confusion_case():
     truth = [1, 1, 1, 1, 2, 2, 2, 3, 3, 3]
     pred = [1, 1, 1, 2, 2, 2, 1, 1, 1, 2]
     rows = [((float(i), 0.0), c) for i, c in enumerate(truth)]
-    samples = [type("S", (), {"x": x, "y": y})() for x, y in _samples(rows)]
     model = _stub_model({(float(i), 0.0): p for i, p in enumerate(pred)}, 3)
-    result = evaluate(model, samples)
+    result = evaluate(model, *_rows(rows))
     assert result.accuracy == pytest.approx(5 / 10)
     assert result.per_class[1] == pytest.approx(3 / 4)
     assert result.per_class[2] == pytest.approx(2 / 3)
@@ -431,9 +447,8 @@ def test_evaluate_hand_built_confusion_case():
 
 def test_evaluate_missing_class_flagged():
     rows = [((0.0, 0.0), 1), ((1.0, 0.0), 1)]
-    samples = [type("S", (), {"x": x, "y": CategoryLabel.of(1, 3)})() for x, _ in _samples(rows)]
     model = _stub_model({(0.0, 0.0): 1, (1.0, 0.0): 1}, 3)
-    result = evaluate(model, samples)
+    result = evaluate(model, *_rows(rows))
     assert result.missing_classes == [2, 3]
     assert result.has_missing_classes
     assert result.mean_class_accuracy == 1.0
@@ -442,7 +457,9 @@ def test_evaluate_missing_class_flagged():
 def test_evaluate_empty_rejected(tiny_pair):
     model, _ = train_caco(tiny_config(epochs=0), tiny_pair)
     with pytest.raises(ContractError):
-        evaluate(model, [])
+        evaluate(model, np.zeros((0, TINY_DATA.dim)), np.zeros(0, dtype=int))
+    with pytest.raises(DimensionError):
+        evaluate(model, tiny_pair.target_x, tiny_pair.evaluation_labels()[1:])
 
 
 def test_churn_identities():
