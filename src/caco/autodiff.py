@@ -185,10 +185,22 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     return _emit(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
+def relu_array(z: Array) -> Array:
+    """max(z, 0) as a new array, +0.0 wherever z <= 0; a NaN stays NaN.
+
+    np.maximum is several times faster than np.where(z > 0, z, 0.0), and
+    adding 0.0 turns its -0.0 results into +0.0, so the two agree bit for
+    bit on every non-NaN input. Unlike np.where it does not hide a NaN.
+    """
+    out = np.maximum(z, 0.0)
+    out += 0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
-    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _emit(relu_array(x.data), (x,), lambda g: (g * mask,))
 
 
 def reduce_sum(x: Tensor) -> Tensor:
@@ -213,14 +225,20 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
+def _row_index(op: str, shape: tuple[int, ...], idx) -> Array:
+    """idx as one column index per row of a 2-d array of ``shape``, checked."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if len(shape) != 2 or idx.ndim != 1 or idx.shape[0] != shape[0]:
+        raise DimensionError(f"{op} shape mismatch: {shape} with idx {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= shape[1]):
+        raise ContractError(f"{op} index out of range")
+    return idx
+
+
 def take_per_row(x: Tensor, idx) -> Tensor:
     """Pick x[i, idx[i]] for each row i; gradient scatters back."""
     x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    if x.data.ndim != 2 or idx.ndim != 1 or idx.shape[0] != x.shape[0]:
-        raise DimensionError(f"take_per_row shape mismatch: {x.shape} with idx {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise ContractError("take_per_row index out of range")
+    idx = _row_index("take_per_row", x.shape, idx)
     rows = np.arange(x.shape[0])
     shape = x.shape
 
@@ -298,17 +316,26 @@ def row_logsumexp(x: Tensor) -> Tensor:
     return _emit(out, (x,), grad_fn)
 
 
+def unit_normalize(a: Array) -> tuple[Array, Array]:
+    """``a`` scaled to unit Euclidean norm along its last axis, and the norms.
+
+    Raises NonFiniteError if a norm is not finite (a NaN or an overflow
+    upstream) and DegenerateEmbeddingError if one is (near) zero.
+    """
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("cannot normalize a vector whose norm is not finite")
+    if (norms <= _NORM_FLOOR).any():
+        raise DegenerateEmbeddingError("cannot normalize a (near-)zero vector")
+    return a / norms, norms
+
+
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale a vector (or each row of a matrix) to unit Euclidean norm."""
     x = as_tensor(x)
     if x.data.ndim not in (1, 2):
         raise DimensionError("l2_normalize expects a 1-d or 2-d tensor")
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    if not np.isfinite(norms).all():
-        raise NonFiniteError("cannot normalize a vector whose norm is not finite")
-    if (norms <= _NORM_FLOOR).any():
-        raise DegenerateEmbeddingError("cannot normalize a (near-)zero vector")
-    out = x.data / norms
+    out, norms = unit_normalize(x.data)
 
     def grad_fn(g: Array):
         # d(x/||x||) pulls out the component of g along the output direction
@@ -316,6 +343,97 @@ def l2_normalize(x: Tensor) -> Tensor:
         return ((g - proj * out) / norms,)
 
     return _emit(out, (x,), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# Fused records: one record where training would otherwise emit several.
+# Each computes the expressions of the primitives it stands for, in the same
+# order, so forward values and leaf gradients are bit-equal to theirs.
+# ---------------------------------------------------------------------------
+
+
+def linear(h: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """h @ w + b over an (m,k) block, then an optional ReLU, as one record.
+
+    Stands for add_rowvec(matmul(h, w), b), followed by relu() if asked.
+    The gradient for h is not formed when h requires none (input rows).
+    """
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    if (h.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise DimensionError(f"linear shape mismatch: {h.shape} @ {w.shape} + {b.shape}")
+    hd, wd = h.data, w.data
+    out = hd @ wd + b.data
+    if relu:
+        mask = out > 0
+        out = relu_array(out)
+
+    def grad_fn(g: Array):
+        if relu:
+            g = g * mask
+        return (g @ wd.T if h.requires_grad else None), hd.T @ g, g.sum(axis=0)
+
+    return _emit(out, (h, w, b), grad_fn)
+
+
+def mean_nll(x: Tensor, idx) -> Tensor:
+    """Mean over rows i of -log softmax(x[i])[idx[i]], as one record.
+
+    Stands for neg(reduce_mean(take_per_row(log_softmax(x, 1.0), idx))).
+    """
+    x = as_tensor(x)
+    idx = _row_index("mean_nll", x.shape, idx)
+    rows = np.arange(x.shape[0])
+    shape = x.shape
+    z = x.data  # log_softmax at tau 1.0; z / 1.0 is z exactly
+    m = z.max(axis=-1, keepdims=True)
+    logp = z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    picked = logp[rows, idx]
+    n = picked.size
+
+    def grad_fn(g: Array):
+        gp = np.zeros(shape)
+        gp[rows, idx] = -g / n
+        p = np.exp(logp)
+        return (gp - p * gp.sum(axis=-1, keepdims=True),)
+
+    return _emit(-picked.mean(), (x,), grad_fn)
+
+
+def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
+    """Mean NLL of softmax groups of q @ keys.T against a constant key block.
+
+    Each row of the (m, n) logits splits into n / width consecutive groups
+    of ``width``; group r (row-major over the whole block) is one softmax
+    whose positive sits at idx[r]. Stands for, as one record,
+    reduce_mean(sub(row_logsumexp(G), take_per_row(G, idx))) with
+    G = reshape(matmul(q, Tensor(keys.T)), (-1, width)). The keys are
+    constants: their gradient is never formed.
+    """
+    q = as_tensor(q)
+    keys = np.asarray(keys, dtype=np.float64)
+    if q.data.ndim != 2 or keys.ndim != 2 or q.shape[1] != keys.shape[1]:
+        raise DimensionError(f"grouped_nll shape mismatch: {q.shape} against keys {keys.shape}")
+    if width < 1 or keys.shape[0] % width:
+        raise DimensionError(f"{keys.shape[0]} keys do not split into groups of {width}")
+    logits = q.data @ keys.T
+    groups = logits.reshape((-1, width))
+    idx = _row_index("grouped_nll", groups.shape, idx)
+    rows = np.arange(groups.shape[0])
+    # row_logsumexp, with its column fold for the max
+    m = functools.reduce(np.maximum, groups.T)[:, None]
+    lse = (m + np.log(np.exp(groups - m).sum(axis=1, keepdims=True)))[:, 0]
+    diff = lse - groups[rows, idx]
+    n = diff.size
+
+    def grad_fn(g: Array):
+        gd = np.broadcast_to(g / n, (n,)).copy()
+        take_grad = np.zeros(groups.shape)
+        take_grad[rows, idx] = -gd
+        per_group = np.exp(groups - lse[:, None]) * gd[:, None] + take_grad
+        return (per_group.reshape(logits.shape) @ keys,)
+
+    return _emit(diff.mean(), (q,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

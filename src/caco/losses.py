@@ -37,9 +37,8 @@ def supervised_loss(logits: Tensor, labels) -> LossValue:
     """Mean cross-entropy of (batch, C) logits against 1-based hard labels."""
     if logits.data.ndim != 2:
         raise DimensionError("supervised_loss expects (batch, C) logits")
-    idx = np.asarray(labels, dtype=np.intp) - 1  # take_per_row checks its shape and range
-    picked = ad.take_per_row(ad.log_softmax(logits, 1.0), idx)
-    return LossValue(ad.neg(ad.reduce_mean(picked)), idx.shape[0])
+    idx = np.asarray(labels, dtype=np.intp) - 1  # mean_nll checks its shape and range
+    return LossValue(ad.mean_nll(logits, idx), idx.shape[0])
 
 
 def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> LossValue:
@@ -106,9 +105,6 @@ def cat_nce(
     if scaled.shape[1] != dim:
         raise DimensionError(f"query dim {dim} does not match key dim {scaled.shape[1]}")
 
-    logits = ad.matmul(queries, Tensor(scaled.T))          # (batch, M*C)
-    per_group = ad.reshape(logits, (batch * capacity, num_cat))
+    # the (batch, M*C) logits split into batch*M softmax groups of C
     idx = np.repeat([lab.index - 1 for lab in query_labels], capacity)
-    positives = ad.take_per_row(per_group, idx)
-    loss = ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
-    return LossValue(loss, batch)
+    return LossValue(ad.grouped_nll(queries, scaled, idx, num_cat), batch)

@@ -79,25 +79,34 @@ def init_params(spec: MlpSpec, seed: int) -> MlpParams:
     return MlpParams(weights, biases)
 
 
+def _check_inputs(params: MlpParams, shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[1] != params.weights[0].shape[0]:
+        raise DimensionError(
+            f"encode expects (batch, {params.weights[0].shape[0]}) inputs, got {shape}"
+        )
+
+
 def encode(params: MlpParams, x: Tensor) -> Tensor:
     """MLP forward pass over a (batch, D) block, unit-normalized per row."""
     x = ad.as_tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise DimensionError(
-            f"encode expects (batch, {params.weights[0].shape[0]}) inputs, got {x.shape}"
-        )
+    _check_inputs(params, x.shape)
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = ad.add_rowvec(ad.matmul(h, w), b)
-        if i < last:
-            h = ad.relu(h)
+        h = ad.linear(h, w, b, relu=i < last)
     return ad.l2_normalize(h)
 
 
 def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Plain-array convenience wrapper around encode (no gradients)."""
-    return encode(params, Tensor(np.asarray(x, dtype=np.float64))).data
+    """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record."""
+    h = np.asarray(x, dtype=np.float64)
+    _check_inputs(params, h.shape)
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w.data + b.data
+        if i < last:
+            h = ad.relu_array(h)
+    return ad.unit_normalize(h)[0]
 
 
 @dataclass
@@ -124,7 +133,7 @@ def init_classifier(embed_dim: int, num_categories: int, seed: int) -> Classifie
 
 
 def classifier_logits(clf: Classifier, embeddings: Tensor) -> Tensor:
-    return ad.add_rowvec(ad.matmul(embeddings, clf.weight), clf.bias)
+    return ad.linear(embeddings, clf.weight, clf.bias)
 
 
 def classify(clf: Classifier, embeddings) -> np.ndarray:

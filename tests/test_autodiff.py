@@ -295,6 +295,27 @@ OP_CASES = {
         lambda x: ad.reduce_sum(ad.matmul(ad.l2_normalize(x), ad.Tensor(_pin((3, 2), 15)))),
         rng.normal(size=(4, 3)) + 0.4,
     ),
+    "linear_relu_input": lambda rng: (
+        lambda x: ad.reduce_sum(
+            ad.linear(x, ad.Tensor(_pin((4, 3), 16)), ad.Tensor(_pin(3, 17)), relu=True)
+        ),
+        # keep pre-activations away from the kink
+        rng.normal(size=(2, 4)) * 0.05 + _pin((2, 4), 18),
+    ),
+    "linear_weight": lambda rng: (
+        lambda x: ad.reduce_mean(
+            ad.linear(ad.Tensor(_pin((3, 4), 19)), x, ad.Tensor(_pin(2, 20)))
+        ),
+        rng.normal(size=(4, 2)),
+    ),
+    "mean_nll": lambda rng: (
+        lambda x: ad.mean_nll(x, [2, 0, 3]),
+        rng.normal(scale=2.0, size=(3, 4)),
+    ),
+    "grouped_nll": lambda rng: (
+        lambda x: ad.grouped_nll(x, _pin((6, 3), 21), [0, 2, 1, 1, 0, 2], 3),
+        rng.normal(size=(3, 3)),
+    ),
 }
 
 
@@ -304,3 +325,177 @@ def test_op_gradients_match_finite_differences(name):
     for _ in range(100):
         build, x0 = OP_CASES[name](rng)
         _check_op(build, x0)
+
+
+# ---------------------------------------------------------------------------
+# Fused records are bit-equal to the primitive compositions they stand for
+# ---------------------------------------------------------------------------
+
+
+def _run(build, arrays, requires):
+    """Forward value and each leaf's gradient (None if it takes none), on fresh leaves."""
+    leaves = [ad.Tensor(a, r) for a, r in zip(arrays, requires)]
+    with ad.Tape() as tape:
+        out = build(*leaves)
+    grads = ad.backward(out, tape)
+    return out.data, [grads[t.id].data if t.id in grads else None for t in leaves], len(tape)
+
+
+def _assert_bit_equal(fused, primitive):
+    (value_f, grads_f, _), (value_p, grads_p, _) = fused, primitive
+    assert np.array_equal(value_f, value_p) and value_f.tobytes() == value_p.tobytes()
+    for gf, gp in zip(grads_f, grads_p):
+        assert (gf is None) == (gp is None)
+        if gf is not None:
+            assert np.array_equal(gf, gp) and gf.tobytes() == gp.tobytes()
+
+
+def _primitive_linear(h, w, b, relu=False):
+    z = ad.add_rowvec(ad.matmul(h, w), b)
+    return ad.relu(z) if relu else z
+
+
+def test_relu_array_bit_equal_to_where_except_nan():
+    z = np.array([0.0, -0.0, -1.5, 2.0, 5e-324, -5e-324, 1e308, -np.inf, np.inf])
+    out = ad.relu_array(z)
+    assert out.tobytes() == np.where(z > 0, z, 0.0).tobytes()
+    assert not np.signbit(out).any()
+    assert np.isnan(ad.relu_array(np.array([np.nan, 1.0]))[0])  # np.where gave 0.0
+
+
+def test_linear_bit_equal_to_matmul_add_rowvec_relu():
+    rng = np.random.default_rng(30)
+    for trial in range(60):
+        m, k, n = (int(v) for v in rng.integers(1, 9, size=3))
+        h = rng.normal(size=(m, k))
+        w = rng.normal(size=(k, n))
+        b = rng.normal(size=n)
+        # exact-zero and negative pre-activations: a zero input row meets a
+        # zero or a negative bias
+        h[rng.random(m) < 0.3] = 0.0
+        b[rng.random(n) < 0.3] = 0.0
+        b[rng.random(n) < 0.2] = -1.0
+        pin = _pin((n, 3), trial)
+        relu, input_grad = bool(trial % 2), bool(trial % 3)
+
+        def loss_of(layer):
+            return lambda h, w, b: ad.reduce_sum(ad.matmul(layer(h, w, b, relu), ad.Tensor(pin)))
+
+        requires = (input_grad, True, True)
+        fused = _run(loss_of(ad.linear), (h, w, b), requires)
+        _assert_bit_equal(fused, _run(loss_of(_primitive_linear), (h, w, b), requires))
+        assert (fused[1][0] is None) == (not input_grad)
+        assert fused[2] == 3  # the linear, then the matmul and the sum of the loss
+
+
+def test_linear_hand_set_kink():
+    # pre-activations [[0.0, -1.0, 1.5], [0.0, -3.0, -0.5]]: zeros, negatives, one positive.
+    # A -0.0 cannot arise from h @ w + b here (the sum starts from +0.0), so the
+    # signed zero is covered by test_relu_array_bit_equal_to_where_except_nan.
+    h = np.array([[1.0, 0.5], [0.0, 0.0]])
+    w = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
+    b = np.array([0.0, -3.0, -0.5])
+    z = h @ w + b
+    np.testing.assert_array_equal(z, [[0.0, -1.0, 1.5], [0.0, -3.0, -0.5]])
+
+    for sign in (1.0, -1.0):
+
+        def loss_of(layer):
+            return lambda h, w, b: ad.reduce_sum(ad.scale(layer(h, w, b, True), sign))
+
+        for requires in ((True, True, True), (False, True, True)):
+            fused = _run(loss_of(ad.linear), (h, w, b), requires)
+            _assert_bit_equal(fused, _run(loss_of(_primitive_linear), (h, w, b), requires))
+        np.testing.assert_array_equal(fused[0], 1.5 * sign)
+        np.testing.assert_array_equal(fused[1][2], [0.0, 0.0, sign])  # none through a zero
+
+
+def test_one_encoder_used_twice_sums_gradients_in_tape_order():
+    # the training step's shape: one set of layers on two input blocks, two losses added
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        widths = (3, 8, 8, 4)
+        params = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            params += [rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out) * 0.1]
+        x1, x2 = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
+        pin1, pin2 = _pin((4, 2), 40 + trial), _pin((4, 2), 80 + trial)
+
+        def loss_of(layer):
+            def build(x1, x2, *p):
+                def enc(x):
+                    h = x
+                    for i in range(0, len(p), 2):
+                        h = layer(h, p[i], p[i + 1], i + 2 < len(p))
+                    return ad.l2_normalize(h)
+
+                first = ad.reduce_sum(ad.matmul(enc(x1), ad.Tensor(pin1)))
+                second = ad.reduce_mean(ad.matmul(enc(x2), ad.Tensor(pin2)))
+                return ad.add(first, ad.scale(second, 0.7))
+            return build
+
+        arrays = (x1, x2, *params)
+        requires = (False, False) + (True,) * len(params)
+        _assert_bit_equal(
+            _run(loss_of(ad.linear), arrays, requires),
+            _run(loss_of(_primitive_linear), arrays, requires),
+        )
+
+
+def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
+    rng = np.random.default_rng(32)
+    for trial in range(60):
+        batch, width = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        x = rng.normal(scale=float(rng.choice([0.1, 3.0, 50.0])), size=(batch, width))
+        x[rng.random(x.shape) < 0.2] = 1.25  # ties
+        idx = rng.integers(0, width, size=batch)
+        pin = float(rng.uniform(0.1, 2.0))
+
+        def primitive(x):
+            return ad.neg(ad.reduce_mean(ad.take_per_row(ad.log_softmax(x, 1.0), idx)))
+
+        # scaled so the gradient reaching the record is not 1.0
+        fused = _run(lambda x: ad.scale(ad.mean_nll(x, idx), pin), (x,), (True,))
+        _assert_bit_equal(fused, _run(lambda x: ad.scale(primitive(x), pin), (x,), (True,)))
+        assert fused[2] == 2
+
+
+def test_grouped_nll_bit_equal_to_matmul_reshape_take_row_logsumexp():
+    rng = np.random.default_rng(33)
+    for trial in range(60):
+        batch, dim = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+        width, groups = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        q = rng.normal(size=(batch, dim))
+        keys = rng.normal(size=(groups * width, dim)) / float(rng.uniform(0.07, 0.14))
+        idx = rng.integers(0, width, size=batch * groups)
+        pin = float(rng.uniform(0.1, 2.0))
+
+        def primitive(q):
+            logits = ad.matmul(q, ad.Tensor(keys.T))
+            per_group = ad.reshape(logits, (batch * groups, width))
+            positives = ad.take_per_row(per_group, idx)
+            return ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+
+        fused = _run(lambda q: ad.scale(ad.grouped_nll(q, keys, idx, width), pin), (q,), (True,))
+        _assert_bit_equal(fused, _run(lambda q: ad.scale(primitive(q), pin), (q,), (True,)))
+        assert fused[2] == 2
+
+
+def test_fused_records_check_shapes_and_indices():
+    w, b = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(2))
+    for bad in (np.zeros((2, 4)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            ad.linear(ad.Tensor(bad), w, b)
+    with pytest.raises(DimensionError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), w, ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.mean_nll(ad.Tensor(np.zeros((2, 3))), [0])
+    with pytest.raises(ContractError):
+        ad.mean_nll(ad.Tensor(np.zeros((2, 3))), [0, 3])
+    keys = np.zeros((6, 4))
+    with pytest.raises(DimensionError):
+        ad.grouped_nll(ad.Tensor(np.zeros((2, 4))), keys, [0] * 3, 4)  # 6 keys, groups of 4
+    with pytest.raises(DimensionError):
+        ad.grouped_nll(ad.Tensor(np.zeros((2, 5))), keys, [0] * 6, 3)
+    with pytest.raises(ContractError):
+        ad.grouped_nll(ad.Tensor(np.zeros((2, 4))), keys, [0, 0, 3, 0], 3)

@@ -11,6 +11,7 @@ from caco.autodiff import Tape, Tensor, backward, finite_diff_grad
 from caco.dictionary import CategoricalDictionary
 from caco.errors import ContractError, DimensionError, NotWarmError, ParameterError
 from caco.labels import SOURCE, CategoryLabel
+from caco.model import MlpSpec, classifier_logits, encode, init_classifier, init_params
 from caco.losses import (
     cat_nce,
     info_nce,
@@ -81,6 +82,29 @@ def test_supervised_loss_batch_mismatch():
     for bad in ([0, 1], [1, 4]):  # labels are 1-based categories of the logits
         with pytest.raises(ContractError):
             supervised_loss(Tensor(np.zeros((2, 3))), np.array(bad))
+
+
+def test_supervised_loss_bit_equal_to_primitive_composition():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        batch, num_cat, dim = (int(v) for v in rng.integers(1, 7, size=3))
+        arrays = (rng.normal(size=(batch, dim)), rng.normal(scale=3.0, size=(dim, num_cat + 1)),
+                  rng.normal(size=num_cat + 1))
+        labels = rng.integers(1, num_cat + 2, size=batch)
+        runs = []
+        for fused in (True, False):
+            emb, weight, bias = (Tensor(a, requires_grad=True) for a in arrays)
+            with Tape() as tape:
+                logits = ad.add_rowvec(ad.matmul(emb, weight), bias)
+                if fused:
+                    loss = supervised_loss(logits, labels).value
+                else:
+                    picked = ad.take_per_row(ad.log_softmax(logits, 1.0), labels - 1)
+                    loss = ad.neg(ad.reduce_mean(picked))
+            grads = backward(loss, tape)
+            runs.append([loss.data] + [grads[t.id].data for t in (emb, weight, bias)])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +303,55 @@ def test_cat_nce_bit_equal_to_slot_loop_reference():
             grads.append(backward(loss, tape)[queries.id].data)
         assert np.array_equal(losses[0], losses[1])
         assert np.array_equal(grads[0], grads[1])
+
+
+def test_training_step_bit_equal_to_primitive_step():
+    # one warm step as train_caco builds it: the query encoder on a source batch
+    # and on a target batch, the classifier, both losses, one backward pass
+    rng = np.random.default_rng(14)
+    spec = MlpSpec((5, 12, 12, 4))
+    for trial in range(10):
+        params = init_params(spec, trial)
+        clf = init_classifier(4, 3, 100 + trial)
+        d = random_warm_dictionary(rng, 3, 4, 4)
+        src, tgt = rng.normal(size=(8, 5)), rng.normal(size=(6, 5))
+        src_y = rng.integers(1, 4, size=8)
+        labels = random_labels(rng, 6, 3)
+        idx = np.repeat([lab.index - 1 for lab in labels], d.capacity)
+        scaled = d.scaled_block()
+
+        def primitive_encode(x):
+            h = Tensor(x)
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                h = ad.add_rowvec(ad.matmul(h, w), b)
+                if i < len(params.weights) - 1:
+                    h = ad.relu(h)
+            return ad.l2_normalize(h)
+
+        def primitive_step():
+            logits = ad.add_rowvec(ad.matmul(primitive_encode(src), clf.weight), clf.bias)
+            sup = ad.neg(ad.reduce_mean(ad.take_per_row(ad.log_softmax(logits, 1.0), src_y - 1)))
+            per_group = ad.reshape(ad.matmul(primitive_encode(tgt), Tensor(scaled.T)), (6 * 4, 3))
+            positives = ad.take_per_row(per_group, idx)
+            cat = ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+            return ad.add(sup, ad.scale(cat, 0.5))
+
+        def fused_step():
+            sup = supervised_loss(classifier_logits(clf, encode(params, Tensor(src))), src_y)
+            cat = cat_nce(encode(params, Tensor(tgt)), labels, d)
+            return ad.add(sup.value, ad.scale(cat.value, 0.5))
+
+        leaves = params.tensors() + [clf.weight, clf.bias]
+        runs = []
+        for step in (fused_step, primitive_step):
+            with Tape() as tape:
+                loss = step()
+            grads = backward(loss, tape)
+            assert set(grads) == {t.id for t in leaves}
+            runs.append((len(tape), [loss.data] + [grads[t.id].data for t in leaves]))
+        assert [n for n, _ in runs] == [13, 32]
+        for got, want in zip(runs[0][1], runs[1][1]):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 def test_cat_nce_requires_warm_dictionary():

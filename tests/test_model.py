@@ -4,9 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caco.autodiff import Tape, Tensor, backward, finite_diff_grad
-from caco.errors import ContractError, DimensionError, ParameterError
+from caco.errors import (
+    ContractError, DegenerateEmbeddingError, DimensionError, NonFiniteError, ParameterError,
+)
 from caco.losses import supervised_loss
 from caco.model import (
     CacoModel,
@@ -107,6 +111,47 @@ def test_encode_dimension_check():
     params = init_params(SPEC, 3)
     with pytest.raises(DimensionError):
         encode(params, Tensor(np.zeros((2, 5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=3, max_size=5),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.01, 1.0, 30.0]),
+)
+def test_embed_bit_equal_to_encode(widths, batch, seed, spread):
+    spec = MlpSpec((*widths[:-1], max(widths[-1], 2)))
+    params = init_params(spec, seed % 1000)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=spread, size=(batch, spec.input_dim))
+    x[rng.random(batch) < 0.2] = 0.0
+    try:
+        want = encode(params, Tensor(x)).data
+    except DegenerateEmbeddingError:  # every unit of a row silenced; embed must agree
+        with pytest.raises(DegenerateEmbeddingError):
+            embed(params, x)
+        return
+    got = embed(params, x)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_embed_dimension_check():
+    params = init_params(SPEC, 3)
+    for bad in (np.zeros((2, 5)), np.zeros(4), np.zeros((1, 2, 4))):
+        with pytest.raises(DimensionError):
+            embed(params, bad)
+
+
+def test_nan_weight_is_not_hidden_by_the_rectifier():
+    # a NaN pre-activation used to come out of the ReLU as 0.0, giving finite rows
+    params = init_params(MlpSpec((4, 8, 8, 3)), 5)
+    params.weights[0].data[:, 2] = np.nan
+    x = np.random.default_rng(0).normal(size=(6, 4))
+    with pytest.raises(NonFiniteError):
+        embed(params, x)
+    with pytest.raises(NonFiniteError):
+        encode(params, Tensor(x))
 
 
 def test_classify_uniform_for_zero_classifier():

@@ -342,6 +342,46 @@ def test_non_finite_embedding_raises_divergence_with_its_step(tiny_pair, monkeyp
     assert isinstance(info.value.__cause__, NonFiniteError)
 
 
+@pytest.mark.parametrize("variant", ["baseline", "full"])
+def test_nan_query_weight_raises_divergence(tiny_pair, monkeypatch, variant):
+    # a NaN hidden unit must not pass the rectifier as 0.0 and let the run go on
+    import caco.train as train_mod
+
+    real_init = train_mod._init_model
+
+    def init_model(config, pair):
+        model = real_init(config, pair)
+        model.encoders.query.weights[0].data[:, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(train_mod, "_init_model", init_model)
+    with pytest.raises(DivergenceError, match="epoch 1, step 1: .*not finite") as info:
+        train_caco(tiny_config(variant=variant), tiny_pair)
+    assert isinstance(info.value.__cause__, NonFiniteError)
+
+
+def test_tape_records_per_step(tiny_pair, monkeypatch):
+    # one record per layer and per loss. At two hidden layers a step holds three
+    # linears, l2_normalize, the classifier and the mean NLL (6); a warm full step
+    # adds the target encode, the category NCE, its weight and the sum (13).
+    # Unfused, the same steps held 15 and 32 records.
+    import caco.train as train_mod
+
+    real_backward = train_mod.backward
+    records = []
+
+    def backward(loss, tape):
+        records.append(len(tape))
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(train_mod, "backward", backward)
+    train_caco(tiny_config(variant="baseline", hidden=(16, 16), epochs=1), tiny_pair)
+    assert set(records) == {6}
+    records.clear()
+    train_caco(tiny_config(hidden=(16, 16), queue_size=2, epochs=2), tiny_pair)
+    assert records[0] == 6 and records[-1] == 13 and set(records) == {6, 13}
+
+
 def test_categories_come_from_the_label_space():
     # labels declare three categories, but no source row has the third
     rng = np.random.default_rng(0)
