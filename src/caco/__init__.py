@@ -23,7 +23,6 @@ from .errors import (
 )
 from .labels import CategoryLabel, assign_pseudo_label, key_label, prototype_memberships
 from .losses import (
-    LossValue,
     cat_nce,
     info_nce,
     key_temperature,

@@ -1,14 +1,14 @@
 """Category labels: pseudo-labels for targets, ground truth for source keys.
 
-Category indices are 1-based and live in [1..C]; the matching one-hot
-vector is a vertex of the probability simplex. Target pseudo-labels come
-from the category priors of the source: spherical k-means over target
-embeddings, seeded at the source class means (prototype_memberships).
+A label is a 1-based category index in [1..C]. A batch of labels is a 1-D
+integer array, from the epoch labelling through the key labels to the
+category contrastive loss; ``CategoryLabel`` is one such index, validated.
+Target pseudo-labels come from the category priors of the source:
+spherical k-means over target embeddings, seeded at the source class means
+(prototype_memberships), read back row by row by assign_pseudo_label.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +21,27 @@ _SIMPLEX_TOL = 1e-9
 PROTOTYPE_STEPS = 10  # spherical k-means rounds per labelling
 
 
-@dataclass(frozen=True)
-class CategoryLabel:
-    """A hard category assignment: index in [1..C] plus its one-hot vertex."""
-
-    index: int
-    one_hot: np.ndarray
+class CategoryLabel(int):
+    """A hard category assignment: an int in [1..C], checked by ``of``."""
 
     @classmethod
     def of(cls, index: int, num_categories: int) -> "CategoryLabel":
-        if not 1 <= index <= num_categories:
-            raise ContractError(f"label index {index} outside [1..{num_categories}]")
-        hot = np.zeros(num_categories)
-        hot[index - 1] = 1.0
-        hot.flags.writeable = False
-        return cls(int(index), hot)
+        if int(index) != index or not 1 <= index <= num_categories:
+            raise ContractError(f"label index {index} is not an integer in [1..{num_categories}]")
+        return cls(index)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CategoryLabel) and self.index == other.index \
-            and len(self.one_hot) == len(other.one_hot)
+    @property
+    def index(self) -> int:
+        return int(self)
 
-    def __hash__(self) -> int:
-        return hash((self.index, len(self.one_hot)))
+
+def as_label_array(labels, num_categories: int) -> np.ndarray:
+    """A 1-D int64 array of 1-based labels, each in [1..num_categories]."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu"
+                                       or ((arr < 1) | (arr > num_categories)).any())):
+        raise ContractError(f"expected a vector of integer labels in [1..{num_categories}]")
+    return arr.astype(np.int64)
 
 
 def as_probability_rows(probs) -> np.ndarray:
@@ -58,28 +57,20 @@ def as_probability_rows(probs) -> np.ndarray:
     return p
 
 
-def assign_pseudo_label(probs) -> CategoryLabel:
-    """Hard label at the argmax of a probability vector; ties go to the lowest index."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ContractError(f"expected a probability vector, got shape {p.shape}")
-    return CategoryLabel.of(int(np.argmax(as_probability_rows(p[None, :]))) + 1, p.shape[0])
+def assign_pseudo_label(probs) -> np.ndarray:
+    """1-based argmax of each (n, C) probability row; ties go to the lowest index."""
+    return np.argmax(as_probability_rows(probs), axis=1) + 1
 
 
-def key_label(source_labels, target_memberships) -> np.ndarray:
+def key_label(source_labels, target_labels, num_categories: int) -> np.ndarray:
     """1-based labels of a key batch, its source keys first.
 
-    Source keys keep their ground-truth ``source_labels``. Each target key
-    takes the argmax of its row of ``target_memberships`` (training passes
-    the epoch's prototype_memberships rows), ties to the lowest index.
+    Source keys keep their ground-truth ``source_labels``; target keys keep
+    ``target_labels``, the labels of their rows (training passes the
+    epoch's assign_pseudo_label output).
     """
-    memberships = as_probability_rows(target_memberships)
-    num_categories = memberships.shape[1]
-    truth = np.asarray(source_labels)
-    if truth.size and (truth.dtype.kind not in "iu"
-                       or ((truth < 1) | (truth > num_categories)).any()):
-        raise ContractError(f"source keys need ground-truth labels in [1..{num_categories}]")
-    return np.concatenate([truth.astype(np.int64), np.argmax(memberships, axis=1) + 1])
+    return np.concatenate([as_label_array(source_labels, num_categories),
+                           as_label_array(target_labels, num_categories)])
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

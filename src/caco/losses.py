@@ -5,13 +5,13 @@ per category and slot of the categorical dictionary. Per slot it is the
 log loss of a C-way softmax classifier whose positive is the key sharing
 the query's (pseudo) category; the result is averaged over slots and then
 over the query batch. Keys are constants: gradients reach the queries only.
+Query labels are 1-based category indices, one per query. Every loss
+returns its grad-enabled scalar Tensor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,29 +19,18 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
-from .labels import CategoryLabel, as_probability_rows
+from .labels import as_label_array, as_probability_rows
 
 
-@dataclass
-class LossValue:
-    """A scalar, grad-enabled loss together with the number of queries in it."""
-
-    value: Tensor
-    batch_size: int
-
-    def item(self) -> float:
-        return self.value.item()
-
-
-def supervised_loss(logits: Tensor, labels) -> LossValue:
+def supervised_loss(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of (batch, C) logits against 1-based hard labels."""
     if logits.data.ndim != 2:
         raise DimensionError("supervised_loss expects (batch, C) logits")
-    idx = np.asarray(labels, dtype=np.intp) - 1  # mean_nll checks its shape and range
-    return LossValue(ad.mean_nll(logits, idx), idx.shape[0])
+    # mean_nll checks that there is one label per row
+    return ad.mean_nll(logits, as_label_array(labels, logits.data.shape[1]) - 1)
 
 
-def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> LossValue:
+def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> Tensor:
     """Instance contrastive loss of one query against N+1 keys.
 
     positive_mask is a 0/1 vector flagging the positive key(s);
@@ -53,8 +42,7 @@ def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> LossValue:
     if not (mask != 0).any():
         raise ContractError("info_nce needs at least one positive key")
     logits = ad.scale(ad.matvec(keys, q), 1.0 / float(tau))
-    loss = ad.sub(ad.logsumexp(logits), ad.logsumexp(logits, mask))
-    return LossValue(loss, 1)
+    return ad.sub(ad.logsumexp(logits), ad.logsumexp(logits, mask))
 
 
 def prediction_entropy(probs) -> np.ndarray:
@@ -83,28 +71,29 @@ def key_temperature(tau_base: float, entropies, num_categories: int) -> np.ndarr
 
 def cat_nce(
     queries: Tensor,
-    query_labels: Sequence[CategoryLabel],
+    query_labels,
     dictionary: CategoricalDictionary,
-) -> LossValue:
+) -> Tensor:
     """Category contrastive loss of a (batch, d) query block against a warm dictionary.
 
-    Callers must pass unit-norm, grad-enabled queries and detached labels.
+    ``query_labels`` holds one 1-based category per query: an integer array,
+    or a sequence of ints such as CategoryLabel. Callers must pass unit-norm,
+    grad-enabled queries.
     """
     if not dictionary.is_warm():
         raise NotWarmError("category contrast needs every queue at full capacity")
     if queries.data.ndim != 2:
         raise DimensionError("cat_nce expects (batch, d) queries")
     batch, dim = queries.shape
-    if batch != len(query_labels):
-        raise DimensionError(
-            f"batch mismatch: {batch} queries, {len(query_labels)} labels"
-        )
+    labels = np.asarray(query_labels)
+    if labels.shape != (batch,):
+        raise DimensionError(f"batch mismatch: {batch} queries, labels of shape {labels.shape}")
     num_cat, capacity = dictionary.num_categories, dictionary.capacity
+    labels = as_label_array(labels, num_cat)
     # one row per (slot, category), each key pre-divided by its temperature
     scaled = dictionary.scaled_block()
     if scaled.shape[1] != dim:
         raise DimensionError(f"query dim {dim} does not match key dim {scaled.shape[1]}")
 
     # the (batch, M*C) logits split into batch*M softmax groups of C
-    idx = np.repeat([lab.index - 1 for lab in query_labels], capacity)
-    return LossValue(ad.grouped_nll(queries, scaled, idx, num_cat), batch)
+    return ad.grouped_nll(queries, scaled, np.repeat(labels - 1, capacity), num_cat)

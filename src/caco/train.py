@@ -4,11 +4,12 @@ The baseline is the zero-contrast case: it trains the query encoder and the
 classifier on the supervised loss alone, and never touches the key encoder
 or the dictionary. Each contrastive epoch starts by labelling every target
 row once: spherical k-means over key-encoder embeddings, seeded at the
-source class means. Each contrastive step: compute the supervised loss on
-a source batch, refresh the dictionary with momentum-encoded keys
-(ground-truth labels for source keys, the epoch's labels for target keys,
-entropy-scaled temperatures), and, once every queue is full, add the
-category contrastive loss on a target query batch labelled the same way.
+source class means, read back as one 1-based label array over the target
+rows. Each contrastive step: compute the supervised loss on a source batch,
+refresh the dictionary with momentum-encoded keys (ground-truth labels for
+source keys, their rows' epoch labels for target keys, entropy-scaled
+temperatures), and, once every queue is full, add the category contrastive
+loss on a target query batch under the same row labels.
 Only the query encoder and the classifier receive gradients; the key
 encoder moves by EMA after every contrastive step.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -117,17 +118,6 @@ class EpochRecord:
     pseudo_label_churn: float | None
     dictionary_warm: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_sup": self.loss_sup,
-            "loss_catnce": self.loss_catnce,
-            "target_accuracy": self.target_accuracy,
-            "target_mean_class_accuracy": self.target_mean_class_accuracy,
-            "pseudo_label_churn": self.pseudo_label_churn,
-            "dictionary_warm": self.dictionary_warm,
-        }
-
 
 @dataclass
 class RunMetrics:
@@ -143,7 +133,7 @@ class RunMetrics:
 
     def jsonl_lines(self) -> list[str]:
         """Per-epoch records; deliberately timestamp-free so runs diff cleanly."""
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in self.records]
+        return [json.dumps(asdict(r), sort_keys=True) for r in self.records]
 
     def write_jsonl(self, fp: IO[str]) -> None:
         for line in self.jsonl_lines():
@@ -247,8 +237,6 @@ class _Sgd:
         self.velocity = [np.zeros_like(p.data) for p in params]
 
     def _lr(self) -> float:
-        if not self.decay_power:
-            return self.base_lr
         remaining = 1.0 - self.steps_done / self.total_steps
         return self.base_lr * max(remaining, 1e-3) ** self.decay_power
 
@@ -348,8 +336,9 @@ def train_caco(
     Per step: supervised loss on a source batch, then an SGD step on the
     query encoder and classifier. That is all the baseline does. The other
     variants add, per contrastive epoch: label every target row once from
-    the key encoder (prototype_memberships); a target row keeps that label
-    as a query and as a key until the next epoch. And per step, before the
+    the key encoder (assign_pseudo_label over prototype_memberships, one
+    1-based array); a target row keeps that label as a query and as a key
+    until the next epoch. And per step, before the
     supervised loss: encode a key batch with the key encoder and enqueue it
     (keys drawn from source with true labels until the dictionary warms,
     then per variant); once warm, add the weighted category contrastive
@@ -376,9 +365,6 @@ def train_caco(
     metrics = RunMetrics(config.variant, config.seed)
     prev_pseudo: np.ndarray | None = None
     num_cat = pair.num_categories
-    if contrastive:
-        # a query's label is the label of its membership row, a simplex vertex
-        vertex_labels = [assign_pseudo_label(row) for row in np.eye(num_cat)]
 
     epoch = step = 0
     try:
@@ -394,11 +380,10 @@ def train_caco(
                     tk.data = tq.data.copy()
             if enqueueing:
                 key_enc = model.encoders.key
-                memberships = prototype_memberships(
+                row_labels = assign_pseudo_label(prototype_memberships(
                     embed(key_enc, pair.source_x), pair.source_y,
                     embed(key_enc, pair.target_x), num_cat,
-                )
-                row_categories = np.argmax(memberships, axis=1)
+                ))
             for step, idx in enumerate(_source_epoch_batches(pair, config.batch_size, rng_source), 1):
                 if enqueueing:
                     # keys first: cold dictionaries fill from ground-truth source samples
@@ -408,7 +393,7 @@ def train_caco(
                     key_emb = embed(
                         model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]])
                     )
-                    labels = key_label(pair.source_y[src], memberships[tgt])
+                    labels = key_label(pair.source_y[src], row_labels[tgt], num_cat)
                     entropies = prediction_entropy(classify(model.classifier, key_emb))
                     taus = key_temperature(config.tau_base, entropies, num_cat)
                     domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
@@ -422,13 +407,12 @@ def train_caco(
                     sup = supervised_loss(
                         classifier_logits(model.classifier, emb), pair.source_y[idx]
                     )
-                    total = sup.value
+                    total = sup
                     if dictionary.is_warm() and config.catnce_weight != 0.0:
                         q_idx = queries.next()
                         q_emb = encode(model.encoders.query, Tensor(pair.target_x[q_idx]))
-                        q_labels = [vertex_labels[c] for c in row_categories[q_idx]]
-                        cat = cat_nce(q_emb, q_labels, dictionary.snapshot())
-                        total = ad.add(total, ad.scale(cat.value, config.catnce_weight))
+                        cat = cat_nce(q_emb, row_labels[q_idx], dictionary.snapshot())
+                        total = ad.add(total, ad.scale(cat, config.catnce_weight))
                         cat_losses.append(cat.item())
                 if not np.isfinite(total.data):
                     raise DivergenceError(epoch, step, f"loss {total.item()}")

@@ -1,6 +1,7 @@
-"""Shared builders for randomized loss and dictionary instances."""
+"""Shared builders for randomized loss and dictionary instances, and the acceptance marker."""
 
 import numpy as np
+import pytest
 
 from caco.dictionary import CategoricalDictionary
 from caco.labels import SOURCE, TARGET, CategoryLabel
@@ -28,3 +29,10 @@ def random_labels(rng, batch, num_categories):
         CategoryLabel.of(int(rng.integers(1, num_categories + 1)), num_categories)
         for _ in range(batch)
     ]
+
+
+def pytest_collection_modifyitems(items):
+    """Mark the acceptance criteria, so `pytest -m "not acceptance"` runs the rest."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.acceptance)

@@ -13,30 +13,35 @@ from caco.labels import (
 
 
 def test_argmax_assignment():
-    assert assign_pseudo_label(np.array([0.1, 0.7, 0.2])).index == 2
+    np.testing.assert_array_equal(
+        assign_pseudo_label(np.array([[0.1, 0.7, 0.2], [0.6, 0.3, 0.1]])), [2, 1]
+    )
 
 
 def test_tie_break_lowest_index():
-    assert assign_pseudo_label(np.array([0.5, 0.5])).index == 1
-    assert assign_pseudo_label(np.full(4, 0.25)).index == 1
+    assert assign_pseudo_label(np.array([[0.5, 0.5]]))[0] == 1
+    assert assign_pseudo_label(np.full((1, 4), 0.25))[0] == 1
 
 
 def test_off_simplex_rejected():
     with pytest.raises(ContractError):
-        assign_pseudo_label(np.array([0.5, 0.6]))
+        assign_pseudo_label(np.array([[0.5, 0.6]]))
     with pytest.raises(ContractError):
-        assign_pseudo_label(np.array([1.2, -0.2]))
+        assign_pseudo_label(np.array([[1.2, -0.2]]))
+    with pytest.raises(ContractError):  # one bad row rejects the whole block
+        assign_pseudo_label(np.array([[0.5, 0.5], [0.7, 0.6]]))
+    with pytest.raises(ContractError):  # a single vector is not a block of rows
+        assign_pseudo_label(np.array([0.5, 0.5]))
 
 
-def test_one_hot_is_simplex_vertex():
+def test_pseudo_labels_are_row_argmax():
     rng = np.random.default_rng(0)
     for _ in range(50):
         c = int(rng.integers(2, 8))
-        p = rng.dirichlet(np.ones(c))
-        lab = assign_pseudo_label(p)
-        assert lab.one_hot.sum() == 1.0
-        assert set(np.unique(lab.one_hot)) <= {0.0, 1.0}
-        assert int(np.argmax(lab.one_hot)) + 1 == lab.index
+        p = rng.dirichlet(np.ones(c), size=int(rng.integers(1, 6)))
+        labels = assign_pseudo_label(p)
+        assert labels.dtype.kind == "i"
+        np.testing.assert_array_equal(labels, np.argmax(p, axis=1) + 1)
 
 
 def test_argmax_invariant_under_increasing_transforms():
@@ -44,32 +49,37 @@ def test_argmax_invariant_under_increasing_transforms():
     transforms = [np.exp, lambda x: x**2, lambda x: 3.0 * x + 1.0, np.sqrt]
     for _ in range(50):
         c = int(rng.integers(2, 7))
-        p = rng.dirichlet(np.ones(c))
-        base = assign_pseudo_label(p).index
+        p = rng.dirichlet(np.ones(c), size=3)
+        base = assign_pseudo_label(p)
         for phi in transforms:
             q = phi(p)
-            q = q / q.sum()
-            assert assign_pseudo_label(q).index == base
+            q = q / q.sum(axis=1, keepdims=True)
+            np.testing.assert_array_equal(assign_pseudo_label(q), base)
 
 
 def test_key_label_source_uses_ground_truth():
     # source keys keep their labels whatever the target rows say; they come first
-    memberships = np.array([[0.9, 0.05, 0.03, 0.02]])
-    labels = key_label(np.array([3, 4]), memberships)
+    labels = key_label(np.array([3, 4]), np.array([1]), 4)
     np.testing.assert_array_equal(labels, [3, 4, 1])
 
 
 def test_key_label_source_without_ground_truth_rejected():
     for truth in (np.array([0]), np.array([3]), np.array([None]), np.array([1.0])):
         with pytest.raises(ContractError):
-            key_label(truth, np.array([[1.0, 0.0]]))
-    with pytest.raises(ContractError):
-        key_label(np.array([1]), np.array([[0.7, 0.6]]))  # a target row off the simplex
+            key_label(truth, np.array([1]), 2)
+
+
+def test_key_label_rejects_out_of_range_target_labels():
+    for target in (np.array([0]), np.array([3]), np.array([1, 2, 5]), np.array([1.0]),
+                   np.array([[1]])):
+        with pytest.raises(ContractError):
+            key_label(np.array([1]), target, 2)
 
 
 def test_key_label_target_uses_pseudo_label():
-    labels = key_label(np.zeros(0, dtype=int), np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))
-    np.testing.assert_array_equal(labels, [1, 1, 2])  # ties to the lowest index
+    row_labels = assign_pseudo_label(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))
+    labels = key_label(np.zeros(0, dtype=int), row_labels[[2, 0, 1]], 2)
+    np.testing.assert_array_equal(labels, [2, 1, 1])  # ties to the lowest index
 
 
 def test_key_label_matches_scalar_softmax_oracle():
@@ -77,7 +87,8 @@ def test_key_label_matches_scalar_softmax_oracle():
     z = np.array([0.4, -1.1, 2.0])
     den = sum(np.exp(zi) for zi in z)
     probs = np.array([[np.exp(zi) / den for zi in z]])
-    assert key_label(np.zeros(0, dtype=int), probs)[0] == int(np.argmax(z)) + 1 == 3
+    labels = key_label(np.zeros(0, dtype=int), assign_pseudo_label(probs), 3)
+    assert labels[0] == int(np.argmax(z)) + 1 == 3
 
 
 def test_label_index_range_checked():
@@ -85,6 +96,14 @@ def test_label_index_range_checked():
         CategoryLabel.of(0, 3)
     with pytest.raises(ContractError):
         CategoryLabel.of(5, 4)
+    with pytest.raises(ContractError):  # not truncated to 1
+        CategoryLabel.of(1.5, 3)
+
+
+def test_category_label_is_its_index():
+    label = CategoryLabel.of(np.int64(2), 3)
+    assert label == 2 and label.index == 2 and type(label.index) is int
+    assert np.asarray([label, CategoryLabel.of(1, 3)]).dtype.kind == "i"
 
 
 def _ring(rng, angles_deg, labels_per_angle, spread):
@@ -116,8 +135,9 @@ def test_memberships_are_simplex_vertices_read_back_by_argmax():
     memberships = prototype_memberships(source, source_labels, target, 3)
     assert memberships.shape == (60, 3)
     np.testing.assert_array_equal(memberships.sum(axis=1), np.ones(60))
-    for row in memberships:
-        assert assign_pseudo_label(row).index == int(np.argmax(row)) + 1
+    labels = assign_pseudo_label(memberships)
+    for row, label in zip(memberships, labels):
+        assert row[label - 1] == 1.0 and label == int(np.argmax(row)) + 1
 
 
 def test_prototype_without_target_rows_stays_at_its_source_mean():

@@ -73,13 +73,13 @@ def test_supervised_loss_scalar_oracle():
     expected /= 2.0
     loss = supervised_loss(Tensor(logits), labels)
     assert abs(loss.item() - expected) <= 1e-12
-    assert loss.batch_size == 2
+    assert loss.data.shape == ()
 
 
 def test_supervised_loss_batch_mismatch():
     with pytest.raises(DimensionError):
         supervised_loss(Tensor(np.zeros((2, 3))), np.array([1]))
-    for bad in ([0, 1], [1, 4]):  # labels are 1-based categories of the logits
+    for bad in ([0, 1], [1, 4], [1.7, 2.0]):  # labels are 1-based categories of the logits
         with pytest.raises(ContractError):
             supervised_loss(Tensor(np.zeros((2, 3))), np.array(bad))
 
@@ -97,7 +97,7 @@ def test_supervised_loss_bit_equal_to_primitive_composition():
             with Tape() as tape:
                 logits = ad.add_rowvec(ad.matmul(emb, weight), bias)
                 if fused:
-                    loss = supervised_loss(logits, labels).value
+                    loss = supervised_loss(logits, labels)
                 else:
                     picked = ad.take_per_row(ad.log_softmax(logits, 1.0), labels - 1)
                     loss = ad.neg(ad.reduce_mean(picked))
@@ -294,7 +294,7 @@ def test_cat_nce_bit_equal_to_slot_loop_reference():
         q0 = unit_rows(rng, B, dim)
         labels = random_labels(rng, B, C)
         losses, grads = [], []
-        for fn in (lambda q: cat_nce(q, labels, d).value,
+        for fn in (lambda q: cat_nce(q, labels, d),
                    lambda q: catnce_slot_loop_reference(q, labels, d)):
             queries = Tensor(q0, requires_grad=True)
             with Tape() as tape:
@@ -339,7 +339,7 @@ def test_training_step_bit_equal_to_primitive_step():
         def fused_step():
             sup = supervised_loss(classifier_logits(clf, encode(params, Tensor(src))), src_y)
             cat = cat_nce(encode(params, Tensor(tgt)), labels, d)
-            return ad.add(sup.value, ad.scale(cat.value, 0.5))
+            return ad.add(sup, ad.scale(cat, 0.5))
 
         leaves = params.tensors() + [clf.weight, clf.bias]
         runs = []
@@ -352,6 +352,36 @@ def test_training_step_bit_equal_to_primitive_step():
         assert [n for n, _ in runs] == [13, 32]
         for got, want in zip(runs[0][1], runs[1][1]):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_cat_nce_label_objects_and_label_array_are_bit_equal():
+    # the acceptance gate passes CategoryLabel lists, training passes int arrays
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        C, M, dim, B = (int(v) for v in rng.integers(1, 6, size=4))
+        d = random_warm_dictionary(rng, C, M, dim + 1)
+        q0 = unit_rows(rng, B, dim + 1)
+        labels = random_labels(rng, B, C)
+        runs = []
+        for form in (labels, np.array([int(lab) for lab in labels])):
+            queries = Tensor(q0, requires_grad=True)
+            with Tape() as tape:
+                loss = cat_nce(queries, form, d)
+            runs.append((loss.data, backward(loss, tape)[queries.id].data))
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_cat_nce_rejects_malformed_labels():
+    rng = np.random.default_rng(16)
+    d = random_warm_dictionary(rng, 3, 2, 4)
+    queries = Tensor(unit_rows(rng, 2, 4))
+    for bad in (np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 4]), [None, 1]):
+        with pytest.raises(ContractError):
+            cat_nce(queries, bad, d)
+    for bad in (np.array([1]), np.array([1, 2, 3]), np.array([[1, 2]]), []):
+        with pytest.raises(DimensionError):
+            cat_nce(queries, bad, d)
 
 
 def test_cat_nce_requires_warm_dictionary():
@@ -459,7 +489,7 @@ def test_cat_nce_gradients_reach_queries_only():
     labels = random_labels(rng, 2, 3)
     with Tape() as tape:
         loss = cat_nce(queries, labels, d)
-    grads = backward(loss.value, tape)
+    grads = backward(loss, tape)
     assert set(grads) == {queries.id}
 
 
@@ -477,7 +507,7 @@ def test_cat_nce_gradient_matches_finite_differences():
         queries = Tensor(q0, requires_grad=True)
         with Tape() as tape:
             loss = cat_nce(queries, labels, d)
-        analytic = backward(loss.value, tape)[queries.id].data
+        analytic = backward(loss, tape)[queries.id].data
 
         fd = finite_diff_grad(
             lambda flat: cat_nce(Tensor(flat.reshape(B, dim)), labels, d).item(),
@@ -519,7 +549,7 @@ def test_backward_cat_nce_small_instance_matches_finite_differences():
     queries = Tensor(q0, requires_grad=True)
     with Tape() as tape:
         loss = cat_nce(queries, labels, d)
-    analytic = backward(loss.value, tape)[queries.id].data
+    analytic = backward(loss, tape)[queries.id].data
     fd = finite_diff_grad(
         lambda flat: cat_nce(Tensor(flat.reshape(1, 3)), labels, d).item(), q0, 1e-5
     ).data

@@ -246,7 +246,7 @@ def test_gradients_flow_through_encode():
     tensors = params.tensors() + [clf.weight, clf.bias]
     with Tape() as tape:
         loss = supervised_loss(classifier_logits(clf, encode(params, Tensor(x))), labels)
-    grads = backward(loss.value, tape)
+    grads = backward(loss, tape)
 
     flat0 = np.concatenate([t.data.reshape(-1) for t in tensors])
     sizes = [t.data.size for t in tensors]

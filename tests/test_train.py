@@ -243,7 +243,7 @@ class _LabelLog:
 
         def query_labels(queries, labels, dictionary):
             for label in labels:
-                self.events.append(("query", (self._query_rows.pop(0), label.index)))
+                self.events.append(("query", (self._query_rows.pop(0), int(label))))
             return real["cat_nce"](queries, labels, dictionary)
 
         def evaluate(*args, **kwargs):
@@ -395,6 +395,24 @@ def test_categories_come_from_the_label_space():
     assert set(pair.evaluation_labels().tolist()) == {1, 2}  # no third-category rows either
     with pytest.raises(ContractError, match=r"categories \[3\]"):
         train_caco(tiny_config(), pair)
+
+
+def test_lr_decay_power_schedule():
+    from caco.train import _Sgd
+
+    def rates(power, total=20):
+        sgd = _Sgd([], tiny_config(learning_rate=0.03, lr_decay_power=power), total)
+        out = []
+        for _ in range(total + 1):
+            out.append(sgd._lr())
+            sgd.step({})
+        return out
+
+    assert rates(0.0) == [0.03] * 21  # power 0 keeps the rate constant, bit for bit
+    decayed = rates(0.9)
+    assert decayed[0] == 0.03
+    assert all(a > b for a, b in zip(decayed, decayed[1:-1]))
+    assert decayed[-1] == 0.03 * 1e-3 ** 0.9  # the floor once every step is done
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
