@@ -8,9 +8,19 @@ Usage:
 
 Spec files are flat key = value text with one dotted namespace level
 (data.* and train.*) plus top-level seed and out; '#' starts a comment.
-Every value can be overridden on the command line with --set key=value.
-All outputs are reproducible byte-for-byte from (spec, overrides, seeds),
-except the wall_clock_s column of summary.csv.
+Every value can be overridden on the command line with --set key=value;
+spec lines and --set items go through the same parser.
+
+train, ablate and export-embeddings share one run loop. It trains each
+(variant, seed) of the command into its own run directory: OUT for one
+seed, OUT/seed_N for several, and OUT/<variant>/seed_N under ablate, which
+runs every variant. Each run directory holds metrics.jsonl, keys.jsonl,
+model.ckpt and summary.csv. On top of that, train with several seeds
+writes OUT/summary.csv (finished runs only), ablate writes
+OUT/comparison.csv (one row per variant and seed) and export-embeddings
+writes embeddings.csv into each run directory. All outputs are
+reproducible byte-for-byte from (spec, overrides, seeds), except the
+wall_clock_s column of the two CSVs.
 """
 
 from __future__ import annotations
@@ -25,15 +35,7 @@ from .data import DataConfig, DomainPair, build_domain_pair
 from .errors import CacoError, ContractError
 from .gradcheck import DEFAULT_TOLERANCE, run_all
 from .model import CacoModel, embed, save_checkpoint
-from .train import (
-    RunMetrics,
-    TrainConfig,
-    train_caco,
-    train_source_only,
-    write_summary_csv,
-)
-
-ABLATION_VARIANTS = ("baseline", "S", "T", "full")
+from .train import VARIANTS, RunMetrics, TrainConfig, train_caco, train_source_only
 
 
 @dataclasses.dataclass
@@ -41,7 +43,7 @@ class ExperimentSpec:
     data: DataConfig
     train: TrainConfig
     seed: int = 1
-    out: str | None = None
+    out: str = ""  # empty: the command's own default directory
 
 
 # ---------------------------------------------------------------------------
@@ -50,46 +52,38 @@ class ExperimentSpec:
 
 
 def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    """raw converted to the type of the field's current value: a tuple of its kind, or a scalar."""
     if isinstance(current, tuple):
-        parts = [p for p in raw.split(",") if p.strip()]
         kind = type(current[0]) if current else float
-        return tuple(kind(p) for p in parts)
-    return raw.strip()
+        return tuple(kind(p) for p in raw.split(",") if p.strip())
+    return type(current)(raw)
 
 
-def _assign(spec: ExperimentSpec, key: str, raw: str) -> None:
-    scope, _, field = key.partition(".")
-    if scope == "seed" and not field:
-        spec.seed = int(raw)
-        return
-    if scope == "out" and not field:
-        spec.out = raw.strip()
-        return
-    target = {"data": spec.data, "train": spec.train}.get(scope)
-    if target is None or not field:
-        raise ContractError(f"unknown spec key {key!r}")
-    names = {f.name for f in dataclasses.fields(target)}
-    if field not in names or field == "seed":
-        raise ContractError(f"unknown spec key {key!r}")
-    setattr(target, field, _coerce(raw, getattr(target, field)))
+def _apply_item(spec: ExperimentSpec, item: str, where: str) -> None:
+    """Set one `key = value` item, a spec-file line or a --set value, on spec."""
+    key, eq, raw = (part.strip() for part in item.partition("="))
+    if not eq:
+        raise ContractError(f"{where}: expected key = value, got {item!r}")
+    if key in ("seed", "out"):
+        target, name = spec, key
+    else:
+        scope, _, name = key.partition(".")
+        target = {"data": spec.data, "train": spec.train}.get(scope)
+        names = {f.name for f in dataclasses.fields(target)} - {"seed"} if target else set()
+        if name not in names:  # seed is a top-level key only
+            raise ContractError(f"{where}: unknown spec key {key!r}")
+    try:
+        setattr(target, name, _coerce(raw, getattr(target, name)))
+    except ValueError as exc:
+        raise ContractError(f"{where}: bad value for {key}: {raw!r}") from exc
 
 
 def parse_spec_text(text: str, spec: ExperimentSpec | None = None) -> ExperimentSpec:
     spec = spec or ExperimentSpec(DataConfig(), TrainConfig())
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ContractError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        _assign(spec, key, raw)
+        if line:
+            _apply_item(spec, line, f"line {lineno}")
     return spec
 
 
@@ -98,10 +92,7 @@ def load_spec(path: str | None, overrides: list[str]) -> ExperimentSpec:
     if path is not None:
         spec = parse_spec_text(Path(path).read_text(), spec)
     for item in overrides:
-        if "=" not in item:
-            raise ContractError(f"override must look like key=value, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        _assign(spec, key, raw)
+        _apply_item(spec, item, "--set")
     return spec
 
 
@@ -109,28 +100,61 @@ def load_spec(path: str | None, overrides: list[str]) -> ExperimentSpec:
 # Run plumbing
 # ---------------------------------------------------------------------------
 
+SUMMARY_FIELDS = ("variant", "seed", "epochs", "warm_epoch", "target_accuracy",
+                  "mean_class_accuracy", "loss_sup", "loss_catnce", "wall_clock_s")
 
-def _run_one(spec: ExperimentSpec, seed: int, out_dir: Path) -> tuple[CacoModel, RunMetrics]:
+
+def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) -> None:
+    """Header plus one row per run: finished runs only, or every run (zero-epoch ones too)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_FIELDS)
+        for m in runs:
+            if m.records or every_run:
+                last = m.records[-1] if m.records else None
+                final = [getattr(last, name, None) for name in (
+                    "target_accuracy", "target_mean_class_accuracy", "loss_sup", "loss_catnce")]
+                writer.writerow([m.variant, m.seed, len(m.records), m.warm_epoch,
+                                 *final, round(m.wall_clock_s, 3)])
+
+
+def _run_one(spec: ExperimentSpec, seed: int, out_dir: Path):
+    """Train one seed of spec and write its run directory; returns (pair, model, metrics)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     pair = build_domain_pair(spec.data, seed)
     config = dataclasses.replace(spec.train, seed=seed)
-    if config.variant == "baseline":
-        model, metrics = train_source_only(config, pair)
-        (out_dir / "keys.jsonl").write_text("")
-    else:
-        with open(out_dir / "keys.jsonl", "w") as fh:
+    with open(out_dir / "keys.jsonl", "w") as fh:  # the baseline's stays empty
+        if config.variant == "baseline":
+            model, metrics = train_source_only(config, pair)
+        else:
             model, metrics = train_caco(config, pair, keys_dump_fp=fh)
     with open(out_dir / "metrics.jsonl", "w") as fh:
         metrics.write_jsonl(fh)
-    write_summary_csv(out_dir / "summary.csv", [metrics])
+    _write_summary(out_dir / "summary.csv", [metrics])
     save_checkpoint(out_dir / "model.ckpt", model)
-    return model, metrics
+    return pair, model, metrics
 
 
-def _parse_seeds(arg: str | None, default_seed: int) -> list[int]:
-    if not arg:
-        return [default_seed]
-    return [int(s) for s in arg.split(",") if s.strip()]
+def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
+    """The run loop: every variant (the spec's own by default) and seed, in that order.
+
+    Calls report(run_dir, pair, model, metrics) after each run; returns the
+    output directory and every run's metrics.
+    """
+    spec = load_spec(args.spec, args.set or [])
+    out = Path(args.out or spec.out or default_out)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else [spec.seed]
+    finished = []
+    for variant in variants or (spec.train.variant,):
+        run_spec = dataclasses.replace(spec, train=dataclasses.replace(spec.train, variant=variant))
+        for seed in seeds:
+            run_dir = out / variant / f"seed_{seed}" if variants else (
+                out / f"seed_{seed}" if len(seeds) > 1 else out)
+            pair, model, metrics = _run_one(run_spec, seed, run_dir)
+            report(run_dir, pair, model, metrics)
+            finished.append(metrics)
+    return out, finished
 
 
 def _export_embeddings(path: Path, model: CacoModel, pair: DomainPair) -> None:
@@ -151,43 +175,33 @@ def _export_embeddings(path: Path, model: CacoModel, pair: DomainPair) -> None:
 
 
 def _cmd_train(args) -> int:
-    spec = load_spec(args.spec, args.set or [])
-    out = Path(args.out or spec.out or "runs/train")
-    seeds = _parse_seeds(args.seeds, spec.seed)
-    all_metrics = []
-    for seed in seeds:
-        run_dir = out if len(seeds) == 1 else out / f"seed_{seed}"
-        _, metrics = _run_one(spec, seed, run_dir)
-        all_metrics.append(metrics)
+    def report(run_dir, pair, model, metrics):
         acc = metrics.final_accuracy
-        print(f"{spec.train.variant} seed={seed} epochs={len(metrics.records)} "
+        print(f"{metrics.variant} seed={metrics.seed} epochs={len(metrics.records)} "
               f"target_accuracy={'n/a' if acc is None else f'{acc:.4f}'}")
-    if len(seeds) > 1:
-        out.mkdir(parents=True, exist_ok=True)
-        write_summary_csv(out / "summary.csv", all_metrics)
+
+    out, runs = _run_all(args, "runs/train", report)
+    if len(runs) > 1:
+        _write_summary(out / "summary.csv", runs)
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    spec = load_spec(args.spec, args.set or [])
-    out = Path(args.out or spec.out or "runs/ablation")
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = _parse_seeds(args.seeds, spec.seed)
-    rows = []
-    for variant in ABLATION_VARIANTS:
-        for seed in seeds:
-            run_spec = dataclasses.replace(
-                spec, train=dataclasses.replace(spec.train, variant=variant)
-            )
-            _, metrics = _run_one(run_spec, seed, out / variant / f"seed_{seed}")
-            row = metrics.summary_row()
-            rows.append(row)
-            print(f"{variant} seed={seed} target_accuracy={row['target_accuracy']}")
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RunMetrics.SUMMARY_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out / 'comparison.csv'} ({len(rows)} rows)")
+    def report(run_dir, pair, model, metrics):
+        print(f"{metrics.variant} seed={metrics.seed} target_accuracy={metrics.final_accuracy}")
+
+    out, runs = _run_all(args, "runs/ablation", report, VARIANTS)
+    _write_summary(out / "comparison.csv", runs, every_run=True)
+    print(f"wrote {out / 'comparison.csv'} ({len(runs)} rows)")
+    return 0
+
+
+def _cmd_export_embeddings(args) -> int:
+    def report(run_dir, pair, model, metrics):
+        _export_embeddings(run_dir / "embeddings.csv", model, pair)
+        print(f"wrote {run_dir / 'embeddings.csv'}")
+
+    _run_all(args, "runs/export", report)
     return 0
 
 
@@ -201,19 +215,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst <= DEFAULT_TOLERANCE else 1
 
 
-def _cmd_export_embeddings(args) -> int:
-    spec = load_spec(args.spec, args.set or [])
-    out = Path(args.out or spec.out or "runs/export")
-    seeds = _parse_seeds(args.seeds, spec.seed)
-    for seed in seeds:
-        run_dir = out if len(seeds) == 1 else out / f"seed_{seed}"
-        model, _ = _run_one(spec, seed, run_dir)
-        pair = build_domain_pair(spec.data, seed)
-        _export_embeddings(run_dir / "embeddings.csv", model, pair)
-        print(f"wrote {run_dir / 'embeddings.csv'}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="caco", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -225,23 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a spec value (repeatable)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seeds", help="comma-separated seed list")
+        return p
 
-    p_train = sub.add_parser("train", help="run one training configuration")
-    common(p_train)
-    p_train.set_defaults(func=_cmd_train)
-
-    p_ablate = sub.add_parser("ablate", help="baseline, S, T and full over a seed list")
-    common(p_ablate)
-    p_ablate.set_defaults(func=_cmd_ablate)
+    for name, func, text in (
+        ("train", _cmd_train, "run one training configuration"),
+        ("ablate", _cmd_ablate, "baseline, S, T and full over a seed list"),
+        ("export-embeddings", _cmd_export_embeddings, "train, then dump embeddings as CSV"),
+    ):
+        common(sub.add_parser(name, help=text)).set_defaults(func=func)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_grad.add_argument("--instances", type=int, default=50)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=_cmd_gradcheck)
-
-    p_exp = sub.add_parser("export-embeddings", help="train, then dump embeddings as CSV")
-    common(p_exp)
-    p_exp.set_defaults(func=_cmd_export_embeddings)
     return parser
 
 

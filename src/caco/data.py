@@ -192,13 +192,19 @@ def sample_key_batch(
     Returns the drawn row indices into pair.source_x and into pair.target_x,
     source first; a domain the variant does not draw from gets an empty array.
     """
+    n_source, n_target = key_batch_rows(n, variant)
+    return (_draw_rows(pair.source_x, n_source, "source", rng),
+            _draw_rows(pair.target_x, n_target, "target", rng))
+
+
+def key_batch_rows(n: int, variant: str) -> tuple[int, int]:
+    """How many source and target rows an n-key batch of a dictionary variant draws."""
     if variant not in KEY_VARIANTS:
         raise ContractError(f"variant must be one of {KEY_VARIANTS}, got {variant!r}")
     if variant == "full" and n % 2:
         raise ContractError(f"the mixed variant needs an even batch, got {n}")
     n_source = {"S": n, "T": 0, "full": n // 2}[variant]
-    return (_draw_rows(pair.source_x, n_source, "source", rng),
-            _draw_rows(pair.target_x, n - n_source, "target", rng))
+    return n_source, n - n_source
 
 
 def _draw_rows(rows: np.ndarray, count: int, pool: str, rng) -> np.ndarray:

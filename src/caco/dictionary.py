@@ -57,7 +57,7 @@ class CategoricalDictionary:
         self._next_age = 0
         self.enqueued_by_domain = {SOURCE: 0, TARGET: 0}
 
-    def enqueue(self, vector, category: int, temperature: float, domain: str) -> CategoricalKey:
+    def enqueue(self, vector, category: int, temperature: float, domain: str) -> None:
         """Write a key at its category's head, overwriting the oldest when full."""
         if not isinstance(category, (int, np.integer)) or not 1 <= category <= self.num_categories:
             raise ContractError(
@@ -67,7 +67,7 @@ class CategoricalDictionary:
             raise ContractError(f"unknown domain {domain!r}")
         if not temperature > 0.0:
             raise ParameterError(f"key temperature must be positive, got {temperature}")
-        vec = np.asarray(vector, dtype=np.float64).copy()
+        vec = np.asarray(vector, dtype=np.float64)
         if vec.ndim != 1 or (self._next_age and vec.shape[0] != self._vectors.shape[2]):
             raise DimensionError(
                 f"keys are 1-d and as long as the first one; got shape {vec.shape}"
@@ -77,19 +77,16 @@ class CategoricalDictionary:
             raise ContractError("key vectors must be finite and unit-norm")
         if not self._next_age:
             self._vectors = np.zeros((self.num_categories, self.capacity, vec.shape[0]))
-        vec.flags.writeable = False
-        key = CategoricalKey(vec, int(category), float(temperature), domain, self._next_age)
         c = category - 1
         slot = self._head[c]
-        self._vectors[c, slot] = vec
-        self._temperatures[c, slot] = key.temperature
-        self._ages[c, slot] = key.age
+        self._vectors[c, slot] = vec  # a copy: the caller's array stays theirs
+        self._temperatures[c, slot] = temperature
+        self._ages[c, slot] = self._next_age
         self._domains[c, slot] = _DOMAINS.index(domain)
         self._head[c] = (slot + 1) % self.capacity
         self._fill[c] = min(self._fill[c] + 1, self.capacity)
         self._next_age += 1
         self.enqueued_by_domain[domain] += 1
-        return key
 
     def _key(self, c: int, slot: int) -> CategoricalKey:
         vec = self._vectors[c, slot].copy()

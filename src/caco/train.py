@@ -19,8 +19,8 @@ of the config seed, and gradient accumulation order is fixed by the tape.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import IO, Sequence
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import DomainPair, sample_key_batch, sample_query_batch
+from .data import KEY_VARIANTS, DomainPair, key_batch_rows, sample_key_batch, sample_query_batch
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError
 from .labels import SOURCE, TARGET, assign_pseudo_label, key_label, prototype_memberships
@@ -47,7 +47,7 @@ from .model import (
 )
 from .seeding import child_rng, child_seed
 
-VARIANTS = ("baseline", "S", "T", "full")
+VARIANTS = ("baseline", *KEY_VARIANTS)
 
 
 @dataclass
@@ -79,12 +79,15 @@ class TrainConfig:
             raise ParameterError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
+        for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_power",
+                     "tau_base", "catnce_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.tau_base <= 0:
             raise ParameterError("rates and temperatures must be positive")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be non-negative")
-        if self.lr_decay_power < 0:
-            raise ParameterError("lr_decay_power must be non-negative")
+        for name in ("weight_decay", "lr_decay_power", "catnce_weight"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative")
         if not 0.0 <= self.encoder_momentum <= 1.0:
             raise ParameterError("encoder_momentum must lie in [0, 1]")
         if self.queue_size < 1:
@@ -139,36 +142,6 @@ class RunMetrics:
         for line in self.jsonl_lines():
             fp.write(line)
             fp.write("\n")
-
-    SUMMARY_FIELDS = (
-        "variant", "seed", "epochs", "warm_epoch",
-        "target_accuracy", "mean_class_accuracy", "loss_sup", "loss_catnce",
-        "wall_clock_s",
-    )
-
-    def summary_row(self) -> dict:
-        last = self.records[-1] if self.records else None
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "epochs": len(self.records),
-            "warm_epoch": self.warm_epoch,
-            "target_accuracy": last.target_accuracy if last else None,
-            "mean_class_accuracy": last.target_mean_class_accuracy if last else None,
-            "loss_sup": last.loss_sup if last else None,
-            "loss_catnce": last.loss_catnce if last else None,
-            "wall_clock_s": round(self.wall_clock_s, 3),
-        }
-
-
-def write_summary_csv(path, metrics_list: Sequence[RunMetrics]) -> None:
-    """Header plus one row per finished run; zero-epoch runs add no rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RunMetrics.SUMMARY_FIELDS)
-        writer.writeheader()
-        for m in metrics_list:
-            if m.records:
-                writer.writerow(m.summary_row())
 
 
 @dataclass
@@ -347,10 +320,19 @@ def train_caco(
     DivergenceError before its backward pass; so does an encoder output
     whose norm is not finite (NonFiniteError), with the step in which it
     showed: step 1 for the epoch labelling, the last step for the epoch's
-    evaluation.
+    evaluation. A key batch larger than a pool it draws from raises
+    ParameterError before epoch 1.
     """
     config.validate()
     contrastive = config.variant != "baseline"
+    # cold dictionaries fill from n source rows, then the variant draws its own mix
+    n_keys = config.key_batch_size or config.batch_size
+    if contrastive and (n_keys > pair.source_x.shape[0] or
+                        key_batch_rows(n_keys, config.variant)[1] > pair.target_x.shape[0]):
+        raise ParameterError(
+            f"a key batch of {n_keys} draws more rows than the pair holds "
+            f"({pair.source_x.shape[0]} source, {pair.target_x.shape[0]} target)"
+        )
     started = time.monotonic()
     model = _init_model(config, pair)
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
@@ -388,7 +370,6 @@ def train_caco(
                 if enqueueing:
                     # keys first: cold dictionaries fill from ground-truth source samples
                     key_variant = config.variant if dictionary.is_warm() else "S"
-                    n_keys = config.key_batch_size or config.batch_size
                     src, tgt = sample_key_batch(pair, n_keys, key_variant, rng_keys)
                     key_emb = embed(
                         model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]])

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caco.cli import ExperimentSpec, load_spec, main, parse_spec_text
-from caco.data import DataConfig
+from caco.cli import SUMMARY_FIELDS, ExperimentSpec, load_spec, main, parse_spec_text
+from caco.data import DataConfig, build_domain_pair
 from caco.errors import ContractError
 from caco.model import load_checkpoint
 from caco.train import VARIANTS, TrainConfig
@@ -106,6 +106,22 @@ def test_parse_spec_rejects_unknown_keys():
         parse_spec_text("just a line")
 
 
+@pytest.mark.parametrize("item", [
+    "just a line", "data.bogus = 1", "bogus = 1", "train.seed = 4", "train.epochs = many",
+    "train.hidden = 8,wide", "seed = 1.5",
+])
+def test_malformed_items_fail_alike_from_spec_file_and_set(tmp_path, item):
+    path = tmp_path / "bad.spec"
+    path.write_text(f"# header\n{item}\n")
+    with pytest.raises(ContractError, match="^line 2: ") as from_file:
+        load_spec(str(path), [])
+    with pytest.raises(ContractError, match="^--set: ") as from_set:
+        load_spec(None, [item.replace(" ", "")])
+    assert type(from_file.value) is type(from_set.value)
+    assert main(["train", "--set", item.replace(" ", ""), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_spec_applies_overrides(tmp_path):
     path = tmp_path / "exp.spec"
     path.write_text("seed = 3\ntrain.epochs = 7\n")
@@ -154,6 +170,14 @@ def test_overflowing_encoder_exits_as_divergence(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"training diverged at epoch \d+, step \d+: .*norm is not finite", err)
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+def test_non_finite_rate_exits_before_training(tmp_path, capsys):
+    assert main(["train", "--out", str(tmp_path / "run"), "--set", "train.learning_rate=nan"]
+                + fast_args()) == 1
+    err = capsys.readouterr().err
+    assert "learning_rate must be finite" in err and "diverged" not in err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 def test_train_writes_run_files(tmp_path):
@@ -215,6 +239,56 @@ def test_ablate_comparison_csv_shape(tmp_path):
     assert [r["variant"] for r in rows] == ["baseline"] * 2 + ["S"] * 2 + ["T"] * 2 + ["full"] * 2
     assert (out / "baseline" / "seed_1" / "metrics.jsonl").exists()
     assert (out / "full" / "seed_2" / "model.ckpt").exists()
+
+
+def _summary_rows(path, every_column=False):
+    with open(path) as fh:
+        return [{k: v for k, v in row.items() if every_column or k != "wall_clock_s"}
+                for row in csv.DictReader(fh)]
+
+
+def test_ablate_run_directories_equal_train_runs(tmp_path):
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--out", str(out), "--seeds", "1,2"] + fast_args()) == 0
+    for variant in VARIANTS:
+        for seed in (1, 2):
+            run = out / variant / f"seed_{seed}"
+            alone = tmp_path / f"{variant}_{seed}"
+            assert main(["train", "--out", str(alone), "--seeds", str(seed),
+                         "--set", f"train.variant={variant}"] + fast_args()) == 0
+            assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in alone.iterdir())
+            for name in ("model.ckpt", "metrics.jsonl", "keys.jsonl"):
+                assert (run / name).read_bytes() == (alone / name).read_bytes(), (run, name)
+            assert _summary_rows(run / "summary.csv") == _summary_rows(alone / "summary.csv")
+
+
+def test_zero_epoch_runs_fill_comparison_but_not_summary(tmp_path):
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--out", str(out), "--seeds", "1,2"] + fast_args("train.epochs=0")) == 0
+    rows = _summary_rows(out / "comparison.csv", every_column=True)
+    assert [(r["variant"], r["seed"], r["epochs"]) for r in rows] == [
+        (v, s, "0") for v in VARIANTS for s in ("1", "2")]
+    assert {r["target_accuracy"] for r in rows} == {""}
+    multi = tmp_path / "multi"
+    assert main(["train", "--out", str(multi), "--seeds", "4,5"] + fast_args("train.epochs=0")) == 0
+    assert (multi / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_FIELDS)]
+    assert (multi / "seed_4" / "summary.csv").read_text() == (multi / "summary.csv").read_text()
+
+
+def test_export_embeddings_builds_each_pair_once(tmp_path, monkeypatch):
+    import caco.cli
+
+    built = []
+
+    def counting(config, seed):
+        built.append(seed)
+        return build_domain_pair(config, seed)
+
+    monkeypatch.setattr(caco.cli, "build_domain_pair", counting)
+    out = tmp_path / "embed"
+    assert main(["export-embeddings", "--out", str(out), "--seeds", "1,2"] + fast_args()) == 0
+    assert built == [1, 2]
+    assert all((out / f"seed_{s}" / "embeddings.csv").exists() for s in (1, 2))
 
 
 def test_gradcheck_passes_on_defaults(capsys):

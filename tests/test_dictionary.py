@@ -21,6 +21,12 @@ def unit(d, i=0):
     return v
 
 
+def _put(d, vector, category, temperature, domain):
+    """Enqueue one key and read it back from the dictionary: the newest of its category."""
+    d.enqueue(vector, category, temperature, domain)
+    return [k for k in d.keys() if k.category == category][-1]
+
+
 def test_enqueue_into_empty_queue():
     d = CategoricalDictionary(2, 3)
     d.enqueue(unit(4), 1, 0.07, SOURCE)
@@ -30,7 +36,10 @@ def test_enqueue_into_empty_queue():
 def test_fifo_eviction_keeps_newest():
     d = CategoricalDictionary(1, 2)
     rng = np.random.default_rng(0)
-    keys = [d.enqueue(unit_rows(rng, 1, 3)[0], 1, 0.07, SOURCE) for _ in range(3)]
+    keys = []
+    for _ in range(3):
+        d.enqueue(unit_rows(rng, 1, 3)[0], 1, 0.07, SOURCE)
+        keys.append(d.group(1)[0])
     held = d.group(1), d.group(2)
     assert {held[0][0].age, held[1][0].age} == {keys[1].age, keys[2].age}
 
@@ -88,8 +97,8 @@ def test_randomized_enqueues_match_reference_lists():
 
 def test_group_singleton():
     d = CategoricalDictionary(2, 3)
-    a1 = d.enqueue(unit(3, 0), 1, 0.07, SOURCE)
-    a2 = d.enqueue(unit(3, 1), 2, 0.07, SOURCE)
+    a1 = _put(d, unit(3, 0), 1, 0.07, SOURCE)
+    a2 = _put(d, unit(3, 1), 2, 0.07, SOURCE)
     assert [k.age for k in d.group(1)] == [a1.age, a2.age]
 
 
@@ -111,8 +120,7 @@ def test_group_slot_order_against_reference():
     while not d.is_warm():
         c = int(rng.integers(1, C + 1))
         vec = unit_rows(rng, 1, 4)[0]
-        key = d.enqueue(vec, c, 0.07, SOURCE)
-        newest_per_cat[c].append(key)
+        newest_per_cat[c].append(_put(d, vec, c, 0.07, SOURCE))
         if len(newest_per_cat[c]) > M:
             newest_per_cat[c].pop(0)
     second_newest = d.group(2)
@@ -147,11 +155,20 @@ def test_warm_dictionary_is_category_balanced():
 
 def test_keys_are_immutable():
     d = CategoricalDictionary(1, 1)
-    key = d.enqueue(unit(3), 1, 0.07, SOURCE)
+    d.enqueue(unit(3), 1, 0.07, SOURCE)
+    (key,) = d.group(1)
     with pytest.raises(Exception):
         key.vector[0] = 0.5
     with pytest.raises(Exception):
         key.temperature = 1.0
+
+
+def test_enqueue_keeps_its_own_copy_and_returns_nothing():
+    d = CategoricalDictionary(1, 1)
+    vec = unit(3)
+    assert d.enqueue(vec, 1, 0.07, SOURCE) is None
+    vec[:] = unit(3, 1)  # the caller's array stays theirs to change
+    np.testing.assert_array_equal(d.group(1)[0].vector, unit(3))
 
 
 def test_snapshot_is_isolated():
@@ -221,7 +238,7 @@ def test_ring_buffer_matches_per_category_lists(run):
         if age == snap_at:
             snap, snap_model = d.snapshot(), {k: list(v) for k, v in model.items()}
         vec = unit_rows(np.random.default_rng(age), 1, 3)[0]
-        key = d.enqueue(vec, c, tau, domain)
+        key = _put(d, vec, c, tau, domain)
         assert _fields(key) == (age, c, tau, domain, vec.tobytes())
         model[c] = (model[c] + [key])[-M:]
         _check_against_lists(d, model, C, M)

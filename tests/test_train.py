@@ -65,6 +65,39 @@ def test_config_validation():
         TrainConfig(variant="full", key_batch_size=0, batch_size=33).validate()
     TrainConfig(variant="T", key_batch_size=7).validate()
     TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
+    # a non-finite rate, temperature or weight fails here, not mid-run as a divergence
+    for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_power",
+                 "tau_base", "catnce_weight"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match=name):
+                TrainConfig(**{name: value}).validate()
+    with pytest.raises(ParameterError, match="catnce_weight"):
+        TrainConfig(catnce_weight=-0.5).validate()
+    TrainConfig(catnce_weight=0.0).validate()
+
+
+@pytest.mark.parametrize("variant, source_rows, target_rows, n_keys", [
+    ("S", 120, 120, 122),     # the cold fill draws n source rows
+    ("T", 120, 120, 122),
+    ("full", 120, 120, 122),
+    ("T", 120, 10, 12),       # warm T draws n target rows
+    ("full", 120, 10, 22),    # warm full draws n/2 target rows
+])
+def test_oversized_key_batch_raises_before_training(tiny_pair, monkeypatch, variant,
+                                                    source_rows, target_rows, n_keys):
+    pair = DomainPair(tiny_pair.source_x[:source_rows], tiny_pair.source_y[:source_rows],
+                      tiny_pair.target_x[:target_rows], tiny_pair.num_categories,
+                      tiny_pair.evaluation_labels()[:target_rows])
+    import caco.train as train_mod
+
+    evaluated = []
+    monkeypatch.setattr(train_mod, "evaluate", lambda *a: evaluated.append(a))
+    with pytest.raises(ParameterError, match="key batch"):
+        train_caco(tiny_config(variant=variant, key_batch_size=n_keys, warmup_epochs=2), pair)
+    assert evaluated == []
+    # one key fewer per draw fits, and so does any key batch for the baseline
+    train_caco(tiny_config(variant=variant, key_batch_size=n_keys - 2, epochs=0), pair)
+    train_caco(tiny_config(variant="baseline", key_batch_size=n_keys, epochs=0), pair)
 
 
 def test_variant_routing(tiny_pair):
