@@ -420,17 +420,19 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     groups = logits.reshape((-1, width))
     idx = _row_index("grouped_nll", groups.shape, idx)
     rows = np.arange(groups.shape[0])
-    # row_logsumexp, with its column fold for the max
+    # row_logsumexp with column folds for the max and for the sum. The sum
+    # fold adds the columns left to right, as numpy's sum does for fewer
+    # than 8 terms; from 8 on numpy sums pairwise, so the sum stays there.
     m = functools.reduce(np.maximum, groups.T)[:, None]
-    lse = (m + np.log(np.exp(groups - m).sum(axis=1, keepdims=True)))[:, 0]
+    e = np.exp(groups - m)
+    lse = m[:, 0] + np.log(functools.reduce(np.add, e.T) if width < 8 else e.sum(axis=1))
     diff = lse - groups[rows, idx]
     n = diff.size
 
     def grad_fn(g: Array):
-        gd = np.broadcast_to(g / n, (n,)).copy()
-        take_grad = np.zeros(groups.shape)
-        take_grad[rows, idx] = -gd
-        per_group = np.exp(groups - lse[:, None]) * gd[:, None] + take_grad
+        gd = g / n  # the same for every group
+        per_group = np.exp(groups - lse[:, None]) * gd
+        per_group[rows, idx] -= gd
         return (per_group.reshape(logits.shape) @ keys,)
 
     return _emit(diff.mean(), (q,), grad_fn)

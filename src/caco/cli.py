@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .data import DataConfig, DomainPair, build_domain_pair
-from .errors import CacoError, ContractError
+from .errors import CacoError, ContractError, ParameterError
 from .gradcheck import DEFAULT_TOLERANCE, run_all
 from .model import CacoModel, embed, save_checkpoint
 from .train import VARIANTS, RunMetrics, TrainConfig, train_caco, train_source_only
@@ -136,6 +136,22 @@ def _run_one(spec: ExperimentSpec, seed: int, out_dir: Path):
     return pair, model, metrics
 
 
+def _seed_list(text: str) -> list[int]:
+    """The seeds of a --seeds value; ParameterError for none, a non-integer or a repeat."""
+    seeds: list[int] = []
+    for item in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            seed = int(item)
+        except ValueError:
+            raise ParameterError(f"--seeds: {item!r} is not an integer seed") from None
+        if seed in seeds:
+            raise ParameterError(f"--seeds: seed {seed} is listed twice")
+        seeds.append(seed)
+    if not seeds:
+        raise ParameterError(f"--seeds: no seed in {text!r}")
+    return seeds
+
+
 def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     """The run loop: every variant (the spec's own by default) and seed, in that order.
 
@@ -144,7 +160,7 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     """
     spec = load_spec(args.spec, args.set or [])
     out = Path(args.out or spec.out or default_out)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else [spec.seed]
+    seeds = [spec.seed] if args.seeds is None else _seed_list(args.seeds)
     finished = []
     for variant in variants or (spec.train.variant,):
         run_spec = dataclasses.replace(spec, train=dataclasses.replace(spec.train, variant=variant))

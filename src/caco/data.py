@@ -9,6 +9,7 @@ rows with their labels and bare target rows, nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,27 @@ class DataConfig:
     translation: tuple[float, ...] = (0.0,)
     scale: float = 1.0
 
+    def validate(self) -> None:
+        for name, least in (("num_categories", 2), ("dim", 2), ("n_per_class", 1)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("separation", "scale"):
+            if not 0.0 < getattr(self, name) < math.inf:  # false for NaN too
+                raise ParameterError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not math.isfinite(self.angle):
+            raise ParameterError(f"angle must be finite, got {self.angle}")
+        offset = np.atleast_1d(np.asarray(self.translation, dtype=np.float64))
+        if not np.isfinite(offset).all():
+            raise ParameterError(f"translation must be finite, got {self.translation}")
+        if offset.shape[0] > self.dim:
+            raise ParameterError(f"translation has {offset.shape[0]} entries for dim {self.dim}")
+
 
 def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
-    """Source and shifted target sets from named child streams of one seed."""
+    """Source and shifted target sets from named child streams of one seed; checks config first."""
     from .seeding import child_seed
 
+    config.validate()
     source_x, source_y = make_gaussian_mixture(
         config.num_categories,
         config.dim,

@@ -13,6 +13,7 @@ snapshots are safe to read from anywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -72,8 +73,9 @@ class CategoricalDictionary:
             raise DimensionError(
                 f"keys are 1-d and as long as the first one; got shape {vec.shape}"
             )
-        # written so that a NaN or infinite norm fails it too
-        if not abs(np.linalg.norm(vec) - 1.0) <= _UNIT_TOL:
+        # np.linalg.norm of a 1-d array, without its overhead; written so
+        # that a NaN or infinite norm fails the check too
+        if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= _UNIT_TOL:
             raise ContractError("key vectors must be finite and unit-norm")
         if not self._next_age:
             self._vectors = np.zeros((self.num_categories, self.capacity, vec.shape[0]))
@@ -128,12 +130,15 @@ class CategoricalDictionary:
     def queue_lengths(self) -> list[int]:
         return list(self._fill)
 
+    def _held_slots(self, c: int) -> np.ndarray:
+        """The slots of category index c that hold keys, oldest to newest."""
+        return (self._head[c] - self._fill[c] + np.arange(self._fill[c])) % self.capacity
+
     def keys(self) -> Iterator[CategoricalKey]:
         """All keys, by category then oldest to newest."""
         for c in range(self.num_categories):
-            oldest = self._head[c] - self._fill[c]
-            for j in range(self._fill[c]):
-                yield self._key(c, (oldest + j) % self.capacity)
+            for slot in self._held_slots(c):
+                yield self._key(c, slot)
 
     def __len__(self) -> int:
         return sum(self._fill)
@@ -148,13 +153,18 @@ class CategoricalDictionary:
         return copy
 
     def dump_jsonl(self, fp: IO[str]) -> None:
-        """One JSON record per key: category, domain, age, temperature, vector."""
-        for key in self.keys():
-            fp.write(json.dumps({
-                "category": key.category,
-                "domain": key.domain,
-                "age": key.age,
-                "temperature": key.temperature,
-                "vector": key.vector.tolist(),
-            }))
-            fp.write("\n")
+        """One JSON record per key, in keys() order: category, domain, age, temperature, vector."""
+        for c in range(self.num_categories):
+            slots = self._held_slots(c)
+            for domain, age, tau, vec in zip(
+                self._domains[c, slots].tolist(), self._ages[c, slots].tolist(),
+                self._temperatures[c, slots].tolist(), self._vectors[c, slots].tolist(),
+            ):
+                fp.write(json.dumps({
+                    "category": c + 1,
+                    "domain": _DOMAINS[domain],
+                    "age": age,
+                    "temperature": tau,
+                    "vector": vec,
+                }))
+                fp.write("\n")

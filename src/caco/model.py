@@ -169,12 +169,18 @@ def new_encoder_pair(spec: MlpSpec, seed: int, momentum: float) -> EncoderPair:
 
 
 def momentum_update(pair: EncoderPair) -> EncoderPair:
-    """key <- m*key + (1-m)*query, coordinate-wise; no gradient flows through."""
+    """key <- m*key + (1-m)*query, coordinate-wise; no gradient flows through.
+
+    Updates each key array in place, with the bits of the out-of-place
+    expression. Reads every tensor's .data afresh, so a rebound array
+    (the bootstrap at the end of warm-up) is the one updated.
+    """
     if not 0.0 <= pair.momentum <= 1.0:
         raise ParameterError(f"momentum must lie in [0, 1], got {pair.momentum}")
     m = pair.momentum
     for tq, tk in zip(pair.query.tensors(), pair.key.tensors()):
-        tk.data = m * tk.data + (1.0 - m) * tq.data
+        tk.data *= m
+        tk.data += (1.0 - m) * tq.data
     return pair
 
 

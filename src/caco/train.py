@@ -197,7 +197,13 @@ def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> f
 
 
 class _Sgd:
-    """SGD with momentum, L2 weight decay and optional polynomial lr annealing."""
+    """SGD with momentum, L2 weight decay and optional polynomial lr annealing.
+
+    The parameters live in one flat buffer: each p.data is rebound to a
+    view of it, so a step is four whole-buffer expressions, the same
+    element-wise ones a per-parameter loop would run. A parameter
+    without a gradient counts as one of zeros.
+    """
 
     def __init__(self, params: list[Tensor], config: "TrainConfig", total_steps: int):
         self.params = params
@@ -207,7 +213,12 @@ class _Sgd:
         self.decay_power = config.lr_decay_power
         self.total_steps = max(1, total_steps)
         self.steps_done = 0
-        self.velocity = [np.zeros_like(p.data) for p in params]
+        self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
+        offset = 0
+        for p in params:
+            p.data = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        self.velocity = np.zeros_like(self.flat)
 
     def _lr(self) -> float:
         remaining = 1.0 - self.steps_done / self.total_steps
@@ -215,14 +226,14 @@ class _Sgd:
 
     def step(self, grads: dict[int, Tensor]) -> None:
         lr = self._lr()
-        for p, v in zip(self.params, self.velocity):
-            g = grads.get(p.id)
-            v *= self.momentum
-            if g is not None:
-                v += g.data
-            if self.weight_decay:
-                v += self.weight_decay * p.data
-            p.data -= lr * v
+        v = self.velocity
+        v *= self.momentum
+        if self.params:
+            v += np.concatenate([grads[p.id].data.ravel() if p.id in grads
+                                 else np.zeros(p.data.size) for p in self.params])
+        if self.weight_decay:
+            v += self.weight_decay * self.flat
+        self.flat -= lr * v
         self.steps_done += 1
 
 

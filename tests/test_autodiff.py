@@ -316,6 +316,10 @@ OP_CASES = {
         lambda x: ad.grouped_nll(x, _pin((6, 3), 21), [0, 2, 1, 1, 0, 2], 3),
         rng.normal(size=(3, 3)),
     ),
+    "grouped_nll_width_9": lambda rng: (  # numpy's pairwise sum from 8 terms on
+        lambda x: ad.grouped_nll(x, _pin((18, 3), 22), [0, 8, 4, 7], 9),
+        rng.normal(size=(2, 3)),
+    ),
 }
 
 
@@ -461,10 +465,12 @@ def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
 
 
 def test_grouped_nll_bit_equal_to_matmul_reshape_take_row_logsumexp():
+    # widths on both sides of 8, where grouped_nll's sum turns from a column
+    # fold into numpy's row sum, which adds pairwise from 8 terms on
     rng = np.random.default_rng(33)
-    for trial in range(60):
+    for trial in range(120):
         batch, dim = int(rng.integers(1, 6)), int(rng.integers(2, 9))
-        width, groups = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        width, groups = int(rng.integers(1, 10)), int(rng.integers(1, 7))
         q = rng.normal(size=(batch, dim))
         keys = rng.normal(size=(groups * width, dim)) / float(rng.uniform(0.07, 0.14))
         idx = rng.integers(0, width, size=batch * groups)

@@ -229,6 +229,19 @@ def test_train_multiple_seeds_use_subdirectories(tmp_path):
     assert [r["seed"] for r in rows] == ["4", "5"]
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("seeds, message", [
+    (",", "no seed"),
+    ("1,x", "'x' is not an integer seed"),
+    ("1,01", "seed 1 is listed twice"),
+])
+def test_bad_seed_lists_exit_before_any_run(tmp_path, capsys, command, seeds, message):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--seeds", seeds] + fast_args()) == 1
+    assert f"error: --seeds: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_comparison_csv_shape(tmp_path):
     out = tmp_path / "ablation"
     rc = main(["ablate", "--out", str(out), "--seeds", "1,2"] + fast_args())

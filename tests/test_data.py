@@ -12,7 +12,7 @@ from caco.data import (
     sample_query_batch,
     shift_domain,
 )
-from caco.errors import ContractError, DimensionError
+from caco.errors import ContractError, DimensionError, ParameterError
 
 
 def small_pair(seed=0, n=40, C=3, D=4):
@@ -161,6 +161,34 @@ def test_build_domain_pair_deterministic():
     np.testing.assert_array_equal(a.source_y, b.source_y)
     assert (a.target_x != c.target_x).any()
     assert a.num_categories == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_categories", 1),
+    ("dim", 1),
+    ("n_per_class", 0),
+    ("separation", float("nan")),
+    ("separation", 0.0),
+    ("scale", float("nan")),
+    ("scale", -1.0),
+    ("angle", float("inf")),
+    ("translation", (1.0, float("nan"))),
+    ("translation", (0.0,) * 5),  # longer than dim 4
+])
+def test_data_config_rejects_each_invalid_field_before_drawing(field, value, monkeypatch):
+    import caco.data as data_mod
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew data for an invalid config")
+
+    monkeypatch.setattr(data_mod, "make_gaussian_mixture", no_draw)
+    cfg = data_mod.DataConfig(num_categories=3, dim=4, n_per_class=20, translation=(1.0, 2.0))
+    cfg.validate()
+    setattr(cfg, field, value)
+    with pytest.raises(ParameterError, match=field):
+        cfg.validate()
+    with pytest.raises(ParameterError):
+        data_mod.build_domain_pair(cfg, 1)
 
 
 def test_domain_pair_rejects_mismatched_shapes():

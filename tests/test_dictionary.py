@@ -244,3 +244,28 @@ def test_ring_buffer_matches_per_category_lists(run):
         _check_against_lists(d, model, C, M)
         if snap is not None:
             _check_against_lists(snap, snap_model, C, M)
+
+
+def _dump_by_keys(d: CategoricalDictionary) -> str:
+    """One JSON record per key of keys(), rendered from its CategoricalKey."""
+    return "".join(json.dumps({
+        "category": key.category,
+        "domain": key.domain,
+        "age": key.age,
+        "temperature": key.temperature,
+        "vector": key.vector.tolist(),
+    }) + "\n" for key in d.keys())
+
+
+@pytest.mark.parametrize("writes", [0, 7, 23])  # empty; partly filled; wrapped past capacity
+def test_dump_jsonl_writes_the_bytes_of_a_per_key_rendering(writes):
+    rng = np.random.default_rng(writes)
+    d = CategoricalDictionary(3, 4)
+    categories = rng.permutation(np.arange(writes) % 3 + 1)  # 3, 2, 2 or 8, 8, 7 keys
+    for vec, c in zip(unit_rows(rng, writes, 5), categories):
+        d.enqueue(vec, int(c), float(rng.uniform(0.07, 0.14)),
+                  SOURCE if rng.random() < 0.5 else TARGET)
+    buf = io.StringIO()
+    d.dump_jsonl(buf)
+    assert buf.getvalue() == _dump_by_keys(d)
+    assert len(buf.getvalue().splitlines()) == len(d)

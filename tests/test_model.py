@@ -228,6 +228,32 @@ def test_momentum_closed_form():
                 np.testing.assert_allclose(t.data, expected, rtol=0, atol=1e-12)
 
 
+def test_in_place_momentum_update_matches_the_out_of_place_expression():
+    spec = MlpSpec((3, 5, 2))
+    rng = np.random.default_rng(4)
+    for m in (0.0, 0.5, 0.995, 1.0):
+        pair = new_encoder_pair(spec, 2, m)
+        for t in pair.query.tensors():
+            t.data = rng.normal(size=t.data.shape)
+        for _ in range(3):
+            expected = [m * tk.data + (1.0 - m) * tq.data
+                        for tq, tk in zip(pair.query.tensors(), pair.key.tensors())]
+            momentum_update(pair)
+            for want, tk in zip(expected, pair.key.tensors()):
+                assert tk.data.tobytes() == want.tobytes()
+        # a rebound key array (the end-of-warm-up bootstrap) is the one updated next
+        old = [tk.data for tk in pair.key.tensors()]
+        kept = [a.copy() for a in old]
+        for tk in pair.key.tensors():
+            tk.data = rng.normal(size=tk.data.shape)
+        expected = [m * tk.data + (1.0 - m) * tq.data
+                    for tq, tk in zip(pair.query.tensors(), pair.key.tensors())]
+        momentum_update(pair)
+        for want, tk, a, k in zip(expected, pair.key.tensors(), old, kept):
+            assert tk.data.tobytes() == want.tobytes()
+            assert a.tobytes() == k.tobytes()  # the array bound before is left alone
+
+
 def test_key_encoder_starts_as_exact_copy():
     pair = new_encoder_pair(SPEC, 11, 0.999)
     for tq, tk in zip(pair.query.tensors(), pair.key.tensors()):

@@ -448,6 +448,63 @@ def test_lr_decay_power_schedule():
     assert decayed[-1] == 0.03 * 1e-3 ** 0.9  # the floor once every step is done
 
 
+def _per_parameter_sgd_step(params, velocity, grads, lr, momentum, weight_decay):
+    """One step of SGD as a loop over parameters, the form the flat buffer replaces."""
+    for p, v in zip(params, velocity):
+        v *= momentum
+        v += grads[p.id].data
+        if weight_decay:
+            v += weight_decay * p.data
+        p.data -= lr * v
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_flat_sgd_matches_a_per_parameter_loop_bit_for_bit(momentum, weight_decay):
+    from caco.train import _Sgd
+
+    rng = np.random.default_rng(7)
+    shapes = [(4, 16), (16,), (16, 4), (4,), (4, 3), (3,)]
+    values = [rng.normal(size=shape) for shape in shapes]
+    flat_params = [Tensor(v.copy(), True) for v in values]
+    loop_params = [Tensor(v.copy(), True) for v in values]
+    config = tiny_config(learning_rate=0.03, momentum=momentum, weight_decay=weight_decay)
+    sgd = _Sgd(flat_params, config, total_steps=20)
+    velocity = [np.zeros(shape) for shape in shapes]
+    for step in range(20):
+        lr = sgd._lr()
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
+        sgd.step({p.id: Tensor(g) for p, g in zip(flat_params, grads)})
+        _per_parameter_sgd_step(loop_params, velocity,
+                                {p.id: Tensor(g) for p, g in zip(loop_params, grads)},
+                                lr, momentum, weight_decay)
+        for a, b in zip(flat_params, loop_params):
+            assert a.data.tobytes() == b.data.tobytes(), f"step {step + 1}"
+
+
+def test_trained_parameters_stay_views_of_the_sgd_buffer(tiny_pair, monkeypatch):
+    import caco.train as train_mod
+
+    made = []
+
+    class Spy(train_mod._Sgd):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_mod, "_Sgd", Spy)
+    model, _ = train_caco(tiny_config(epochs=2), tiny_pair)
+    (sgd,) = made
+    trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
+    assert sgd.flat.size == sum(t.data.size for t in trainable)
+    for t in trainable:
+        assert np.shares_memory(t.data, sgd.flat)
+    # and the buffer holds what the tensors read, in parameter order
+    np.testing.assert_array_equal(np.concatenate([t.data.ravel() for t in trainable]), sgd.flat)
+    for t in model.encoders.key.tensors():
+        assert not np.shares_memory(t.data, sgd.flat)
+
+
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
     model, metrics = train_caco(tiny_config(epochs=0), tiny_pair)
     assert metrics.records == []
