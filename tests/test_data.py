@@ -1,5 +1,8 @@
 """Synthetic task generation and batch sampling."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -161,6 +164,37 @@ def test_build_domain_pair_deterministic():
     np.testing.assert_array_equal(a.source_y, b.source_y)
     assert (a.target_x != c.target_x).any()
     assert a.num_categories == 3
+
+
+# sha256 over source_x, source_y, target_x and the evaluation labels: the
+# generator's draws, their order and the shift's arithmetic, bit for bit
+PINNED_PAIRS = {
+    ("default", 1): "a6b6a3dc404e4ec28d97212b256eb59910dec841f81f7b5a8645e9e83420d89d",
+    ("default", 2): "27b92ea86b681c8b46b327fc207f6c5ce3cbac2f522ec1b42cf392959a2e8cdc",
+    ("pi/6", 1): "73498a4e5e78b1590d414c78656d353f98a69453760a29d2a39a1e04cda23b89",
+    ("pi/6", 2): "999ac1c57763abb87af8a097e18079a0df8601512dec3b6b2a72da25a452355e",
+    ("C=12, D=16", 1): "2334b628c7755ba9b159cd70708a0f3b0504bcc4c6455b6270460f1ecde06639",
+    ("C=12, D=16", 2): "2565037b834af2109f813de1f4ef19e81682156c35ef13ffeb3645c19ab782a8",
+    ("C=3, shifted, scaled", 1): "3eb84fec27425a29c6aa18a5a885bafe27a0cc59060a1aaedcdfe80041b28b3b",
+    ("C=3, shifted, scaled", 2): "6c67f1dbb4d5c150558e0876cc42526a3c69fc4897f390fbe443e998300030c3",
+}
+PIN_CONFIGS = {
+    "default": {},
+    "pi/6": {"angle": math.pi / 6},
+    "C=12, D=16": {"num_categories": 12, "dim": 16},
+    "C=3, shifted, scaled": {"num_categories": 3, "translation": (1.0, -2.0), "scale": 2.0},
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_PAIRS))
+def test_build_domain_pair_bytes_are_pinned(name, seed):
+    from caco.data import DataConfig, build_domain_pair
+
+    pair = build_domain_pair(DataConfig(**PIN_CONFIGS[name]), seed)
+    digest = hashlib.sha256()
+    for array in (pair.source_x, pair.source_y, pair.target_x, pair.evaluation_labels()):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == PINNED_PAIRS[name, seed]
 
 
 @pytest.mark.parametrize("field, value", [

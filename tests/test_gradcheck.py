@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from caco.cli import main
 from caco.gradcheck import (
     check_cat_nce,
     check_encoder_path,
@@ -27,3 +28,15 @@ def test_run_all_reports_every_suite():
 
 def test_run_all_deterministic_per_seed():
     assert run_all(instances=5, seed=2) == run_all(instances=5, seed=2)
+
+
+def test_cli_gradcheck_output_is_pinned(capsys):
+    # every suite's draws and arithmetic at the default seed and instance count
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "supervised_loss: max_relative_error=6.077e-11",
+        "info_nce: max_relative_error=2.303e-09",
+        "cat_nce: max_relative_error=5.676e-10",
+        "encoder_path: max_relative_error=1.121e-08",
+        "overall: max_relative_error=1.121e-08 tolerance=1e-04 PASS",
+    ]
