@@ -119,11 +119,10 @@ def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) 
                                  *final, round(m.wall_clock_s, 3)])
 
 
-def _run_one(spec: ExperimentSpec, seed: int, out_dir: Path):
-    """Train one seed of spec and write its run directory; returns (pair, model, metrics)."""
+def _run_one(data: DataConfig, config: TrainConfig, out_dir: Path):
+    """Train one run and write its run directory; returns (pair, model, metrics)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    pair = build_domain_pair(spec.data, seed)
-    config = dataclasses.replace(spec.train, seed=seed)
+    pair = build_domain_pair(data, config.seed)
     with open(out_dir / "keys.jsonl", "w") as fh:  # the baseline's stays empty
         if config.variant == "baseline":
             model, metrics = train_source_only(config, pair)
@@ -155,21 +154,25 @@ def _seed_list(text: str) -> list[int]:
 def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     """The run loop: every variant (the spec's own by default) and seed, in that order.
 
-    Calls report(run_dir, pair, model, metrics) after each run; returns the
-    output directory and every run's metrics.
+    Validates the data config and every run's training config before the
+    first run directory is made. Calls report(run_dir, pair, model, metrics)
+    after each run; returns the output directory and every run's metrics.
     """
     spec = load_spec(args.spec, args.set or [])
     out = Path(args.out or spec.out or default_out)
     seeds = [spec.seed] if args.seeds is None else _seed_list(args.seeds)
+    spec.data.validate()
+    configs = [dataclasses.replace(spec.train, variant=variant, seed=seed)
+               for variant in variants or (spec.train.variant,) for seed in seeds]
+    for config in configs:
+        config.validate()
     finished = []
-    for variant in variants or (spec.train.variant,):
-        run_spec = dataclasses.replace(spec, train=dataclasses.replace(spec.train, variant=variant))
-        for seed in seeds:
-            run_dir = out / variant / f"seed_{seed}" if variants else (
-                out / f"seed_{seed}" if len(seeds) > 1 else out)
-            pair, model, metrics = _run_one(run_spec, seed, run_dir)
-            report(run_dir, pair, model, metrics)
-            finished.append(metrics)
+    for config in configs:
+        run_dir = out / config.variant / f"seed_{config.seed}" if variants else (
+            out / f"seed_{config.seed}" if len(seeds) > 1 else out)
+        pair, model, metrics = _run_one(spec.data, config, run_dir)
+        report(run_dir, pair, model, metrics)
+        finished.append(metrics)
     return out, finished
 
 

@@ -94,22 +94,13 @@ def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
     from .seeding import child_seed
 
     config.validate()
-    source_x, source_y = make_gaussian_mixture(
-        config.num_categories,
-        config.dim,
-        config.n_per_class,
-        config.separation,
-        child_seed(root_seed, "source_data"),
-    )
+    mixture = (config.num_categories, config.dim, config.n_per_class, config.separation)
+    source_x, source_y = make_gaussian_mixture(*mixture, child_seed(root_seed, "source_data"))
     target_x, target_y = shift_domain(
-        source_x,
-        source_y,
+        *make_gaussian_mixture(*mixture, child_seed(root_seed, "target_data")),
         config.angle,
         config.translation,
         config.scale,
-        child_seed(root_seed, "target_data"),
-        separation=config.separation,
-        num_categories=config.num_categories,
     )
     return DomainPair(source_x, source_y, target_x, config.num_categories, target_y)
 
@@ -144,42 +135,33 @@ def make_gaussian_mixture(
 
 
 def shift_domain(
-    source_x: np.ndarray,
-    source_y: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     angle: float,
     translation,
     scale: float,
-    seed: int,
-    *,
-    separation: float,
-    num_categories: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh draws from the source mixture, then rotate/scale/translate.
+    """The rows rotated by angle in the first two coordinates, then scaled and translated.
 
-    The dimension and the per-class counts come from the source rows and
-    their 1-based labels; ``separation`` and ``num_categories`` pin down the
-    generating centers. Returns (x, y): the labels are kept so the caller
-    can park them on the evaluation side of a pair.
+    A pure transform: row i of the result is row i of x shifted, and the
+    labels come back as given, so the caller can park them on the
+    evaluation side of a pair.
     """
     if scale <= 0.0:
         raise ParameterError(f"scale must be positive, got {scale}")
-    dim = source_x.shape[1]
-    counts = np.bincount(source_y, minlength=num_categories + 1)[1:num_categories + 1]
-
+    dim = x.shape[1]
     offset = np.asarray(_as_translation(translation, dim))
-    rng = np.random.default_rng(seed)
-    centers = mixture_centers(num_categories, dim, separation)
     rot = np.eye(dim)
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1] = -np.sin(angle)
     rot[1, 0] = np.sin(angle)
 
     # transform each class block on its own: one matmul over all rows may round differently
-    x = np.concatenate([
-        scale * ((centers[c] + rng.standard_normal((counts[c], dim))) @ rot.T) + offset
-        for c in range(num_categories)
-    ])
-    return x, np.repeat(np.arange(1, num_categories + 1), counts)
+    shifted = np.empty_like(x, dtype=np.float64)
+    for c in np.unique(y):
+        rows = y == c
+        shifted[rows] = scale * (x[rows] @ rot.T) + offset
+    return shifted, y
 
 
 def _as_translation(translation, dim: int) -> tuple[float, ...]:
@@ -215,11 +197,12 @@ def sample_key_batch(
 
 
 def key_batch_rows(n: int, variant: str) -> tuple[int, int]:
-    """How many source and target rows an n-key batch of a dictionary variant draws."""
+    """Source and target rows of an n-key batch per variant; ParameterError for an odd full batch."""
     if variant not in KEY_VARIANTS:
         raise ContractError(f"variant must be one of {KEY_VARIANTS}, got {variant!r}")
     if variant == "full" and n % 2:
-        raise ContractError(f"the mixed variant needs an even batch, got {n}")
+        raise ParameterError(f"the full variant splits each key batch evenly between the "
+                             f"domains; got an odd key batch of {n}")
     n_source = {"S": n, "T": 0, "full": n // 2}[variant]
     return n_source, n - n_source
 

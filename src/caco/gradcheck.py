@@ -1,15 +1,20 @@
 """Finite-difference verification suites for every differentiable loss path.
 
-Each suite builds randomized instances, compares tape gradients against
-central differences and returns the worst relative error, defined as
+Each suite draws randomized instances, hands each to gradient_error and
+returns the worst relative error, defined as
 max|analytic - numeric| / max(1, |analytic|_inf, |numeric|_inf).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, finite_diff_grad
+from .dictionary import CategoricalDictionary
+from .errors import DegenerateEmbeddingError
+from .labels import SOURCE
 from .losses import cat_nce, info_nce, supervised_loss
 from .model import Classifier, MlpParams, MlpSpec, classifier_logits, encode, init_classifier, init_params
 
@@ -17,7 +22,26 @@ DEFAULT_EPS = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 
 
-def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+def gradient_error(loss_of: Callable[..., Tensor], *arrays, eps: float = DEFAULT_EPS) -> float:
+    """Relative error of tape gradients of loss_of(*arrays) against central differences.
+
+    Each array becomes a grad-enabled leaf and loss_of runs on a tape; the
+    leaf gradients, concatenated in argument order, are compared with
+    finite_diff_grad over the concatenated arrays, which loss_of then
+    receives split back into constant tensors of the original shapes.
+    """
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        loss = loss_of(*leaves)
+    grads = backward(loss, tape)
+    analytic = np.concatenate([grads[t.id].data.ravel() for t in leaves])
+    cuts = np.cumsum([t.data.size for t in leaves])[:-1]
+
+    def f(flat):
+        parts = np.split(flat, cuts)
+        return loss_of(*(Tensor(v.reshape(t.shape)) for v, t in zip(parts, leaves))).item()
+
+    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]), eps).data
     denom = max(1.0, np.abs(analytic).max(), np.abs(numeric).max())
     return float(np.abs(analytic - numeric).max() / denom)
 
@@ -32,18 +56,9 @@ def check_supervised_loss(instances: int, rng, eps: float = DEFAULT_EPS) -> floa
     for _ in range(instances):
         batch = int(rng.integers(1, 5))
         num_cat = int(rng.integers(2, 6))
-        logits0 = rng.normal(scale=2.0, size=(batch, num_cat))
+        logits = rng.normal(scale=2.0, size=(batch, num_cat))
         labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
-        x = Tensor(logits0, requires_grad=True)
-        with Tape() as tape:
-            loss = supervised_loss(x, labels)
-        analytic = backward(loss, tape)[x.id].data
-        numeric = finite_diff_grad(
-            lambda flat: supervised_loss(Tensor(flat.reshape(logits0.shape)), labels).item(),
-            logits0,
-            eps,
-        ).data
-        worst = max(worst, _relative_error(analytic, numeric))
+        worst = max(worst, gradient_error(lambda x: supervised_loss(x, labels), logits, eps=eps))
     return worst
 
 
@@ -56,22 +71,12 @@ def check_info_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
         mask = np.zeros(n_keys)
         mask[rng.integers(0, n_keys)] = 1.0
         tau = float(rng.uniform(0.05, 0.5))
-        q0 = _unit_rows(rng, 1, dim)[0]
-        q = Tensor(q0, requires_grad=True)
-        with Tape() as tape:
-            loss = info_nce(q, keys, mask, tau)
-        analytic = backward(loss, tape)[q.id].data
-        numeric = finite_diff_grad(
-            lambda flat: info_nce(Tensor(flat), keys, mask, tau).item(), q0, eps
-        ).data
-        worst = max(worst, _relative_error(analytic, numeric))
+        q = _unit_rows(rng, 1, dim)[0]
+        worst = max(worst, gradient_error(lambda x: info_nce(x, keys, mask, tau), q, eps=eps))
     return worst
 
 
 def check_cat_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
-    from .dictionary import CategoricalDictionary
-    from .labels import SOURCE
-
     worst = 0.0
     for _ in range(instances):
         num_cat = int(rng.integers(2, 5))
@@ -85,15 +90,8 @@ def check_cat_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
                     _unit_rows(rng, 1, dim)[0], c, float(rng.uniform(0.07, 0.14)), SOURCE
                 )
         labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
-        q0 = _unit_rows(rng, batch, dim)
-        q = Tensor(q0, requires_grad=True)
-        with Tape() as tape:
-            loss = cat_nce(q, labels, d)
-        analytic = backward(loss, tape)[q.id].data
-        numeric = finite_diff_grad(
-            lambda flat: cat_nce(Tensor(flat.reshape(q0.shape)), labels, d).item(), q0, eps
-        ).data
-        worst = max(worst, _relative_error(analytic, numeric))
+        q = _unit_rows(rng, batch, dim)
+        worst = max(worst, gradient_error(lambda x: cat_nce(x, labels, d), q, eps=eps))
     return worst
 
 
@@ -104,8 +102,6 @@ def check_encoder_path(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
     are redrawn, like staying away from ReLU kinks in any finite-difference
     check.
     """
-    from .errors import DegenerateEmbeddingError
-
     worst = 0.0
     spec = MlpSpec((3, 8, 2))
     done = 0
@@ -114,31 +110,17 @@ def check_encoder_path(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
         clf = init_classifier(2, 2, int(rng.integers(0, 2**31)))
         x = rng.normal(size=(2, 3))
         labels = np.array([rng.integers(1, 3) for _ in range(2)])
-        tensors = params.tensors() + [clf.weight, clf.bias]
-        sizes = [t.data.size for t in tensors]
-        shapes = [t.data.shape for t in tensors]
 
+        def loss_of(w0, b0, w1, b1, weight, bias):
+            emb = encode(MlpParams([w0, w1], [b0, b1]), Tensor(x))
+            return supervised_loss(classifier_logits(Classifier(weight, bias), emb), labels)
+
+        arrays = [t.data for t in params.tensors() + [clf.weight, clf.bias]]
         try:
-            with Tape() as tape:
-                loss = supervised_loss(
-                    classifier_logits(clf, encode(params, Tensor(x))), labels
-                )
+            worst = max(worst, gradient_error(loss_of, *arrays, eps=eps))
         except DegenerateEmbeddingError:
             continue
         done += 1
-        grads = backward(loss, tape)
-        analytic = np.concatenate([grads[t.id].data.reshape(-1) for t in tensors])
-
-        def f(flat):
-            vals = np.split(flat, np.cumsum(sizes)[:-1])
-            arrs = [v.reshape(s) for v, s in zip(vals, shapes)]
-            p = MlpParams([Tensor(arrs[0]), Tensor(arrs[2])], [Tensor(arrs[1]), Tensor(arrs[3])])
-            c = Classifier(Tensor(arrs[4]), Tensor(arrs[5]))
-            return supervised_loss(classifier_logits(c, encode(p, Tensor(x))), labels).item()
-
-        flat0 = np.concatenate([t.data.reshape(-1) for t in tensors])
-        numeric = finite_diff_grad(f, flat0, eps).data
-        worst = max(worst, _relative_error(analytic, numeric))
     return worst
 
 

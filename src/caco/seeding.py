@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ParameterError
 
 STREAM_IDS = {
     "source_data": 0,
@@ -22,15 +22,18 @@ STREAM_IDS = {
 }
 
 
-def child_rng(root_seed: int, name: str) -> np.random.Generator:
+def _stream_key(root_seed: int, name: str) -> list[int]:
     if name not in STREAM_IDS:
         raise ContractError(f"unknown random stream {name!r}")
-    return np.random.default_rng([int(root_seed), STREAM_IDS[name]])
+    if root_seed < 0:
+        raise ParameterError(f"the root seed must be non-negative, got {root_seed}")
+    return [int(root_seed), STREAM_IDS[name]]
+
+
+def child_rng(root_seed: int, name: str) -> np.random.Generator:
+    return np.random.default_rng(_stream_key(root_seed, name))
 
 
 def child_seed(root_seed: int, name: str) -> int:
     """A derived integer seed, for call signatures that take one."""
-    if name not in STREAM_IDS:
-        raise ContractError(f"unknown random stream {name!r}")
-    seq = np.random.SeedSequence([int(root_seed), STREAM_IDS[name]])
-    return int(seq.generate_state(1)[0])
+    return int(np.random.SeedSequence(_stream_key(root_seed, name)).generate_state(1)[0])

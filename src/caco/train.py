@@ -11,7 +11,8 @@ source keys, their rows' epoch labels for target keys, entropy-scaled
 temperatures), and, once every queue is full, add the category contrastive
 loss on a target query batch under the same row labels.
 Only the query encoder and the classifier receive gradients; the key
-encoder moves by EMA after every contrastive step.
+encoder is bootstrapped from the query encoder when warm-up ends and
+moves by EMA after every contrastive step, never during warm-up.
 
 Runs are bit-reproducible: all randomness flows from named child streams
 of the config seed, and gradient accumulation order is fixed by the tape.
@@ -77,6 +78,8 @@ class TrainConfig:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.epochs < 0:
             raise ParameterError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
         for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_power",
@@ -96,12 +99,8 @@ class TrainConfig:
             raise ParameterError("warmup_epochs must be non-negative")
         if self.key_batch_size < 0:
             raise ParameterError("key_batch_size must be non-negative")
-        n_keys = self.key_batch_size or self.batch_size
-        if self.variant == "full" and n_keys % 2:
-            raise ParameterError(
-                f"the full variant splits each key batch evenly between the domains; "
-                f"got an odd key batch of {n_keys}"
-            )
+        if self.variant in KEY_VARIANTS:
+            key_batch_rows(self.key_batch_size or self.batch_size, self.variant)
 
 
 @dataclass
@@ -327,7 +326,7 @@ def train_caco(
     (keys drawn from source with true labels until the dictionary warms,
     then per variant); once warm, add the weighted category contrastive
     loss on a target query batch; after the SGD step, an EMA step on the
-    key encoder, warm-up included. A step whose loss is not finite raises
+    key encoder. Warm-up leaves the key encoder at its init. A step whose loss is not finite raises
     DivergenceError before its backward pass; so does an encoder output
     whose norm is not finite (NonFiniteError), with the step in which it
     showed: step 1 for the epoch labelling, the last step for the epoch's
@@ -409,7 +408,7 @@ def train_caco(
                 if not np.isfinite(total.data):
                     raise DivergenceError(epoch, step, f"loss {total.item()}")
                 optimizer.step(backward(total, tape))
-                if contrastive:
+                if enqueueing:
                     momentum_update(model.encoders)
                 sup_losses.append(sup.item())
 

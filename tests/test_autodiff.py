@@ -1,11 +1,13 @@
 """Tensor op contracts and the backward-vs-finite-difference property."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from caco import autodiff as ad
+from caco.gradcheck import gradient_error
 from caco.errors import (
     ContractError,
     DegenerateEmbeddingError,
@@ -13,12 +15,6 @@ from caco.errors import (
     NonFiniteError,
     ParameterError,
 )
-
-
-def rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    diff = np.abs(a - b).max() if a.size else 0.0
-    scale = max(1.0, np.abs(a).max() if a.size else 0.0, np.abs(b).max() if b.size else 0.0)
-    return diff / scale
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +210,6 @@ def test_finite_diff_quadratic():
 # ---------------------------------------------------------------------------
 
 
-def _check_op(build, x0: np.ndarray, tol: float = 1e-4) -> None:
-    """Compare tape gradients with central differences on one instance."""
-    x = ad.Tensor(x0, requires_grad=True)
-    with ad.Tape() as tape:
-        loss = build(x)
-    analytic = ad.backward(loss, tape)[x.id].data
-
-    def f(flat):
-        return build(ad.Tensor(flat.reshape(x0.shape))).item()
-
-    fd = ad.finite_diff_grad(f, x0, 1e-5).data
-    assert rel_err(analytic, fd) <= tol
-
-
 # weights used to make the scalar reduction non-uniform
 def _pin(shape, seed):
     return np.random.default_rng(seed).normal(size=shape)
@@ -325,10 +307,11 @@ OP_CASES = {
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # crc32, not hash(): str hashes are salted per process, so the draws would differ per run
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         build, x0 = OP_CASES[name](rng)
-        _check_op(build, x0)
+        assert gradient_error(build, x0) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -172,14 +172,6 @@ def test_overflowing_encoder_exits_as_divergence(tmp_path, capsys):
     assert not (tmp_path / "metrics.jsonl").exists()
 
 
-def test_non_finite_rate_exits_before_training(tmp_path, capsys):
-    assert main(["train", "--out", str(tmp_path / "run"), "--set", "train.learning_rate=nan"]
-                + fast_args()) == 1
-    err = capsys.readouterr().err
-    assert "learning_rate must be finite" in err and "diverged" not in err
-    assert not (tmp_path / "run" / "metrics.jsonl").exists()
-
-
 def test_train_writes_run_files(tmp_path):
     out = tmp_path / "run"
     rc = main(["train", "--out", str(out)] + fast_args())
@@ -239,6 +231,23 @@ def test_bad_seed_lists_exit_before_any_run(tmp_path, capsys, command, seeds, me
     out = tmp_path / "out"
     assert main([command, "--out", str(out), "--seeds", seeds] + fast_args()) == 1
     assert f"error: --seeds: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("item, message", [
+    ("--set=data.dim=1", "dim must be at least 2"),
+    ("--set=seed=-3", "seed must be non-negative, got -3"),
+    ("--seeds=-1", "seed must be non-negative, got -1"),
+    ("--set=train.learning_rate=nan", "learning_rate must be finite"),
+    # an odd key batch is invalid for the full variant only, which ablate runs last
+    ("--set=train.key_batch_size=7", "odd key batch of 7"),
+])
+def test_invalid_configs_exit_before_any_run_directory(tmp_path, capsys, command, item, message):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)] + fast_args() + [item]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err and "diverged" not in err
     assert not out.exists()
 
 

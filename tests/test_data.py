@@ -20,7 +20,7 @@ from caco.errors import ContractError, DimensionError, ParameterError
 
 def small_pair(seed=0, n=40, C=3, D=4):
     src = make_gaussian_mixture(C, D, n, 2.0, seed)
-    tgt = shift_domain(*src, 0.3, 0, 1.0, seed + 1, separation=2.0, num_categories=C)
+    tgt = shift_domain(*make_gaussian_mixture(C, D, n, 2.0, seed + 1), 0.3, 0, 1.0)
     return DomainPair(*src, tgt[0], C, tgt[1])
 
 
@@ -48,27 +48,45 @@ def test_mixture_zero_separation_degenerates():
     np.testing.assert_allclose(x[y == 1].mean(axis=0), x[y == 2].mean(axis=0), atol=0.3)
 
 
-def test_shift_identity_reproduces_source_process():
-    src = make_gaussian_mixture(3, 4, 15, 2.5, 77)
-    tgt = shift_domain(*src, 0.0, 0, 1.0, 77, separation=2.5, num_categories=3)
-    np.testing.assert_allclose(src[0], tgt[0], atol=1e-12)
-    np.testing.assert_array_equal(src[1], tgt[1])
+def test_unshifted_target_is_the_target_data_draw():
+    from caco.data import DataConfig, build_domain_pair
+    from caco.seeding import child_seed
+
+    cfg = DataConfig(num_categories=3, dim=4, separation=2.5, n_per_class=15, angle=0.0)
+    pair = build_domain_pair(cfg, 77)
+    x, y = make_gaussian_mixture(3, 4, 15, 2.5, child_seed(77, "target_data"))
+    np.testing.assert_array_equal(pair.target_x, x)
+    np.testing.assert_array_equal(pair.evaluation_labels(), y)
+
+
+def test_shift_domain_keeps_row_order_and_input():
+    # interleaved labels: row i of the result is row i of the input, shifted
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(12, 3))
+    x_before = x.copy()
+    y = np.array([2, 1, 3, 1, 2, 3, 3, 1, 2, 2, 1, 3])
+    angle, offset, scale = 0.7, np.array([1.0, -2.0, 0.5]), 1.5
+    rot = np.eye(3)
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    shifted, labels = shift_domain(x, y, angle, tuple(offset), scale)
+    expected = np.array([scale * (rot @ row) + offset for row in x])
+    np.testing.assert_allclose(shifted, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(labels, y)
+    np.testing.assert_array_equal(x, x_before)
 
 
 def test_shift_half_turn_swaps_antipodal_classes():
     # C=2 puts the two centers at +/- separation on the first axis
     centers = mixture_centers(2, 4, 3.0)
     rot = np.pi
-    src = make_gaussian_mixture(2, 4, 4000, 3.0, 5)
-    x, y = shift_domain(*src, rot, 0, 1.0, 6, separation=3.0, num_categories=2)
+    x, y = shift_domain(*make_gaussian_mixture(2, 4, 4000, 3.0, 6), rot, 0, 1.0)
     np.testing.assert_allclose(x[y == 1].mean(axis=0), centers[1], atol=0.1)
 
 
 def test_shift_rotates_means_by_closed_form():
     angle = np.pi / 6
     C, D = 4, 5
-    src = make_gaussian_mixture(C, D, 4000, 3.0, 8)
-    x, y = shift_domain(*src, angle, 0, 1.0, 9, separation=3.0, num_categories=C)
+    x, y = shift_domain(*make_gaussian_mixture(C, D, 4000, 3.0, 9), angle, 0, 1.0)
     rot = np.eye(D)
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1] = -np.sin(angle)
@@ -79,8 +97,7 @@ def test_shift_rotates_means_by_closed_form():
 
 
 def test_shift_applies_scale_and_translation():
-    src = make_gaussian_mixture(2, 4, 3000, 3.0, 10)
-    x, y = shift_domain(*src, 0.0, (1.0, -2.0), 2.0, 11, separation=3.0, num_categories=2)
+    x, y = shift_domain(*make_gaussian_mixture(2, 4, 3000, 3.0, 11), 0.0, (1.0, -2.0), 2.0)
     mean1 = x[y == 1].mean(axis=0)
     np.testing.assert_allclose(mean1, [2.0 * 3.0 + 1.0, -2.0, 0.0, 0.0], atol=0.15)
 

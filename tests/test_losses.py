@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from caco import autodiff as ad
-from caco.autodiff import Tape, Tensor, backward, finite_diff_grad
+from caco.autodiff import Tape, Tensor, backward
 from caco.dictionary import CategoricalDictionary
 from caco.errors import ContractError, DimensionError, NotWarmError, ParameterError
+from caco.gradcheck import gradient_error
 from caco.labels import SOURCE, CategoryLabel
 from caco.model import MlpSpec, classifier_logits, encode, init_classifier, init_params
 from caco.losses import (
@@ -503,19 +504,7 @@ def test_cat_nce_gradient_matches_finite_differences():
         d = random_warm_dictionary(rng, C, M, dim)
         q0 = unit_rows(rng, B, dim)
         labels = random_labels(rng, B, C)
-
-        queries = Tensor(q0, requires_grad=True)
-        with Tape() as tape:
-            loss = cat_nce(queries, labels, d)
-        analytic = backward(loss, tape)[queries.id].data
-
-        fd = finite_diff_grad(
-            lambda flat: cat_nce(Tensor(flat.reshape(B, dim)), labels, d).item(),
-            q0,
-            1e-5,
-        ).data
-        denom = max(1.0, np.abs(analytic).max(), np.abs(fd).max())
-        assert np.abs(analytic - fd).max() / denom <= 1e-4
+        assert gradient_error(lambda q: cat_nce(q, labels, d), q0) <= 1e-4
 
 
 def test_losses_finite_and_non_negative():
@@ -546,12 +535,4 @@ def test_backward_cat_nce_small_instance_matches_finite_differences():
     d = random_warm_dictionary(rng, 2, 2, 3)
     q0 = unit_rows(rng, 1, 3)
     labels = random_labels(rng, 1, 2)
-    queries = Tensor(q0, requires_grad=True)
-    with Tape() as tape:
-        loss = cat_nce(queries, labels, d)
-    analytic = backward(loss, tape)[queries.id].data
-    fd = finite_diff_grad(
-        lambda flat: cat_nce(Tensor(flat.reshape(1, 3)), labels, d).item(), q0, 1e-5
-    ).data
-    denom = max(1.0, np.abs(analytic).max(), np.abs(fd).max())
-    assert np.abs(analytic - fd).max() / denom <= 1e-4
+    assert gradient_error(lambda q: cat_nce(q, labels, d), q0) <= 1e-4

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caco.autodiff import Tape, Tensor, backward, finite_diff_grad
+from caco.autodiff import Tensor
 from caco.errors import (
     ContractError, DegenerateEmbeddingError, DimensionError, NonFiniteError, ParameterError,
 )
+from caco.gradcheck import gradient_error
 from caco.losses import supervised_loss
 from caco.model import (
     CacoModel,
@@ -269,28 +270,12 @@ def test_gradients_flow_through_encode():
     x = rng.normal(size=(2, 3))
     labels = np.array([1, 2])
 
-    tensors = params.tensors() + [clf.weight, clf.bias]
-    with Tape() as tape:
-        loss = supervised_loss(classifier_logits(clf, encode(params, Tensor(x))), labels)
-    grads = backward(loss, tape)
+    def loss_of(w0, b0, w1, b1, weight, bias):  # the declaration order of tensors()
+        emb = encode(MlpParams([w0, w1], [b0, b1]), Tensor(x))
+        return supervised_loss(classifier_logits(Classifier(weight, bias), emb), labels)
 
-    flat0 = np.concatenate([t.data.reshape(-1) for t in tensors])
-    sizes = [t.data.size for t in tensors]
-
-    def f(flat):
-        vals = np.split(flat, np.cumsum(sizes)[:-1])
-        p = MlpParams(
-            [Tensor(vals[0].reshape(3, 4)), Tensor(vals[2].reshape(4, 2))],
-            [Tensor(vals[1]), Tensor(vals[3])],
-        )
-        c = Classifier(Tensor(vals[4].reshape(2, 2)), Tensor(vals[5]))
-        return supervised_loss(classifier_logits(c, encode(p, Tensor(x))), labels).item()
-
-    # declaration order of tensors() is w0,b0,w1,b1
-    fd = finite_diff_grad(f, flat0, 1e-5).data
-    analytic = np.concatenate([grads[t.id].data.reshape(-1) for t in tensors])
-    denom = max(1.0, np.abs(fd).max(), np.abs(analytic).max())
-    assert np.abs(analytic - fd).max() / denom <= 1e-4
+    arrays = [t.data for t in params.tensors() + [clf.weight, clf.bias]]
+    assert gradient_error(loss_of, *arrays) <= 1e-4
 
 
 def test_checkpoint_round_trip_is_byte_exact(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caco.errors import ContractError
+from caco.errors import ContractError, ParameterError
 from caco.seeding import STREAM_IDS, child_rng, child_seed
 
 
@@ -29,3 +29,11 @@ def test_unknown_stream_rejected():
         child_rng(0, "bogus")
     with pytest.raises(ContractError):
         child_seed(0, "bogus")
+
+
+def test_negative_root_seed_rejected():
+    # by name, before numpy's own bare "expected non-negative integer"
+    with pytest.raises(ParameterError, match="root seed"):
+        child_rng(-1, "source_batches")
+    with pytest.raises(ParameterError, match="root seed"):
+        child_seed(-3, "source_data")
