@@ -152,15 +152,15 @@ def shift_domain(
     dim = x.shape[1]
     offset = np.asarray(_as_translation(translation, dim))
     rot = np.eye(dim)
-    rot[0, 0] = rot[1, 1] = np.cos(angle)
-    rot[0, 1] = -np.sin(angle)
-    rot[1, 0] = np.sin(angle)
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
 
-    # transform each class block on its own: one matmul over all rows may round differently
+    # one matmul per run of equal labels (per class block): one over all rows may round differently
     shifted = np.empty_like(x, dtype=np.float64)
-    for c in np.unique(y):
-        rows = y == c
-        shifted[rows] = scale * (x[rows] @ rot.T) + offset
+    cuts = [0, *(np.flatnonzero(y[1:] != y[:-1]) + 1), len(y)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.matmul(x[lo:hi], rot.T, out=shifted[lo:hi])
+    shifted *= scale
+    shifted += offset
     return shifted, y
 
 

@@ -48,7 +48,8 @@ def test_mixture_zero_separation_degenerates():
     np.testing.assert_allclose(x[y == 1].mean(axis=0), x[y == 2].mean(axis=0), atol=0.3)
 
 
-def test_unshifted_target_is_the_target_data_draw():
+def test_shift_identity_reproduces_source_process():
+    # at angle 0, scale 1 and no translation the target is its own stream's mixture draw
     from caco.data import DataConfig, build_domain_pair
     from caco.seeding import child_seed
 

@@ -40,3 +40,20 @@ def test_cli_gradcheck_output_is_pinned(capsys):
         "encoder_path: max_relative_error=1.121e-08",
         "overall: max_relative_error=1.121e-08 tolerance=1e-04 PASS",
     ]
+
+
+def test_encoder_path_redraws_degenerate_instances(monkeypatch):
+    import caco.gradcheck as gc
+    from caco.errors import DegenerateEmbeddingError
+
+    real, calls = gc.gradient_error, []
+
+    def silenced_first(loss_of, *arrays, **kw):
+        calls.append(len(arrays))
+        if len(calls) == 1:
+            raise DegenerateEmbeddingError("every unit silenced")
+        return real(loss_of, *arrays, **kw)
+
+    monkeypatch.setattr(gc, "gradient_error", silenced_first)
+    assert check_encoder_path(2, np.random.default_rng(0)) <= 1e-4
+    assert calls == [6, 6, 6]  # one redraw, then two instances over all six parameter arrays
