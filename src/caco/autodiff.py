@@ -352,28 +352,65 @@ def l2_normalize(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(h: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """h @ w + b over an (m,k) block, then an optional ReLU, as one record.
-
-    Stands for add_rowvec(matmul(h, w), b), followed by relu() if asked.
-    The gradient for h is not formed when h requires none (input rows).
-    """
-    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
-    if (h.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+def _check_linear(h: Array, w: Array, b: Array) -> None:
+    if (h.ndim != 2 or w.ndim != 2 or b.ndim != 1
             or h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise DimensionError(f"linear shape mismatch: {h.shape} @ {w.shape} + {b.shape}")
+
+
+def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """h @ w + b over an (m,k) block, as one record.
+
+    Stands for add_rowvec(matmul(h, w), b). The gradient for h is not
+    formed when h requires none (input rows).
+    """
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    _check_linear(h.data, w.data, b.data)
     hd, wd = h.data, w.data
-    out = hd @ wd + b.data
-    if relu:
-        mask = out > 0
-        out = relu_array(out)
 
     def grad_fn(g: Array):
-        if relu:
-            g = g * mask
         return (g @ wd.T if h.requires_grad else None), hd.T @ g, g.sum(axis=0)
 
-    return _emit(out, (h, w, b), grad_fn)
+    return _emit(hd @ wd + b.data, (h, w, b), grad_fn)
+
+
+def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A ReLU MLP over an (m,k) block, each output row scaled to unit norm, as one record.
+
+    Stands for linear(h, w, b) per layer with relu() after every layer but
+    the last, then l2_normalize(). The gradient for x is not formed when x
+    requires none (input rows).
+    """
+    x = as_tensor(x)
+    if not weights or len(weights) != len(biases):
+        raise DimensionError(f"need one bias per weight, at least one layer; "
+                             f"got {len(weights)} and {len(biases)}")
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in zip(weights, biases)]
+    last = len(layers) - 1
+    h = x.data
+    layer_inputs, masks = [], []
+    for i, (w, b) in enumerate(layers):
+        _check_linear(h, w.data, b.data)
+        layer_inputs.append(h)
+        h = h @ w.data + b.data
+        if i < last:
+            masks.append(h > 0)
+            h = relu_array(h)
+    out, norms = unit_normalize(h)
+
+    def grad_fn(g: Array):
+        proj = (g * out).sum(axis=-1, keepdims=True)
+        g = (g - proj * out) / norms
+        grads = []
+        for i in range(last, -1, -1):
+            if i < last:
+                g = g * masks[i]
+            grads[:0] = (layer_inputs[i].T @ g, g.sum(axis=0))
+            if i or x.requires_grad:
+                g = g @ layers[i][0].data.T
+        return (g if x.requires_grad else None, *grads)
+
+    return _emit(out, (x, *(t for layer in layers for t in layer)), grad_fn)
 
 
 def mean_nll(x: Tensor, idx) -> Tensor:

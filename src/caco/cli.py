@@ -20,7 +20,9 @@ writes OUT/summary.csv (finished runs only), ablate writes
 OUT/comparison.csv (one row per variant and seed) and export-embeddings
 writes embeddings.csv into each run directory. All outputs are
 reproducible byte-for-byte from (spec, overrides, seeds), except the
-wall_clock_s column of the two CSVs.
+wall_clock_s column of the two CSVs. The runs of one seed train their
+common warm-up once: under ablate the baseline trains it, and S, T and
+full restore it, with the bytes of a fresh run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from .data import DataConfig, DomainPair, build_domain_pair
 from .errors import CacoError, ContractError, ParameterError
 from .gradcheck import DEFAULT_TOLERANCE, run_all
 from .model import CacoModel, embed, save_checkpoint
-from .train import VARIANTS, RunMetrics, TrainConfig, train_caco, train_source_only
+from .train import (
+    VARIANTS,
+    RunMetrics,
+    TrainConfig,
+    check_key_batch_fits,
+    train_caco,
+    train_source_only,
+)
 
 
 @dataclasses.dataclass
@@ -119,20 +128,19 @@ def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) 
                                  *final, round(m.wall_clock_s, 3)])
 
 
-def _run_one(data: DataConfig, config: TrainConfig, out_dir: Path):
-    """Train one run and write its run directory; returns (pair, model, metrics)."""
+def _run_one(config: TrainConfig, pair: DomainPair, out_dir: Path, warmups: dict):
+    """Train one run and write its run directory; returns (model, metrics)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    pair = build_domain_pair(data, config.seed)
     with open(out_dir / "keys.jsonl", "w") as fh:  # the baseline's stays empty
         if config.variant == "baseline":
-            model, metrics = train_source_only(config, pair)
+            model, metrics = train_source_only(config, pair, warmups=warmups)
         else:
-            model, metrics = train_caco(config, pair, keys_dump_fp=fh)
+            model, metrics = train_caco(config, pair, keys_dump_fp=fh, warmups=warmups)
     with open(out_dir / "metrics.jsonl", "w") as fh:
         metrics.write_jsonl(fh)
     _write_summary(out_dir / "summary.csv", [metrics])
     save_checkpoint(out_dir / "model.ckpt", model)
-    return pair, model, metrics
+    return model, metrics
 
 
 def _seed_list(text: str) -> list[int]:
@@ -154,9 +162,12 @@ def _seed_list(text: str) -> list[int]:
 def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     """The run loop: every variant (the spec's own by default) and seed, in that order.
 
-    Validates the data config and every run's training config before the
-    first run directory is made. Calls report(run_dir, pair, model, metrics)
-    after each run; returns the output directory and every run's metrics.
+    Validates the data config, builds each seed's pair once and checks
+    every run's training config against its pair, all before the first run
+    directory is made. The runs of one seed share one warm-up: the first
+    trains it, the others restore it (train_caco's ``warmups``). Calls
+    report(run_dir, pair, model, metrics) after each run; returns the
+    output directory and every run's metrics.
     """
     spec = load_spec(args.spec, args.set or [])
     out = Path(args.out or spec.out or default_out)
@@ -166,11 +177,16 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
                for variant in variants or (spec.train.variant,) for seed in seeds]
     for config in configs:
         config.validate()
+    pairs = {seed: build_domain_pair(spec.data, seed) for seed in seeds}
+    for config in configs:
+        check_key_batch_fits(config, pairs[config.seed])
+    warmups: dict = {}
     finished = []
     for config in configs:
         run_dir = out / config.variant / f"seed_{config.seed}" if variants else (
             out / f"seed_{config.seed}" if len(seeds) > 1 else out)
-        pair, model, metrics = _run_one(spec.data, config, run_dir)
+        pair = pairs[config.seed]
+        model, metrics = _run_one(config, pair, run_dir, warmups)
         report(run_dir, pair, model, metrics)
         finished.append(metrics)
     return out, finished

@@ -87,14 +87,10 @@ def _check_inputs(params: MlpParams, shape: tuple[int, ...]) -> None:
 
 
 def encode(params: MlpParams, x: Tensor) -> Tensor:
-    """MLP forward pass over a (batch, D) block, unit-normalized per row."""
+    """MLP forward pass over a (batch, D) block, unit-normalized per row, as one tape record."""
     x = ad.as_tensor(x)
     _check_inputs(params, x.shape)
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = ad.linear(h, w, b, relu=i < last)
-    return ad.l2_normalize(h)
+    return ad.normalized_mlp(x, params.weights, params.biases)
 
 
 def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -103,7 +103,7 @@ class TrainConfig:
             key_batch_rows(self.key_batch_size or self.batch_size, self.variant)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochRecord:
     """One line of metrics.jsonl.
 
@@ -296,16 +296,51 @@ def _epoch_record(
     return record, result.predicted
 
 
+@dataclass(frozen=True)
+class _Warmup:
+    """The state a run holds when its warm-up ends, as train_caco restores it.
+
+    Warm-up is the same for every variant: nothing is enqueued, the key
+    encoder stays at its init and the key and query streams are untouched.
+    The query encoder and the classifier are views of the optimizer's flat
+    buffer, so that buffer, its velocity and its step count are the model.
+    """
+
+    flat: np.ndarray
+    velocity: np.ndarray
+    steps_done: int
+    source_rng_state: dict
+    records: tuple[EpochRecord, ...]
+    prev_pseudo: np.ndarray
+    elapsed_s: float
+
+
 # ---------------------------------------------------------------------------
 # Training entry points
 # ---------------------------------------------------------------------------
 
 
-def train_source_only(config: TrainConfig, pair: DomainPair) -> tuple[CacoModel, RunMetrics]:
+def check_key_batch_fits(config: TrainConfig, pair: DomainPair) -> None:
+    """ParameterError if a contrastive run's key batch draws more rows than the pair holds."""
+    if config.variant == "baseline":
+        return
+    # cold dictionaries fill from n source rows, then the variant draws its own mix
+    n_keys = config.key_batch_size or config.batch_size
+    if (n_keys > pair.source_x.shape[0] or
+            key_batch_rows(n_keys, config.variant)[1] > pair.target_x.shape[0]):
+        raise ParameterError(
+            f"a key batch of {n_keys} draws more rows than the pair holds "
+            f"({pair.source_x.shape[0]} source, {pair.target_x.shape[0]} target)"
+        )
+
+
+def train_source_only(
+    config: TrainConfig, pair: DomainPair, *, warmups: dict | None = None
+) -> tuple[CacoModel, RunMetrics]:
     """Supervised training on source data only: train_caco's zero-contrast case."""
     if config.variant != "baseline":
         raise ContractError(f"source-only training expects variant 'baseline', got {config.variant!r}")
-    return train_caco(config, pair)
+    return train_caco(config, pair, warmups=warmups)
 
 
 def train_caco(
@@ -313,6 +348,7 @@ def train_caco(
     pair: DomainPair,
     *,
     keys_dump_fp: IO[str] | None = None,
+    warmups: dict | None = None,
 ) -> tuple[CacoModel, RunMetrics]:
     """Training for every variant; S / T / full add a key dictionary and its contrast.
 
@@ -332,17 +368,18 @@ def train_caco(
     showed: step 1 for the epoch labelling, the last step for the epoch's
     evaluation. A key batch larger than a pool it draws from raises
     ParameterError before epoch 1.
+
+    ``warmups`` is a dict the caller owns, shared by the runs it passes to.
+    Runs on the same pair whose configs differ in nothing but the variant
+    train the same warm-up, so the first of them stores its state at the
+    end of epoch warmup_epochs and the others restore it and go on from
+    there, with the same output bytes as a fresh run. A restored run's
+    wall_clock_s includes the stored warm-up's time.
     """
     config.validate()
+    check_key_batch_fits(config, pair)
     contrastive = config.variant != "baseline"
-    # cold dictionaries fill from n source rows, then the variant draws its own mix
     n_keys = config.key_batch_size or config.batch_size
-    if contrastive and (n_keys > pair.source_x.shape[0] or
-                        key_batch_rows(n_keys, config.variant)[1] > pair.target_x.shape[0]):
-        raise ParameterError(
-            f"a key batch of {n_keys} draws more rows than the pair holds "
-            f"({pair.source_x.shape[0]} source, {pair.target_x.shape[0]} target)"
-        )
     started = time.monotonic()
     model = _init_model(config, pair)
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
@@ -358,9 +395,25 @@ def train_caco(
     prev_pseudo: np.ndarray | None = None
     num_cat = pair.num_categories
 
+    first_epoch, reused_s = 1, 0.0
+    warmup = warmup_key = None
+    if warmups is not None:
+        # runs on this pair that differ only in variant share the warm-up; a run
+        # with no warm-up epoch, or none it finishes, stores and restores nothing
+        warmup_key = pair, astuple(replace(config, variant=""))
+        warmup = warmups.get(warmup_key)
+    if warmup is not None:
+        optimizer.flat[...] = warmup.flat
+        optimizer.velocity[...] = warmup.velocity
+        optimizer.steps_done = warmup.steps_done
+        rng_source.bit_generator.state = warmup.source_rng_state
+        metrics.records.extend(warmup.records)
+        prev_pseudo = warmup.prev_pseudo
+        first_epoch, reused_s = config.warmup_epochs + 1, warmup.elapsed_s
+
     epoch = step = 0
     try:
-        for epoch in range(1, config.epochs + 1):
+        for epoch in range(first_epoch, config.epochs + 1):
             step = 1  # the epoch labelling readies step 1
             sup_losses: list[float] = []
             cat_losses: list[float] = []
@@ -416,11 +469,18 @@ def train_caco(
                 model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm()
             )
             metrics.records.append(record)
+            if warmups is not None and warmup is None and epoch == config.warmup_epochs:
+                prev_pseudo.flags.writeable = False  # shared with the runs that restore it
+                warmups[warmup_key] = _Warmup(
+                    optimizer.flat.copy(), optimizer.velocity.copy(), optimizer.steps_done,
+                    rng_source.bit_generator.state, tuple(metrics.records), prev_pseudo,
+                    time.monotonic() - started,
+                )
     except NonFiniteError as exc:
         # an encoder whose outputs overflowed: the run diverged, wherever it showed first
         raise DivergenceError(epoch, step, str(exc)) from exc
 
-    metrics.wall_clock_s = time.monotonic() - started
+    metrics.wall_clock_s = time.monotonic() - started + reused_s
     if keys_dump_fp is not None:
         dictionary.dump_jsonl(keys_dump_fp)
     return model, metrics

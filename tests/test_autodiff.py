@@ -279,10 +279,27 @@ OP_CASES = {
     ),
     "linear_relu_input": lambda rng: (
         lambda x: ad.reduce_sum(
-            ad.linear(x, ad.Tensor(_pin((4, 3), 16)), ad.Tensor(_pin(3, 17)), relu=True)
+            ad.relu(ad.linear(x, ad.Tensor(_pin((4, 3), 16)), ad.Tensor(_pin(3, 17))))
         ),
         # keep pre-activations away from the kink
         rng.normal(size=(2, 4)) * 0.05 + _pin((2, 4), 18),
+    ),
+    "normalized_mlp_input": lambda rng: (
+        lambda x: ad.reduce_sum(ad.matmul(
+            ad.normalized_mlp(x, [ad.Tensor(_pin((4, 5), 23)), ad.Tensor(_pin((5, 3), 24))],
+                              [ad.Tensor(_pin(5, 25)), ad.Tensor(_pin(3, 26))]),
+            ad.Tensor(_pin((3, 2), 27)),
+        )),
+        # keep hidden pre-activations away from the kink
+        rng.normal(size=(3, 4)) * 0.05 + _pin((3, 4), 28),
+    ),
+    "normalized_mlp_weight": lambda rng: (
+        lambda x: ad.reduce_mean(ad.matmul(
+            ad.normalized_mlp(ad.Tensor(_pin((3, 4), 29)), [ad.Tensor(_pin((4, 5), 30)), x],
+                              [ad.Tensor(_pin(5, 31)), ad.Tensor(_pin(3, 32))]),
+            ad.Tensor(_pin((3, 2), 33)),
+        )),
+        rng.normal(size=(5, 3)),
     ),
     "linear_weight": lambda rng: (
         lambda x: ad.reduce_mean(
@@ -337,9 +354,24 @@ def _assert_bit_equal(fused, primitive):
             assert np.array_equal(gf, gp) and gf.tobytes() == gp.tobytes()
 
 
-def _primitive_linear(h, w, b, relu=False):
-    z = ad.add_rowvec(ad.matmul(h, w), b)
-    return ad.relu(z) if relu else z
+def _primitive_linear(h, w, b):
+    return ad.add_rowvec(ad.matmul(h, w), b)
+
+
+def _linear_relu(linear):
+    """One layer followed by a ReLU record when asked, built from ``linear``."""
+    def layer(h, w, b, relu):
+        z = linear(h, w, b)
+        return ad.relu(z) if relu else z
+    return layer
+
+
+def _layered_encoder(x, weights, biases):
+    """normalized_mlp's composition: linear records, relu records, then l2_normalize."""
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = _linear_relu(ad.linear)(h, w, b, i < len(weights) - 1)
+    return ad.l2_normalize(h)
 
 
 def test_relu_array_bit_equal_to_where_except_nan():
@@ -365,18 +397,20 @@ def test_linear_bit_equal_to_matmul_add_rowvec_relu():
         pin = _pin((n, 3), trial)
         relu, input_grad = bool(trial % 2), bool(trial % 3)
 
-        def loss_of(layer):
+        def loss_of(linear):
+            layer = _linear_relu(linear)
             return lambda h, w, b: ad.reduce_sum(ad.matmul(layer(h, w, b, relu), ad.Tensor(pin)))
 
         requires = (input_grad, True, True)
         fused = _run(loss_of(ad.linear), (h, w, b), requires)
         _assert_bit_equal(fused, _run(loss_of(_primitive_linear), (h, w, b), requires))
         assert (fused[1][0] is None) == (not input_grad)
-        assert fused[2] == 3  # the linear, then the matmul and the sum of the loss
+        assert fused[2] == 3 + relu  # the linear, the relu if any, the loss's matmul and sum
 
 
 def test_linear_hand_set_kink():
-    # pre-activations [[0.0, -1.0, 1.5], [0.0, -3.0, -0.5]]: zeros, negatives, one positive.
+    # a hidden layer of the encoder record with pre-activations
+    # [[0.0, -1.0, 1.5], [0.0, -3.0, -0.5]]: zeros, negatives, one positive.
     # A -0.0 cannot arise from h @ w + b here (the sum starts from +0.0), so the
     # signed zero is covered by test_relu_array_bit_equal_to_where_except_nan.
     h = np.array([[1.0, 0.5], [0.0, 0.0]])
@@ -384,17 +418,22 @@ def test_linear_hand_set_kink():
     b = np.array([0.0, -3.0, -0.5])
     z = h @ w + b
     np.testing.assert_array_equal(z, [[0.0, -1.0, 1.5], [0.0, -3.0, -0.5]])
+    w_out, b_out = _pin((3, 2), 34), np.array([0.5, -0.25])  # row 2 maps to b_out alone
 
     for sign in (1.0, -1.0):
 
-        def loss_of(layer):
-            return lambda h, w, b: ad.reduce_sum(ad.scale(layer(h, w, b, True), sign))
+        def loss_of(encoder):
+            return lambda h, w, b, w_out, b_out: ad.reduce_sum(ad.scale(ad.matmul(
+                encoder(h, [w, w_out], [b, b_out]), ad.Tensor(_pin((2, 1), 35))), sign))
 
-        for requires in ((True, True, True), (False, True, True)):
-            fused = _run(loss_of(ad.linear), (h, w, b), requires)
-            _assert_bit_equal(fused, _run(loss_of(_primitive_linear), (h, w, b), requires))
-        np.testing.assert_array_equal(fused[0], 1.5 * sign)
-        np.testing.assert_array_equal(fused[1][2], [0.0, 0.0, sign])  # none through a zero
+        arrays = (h, w, b, w_out, b_out)
+        for requires in ((True,) * 5, (False,) + (True,) * 4):
+            fused = _run(loss_of(ad.normalized_mlp), arrays, requires)
+            _assert_bit_equal(fused, _run(loss_of(_layered_encoder), arrays, requires))
+        gb = fused[1][2]
+        np.testing.assert_array_equal(gb[:2], [0.0, 0.0])  # none through a zero or a negative
+        assert gb[2] != 0.0
+        np.testing.assert_array_equal(fused[1][1][:, :2], 0.0)
 
 
 def test_one_encoder_used_twice_sums_gradients_in_tape_order():
@@ -408,25 +447,53 @@ def test_one_encoder_used_twice_sums_gradients_in_tape_order():
         x1, x2 = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
         pin1, pin2 = _pin((4, 2), 40 + trial), _pin((4, 2), 80 + trial)
 
-        def loss_of(layer):
+        def loss_of(encoder):
             def build(x1, x2, *p):
-                def enc(x):
-                    h = x
-                    for i in range(0, len(p), 2):
-                        h = layer(h, p[i], p[i + 1], i + 2 < len(p))
-                    return ad.l2_normalize(h)
-
-                first = ad.reduce_sum(ad.matmul(enc(x1), ad.Tensor(pin1)))
-                second = ad.reduce_mean(ad.matmul(enc(x2), ad.Tensor(pin2)))
+                first = ad.reduce_sum(ad.matmul(encoder(x1, p[0::2], p[1::2]), ad.Tensor(pin1)))
+                second = ad.reduce_mean(ad.matmul(encoder(x2, p[0::2], p[1::2]), ad.Tensor(pin2)))
                 return ad.add(first, ad.scale(second, 0.7))
             return build
 
         arrays = (x1, x2, *params)
         requires = (False, False) + (True,) * len(params)
         _assert_bit_equal(
-            _run(loss_of(ad.linear), arrays, requires),
-            _run(loss_of(_primitive_linear), arrays, requires),
+            _run(loss_of(ad.normalized_mlp), arrays, requires),
+            _run(loss_of(_layered_encoder), arrays, requires),
         )
+
+
+def test_normalized_mlp_bit_equal_to_linear_relu_l2_normalize():
+    # one record for the whole encoder against one linear and one relu record
+    # per layer and an l2_normalize: forward values and every leaf's gradient
+    rng = np.random.default_rng(34)
+    for trial in range(80):
+        depth = int(rng.integers(1, 5))
+        widths = [int(v) for v in rng.integers(1, 9, size=depth + 1)]
+        m = int(rng.integers(1, 7))
+        x = rng.normal(size=(m, widths[0]))
+        x[rng.random(m) < 0.3] = 0.0  # zero rows meet zero and negative biases
+        params = []
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            b = rng.normal(size=fan_out)
+            if i < depth - 1:
+                b[rng.random(fan_out) < 0.3] = 0.0
+                b[rng.random(fan_out) < 0.2] = -1.0
+            else:
+                b += np.sign(b)  # no zero output row to normalize
+            params += [rng.normal(size=(fan_in, fan_out)), b]
+        pin = _pin((widths[-1], 2), trial)
+        input_grad = bool(trial % 3)
+
+        def loss_of(encoder):
+            return lambda x, *p: ad.reduce_sum(ad.matmul(encoder(x, p[0::2], p[1::2]), ad.Tensor(pin)))
+
+        arrays = (x, *params)
+        requires = (input_grad,) + (True,) * len(params)
+        fused = _run(loss_of(ad.normalized_mlp), arrays, requires)
+        layered = _run(loss_of(_layered_encoder), arrays, requires)
+        _assert_bit_equal(fused, layered)
+        assert (fused[1][0] is None) == (not input_grad)
+        assert fused[2] == 3 and layered[2] == 2 * depth + 2
 
 
 def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
@@ -477,6 +544,10 @@ def test_fused_records_check_shapes_and_indices():
             ad.linear(ad.Tensor(bad), w, b)
     with pytest.raises(DimensionError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), w, ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.normalized_mlp(ad.Tensor(np.ones((2, 3))), [w, w], [b, b])  # 2 outputs into 3 inputs
+    with pytest.raises(DimensionError):
+        ad.normalized_mlp(ad.Tensor(np.ones((2, 3))), [w], [])
     with pytest.raises(DimensionError):
         ad.mean_nll(ad.Tensor(np.zeros((2, 3))), [0])
     with pytest.raises(ContractError):

@@ -284,6 +284,54 @@ def test_ablate_run_directories_equal_train_runs(tmp_path):
             assert _summary_rows(run / "summary.csv") == _summary_rows(alone / "summary.csv")
 
 
+GOLDEN_SPEC = Path(__file__).resolve().parents[1] / "configs" / "default.spec"
+GOLDEN_SHORT = ("data.n_per_class=100", "train.epochs=7", "train.queue_size=10")
+
+
+# test_ablate_run_directories_equal_train_runs is the case without a warm-up
+@pytest.mark.parametrize("extra, seeds, shared", [
+    ((), "1,2", True),                        # the golden spec: five warm-up epochs of seven
+    (("train.epochs=5",), "1", True),         # the run ends with its warm-up
+    (("train.epochs=3",), "1", False),        # the run ends inside its warm-up
+    (("train.epochs=0",), "1", False),
+], ids=["golden", "warmup_is_every_epoch", "warmup_outlasts_run", "zero_epochs"])
+def test_ablate_runs_share_warmups_and_equal_train_runs(tmp_path, monkeypatch, extra, seeds, shared):
+    import caco.train
+
+    evaluated = []
+    real = caco.train.evaluate
+    monkeypatch.setattr(caco.train, "evaluate", lambda *a: evaluated.append(1) or real(*a))
+    spec = ["--spec", str(GOLDEN_SPEC)]
+    for item in GOLDEN_SHORT + extra:
+        spec += ["--set", item]
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--out", str(out), "--seeds", seeds] + spec) == 0
+    config = load_spec(str(GOLDEN_SPEC), list(GOLDEN_SHORT + extra)).train
+    seed_list = seeds.split(",")
+    unshared = len(VARIANTS) * config.epochs
+    # each seed's baseline trains the warm-up once; S, T and full restore it
+    assert len(evaluated) == len(seed_list) * (
+        unshared - 3 * config.warmup_epochs if shared else unshared)
+    for variant in VARIANTS:
+        for seed in seed_list:
+            run = out / variant / f"seed_{seed}"
+            alone = tmp_path / f"{variant}_{seed}"
+            assert main(["train", "--out", str(alone), "--seeds", seed,
+                         "--set", f"train.variant={variant}"] + spec) == 0
+            for name in ("model.ckpt", "metrics.jsonl", "keys.jsonl"):
+                assert (run / name).read_bytes() == (alone / name).read_bytes(), (run, name)
+            assert _summary_rows(run / "summary.csv") == _summary_rows(alone / "summary.csv")
+
+
+def test_oversized_key_batch_exits_before_any_run_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["train", "--out", str(out), "--set", "train.key_batch_size=5000",
+            "--set", "train.epochs=1"]
+    assert main(argv) == 1
+    assert "error: a key batch of 5000 draws more rows than the pair holds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_epoch_runs_fill_comparison_but_not_summary(tmp_path):
     out = tmp_path / "ablation"
     assert main(["ablate", "--out", str(out), "--seeds", "1,2"] + fast_args("train.epochs=0")) == 0

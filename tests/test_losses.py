@@ -350,7 +350,7 @@ def test_training_step_bit_equal_to_primitive_step():
             grads = backward(loss, tape)
             assert set(grads) == {t.id for t in leaves}
             runs.append((len(tape), [loss.data] + [grads[t.id].data for t in leaves]))
-        assert [n for n, _ in runs] == [13, 32]
+        assert [n for n, _ in runs] == [7, 32]
         for got, want in zip(runs[0][1], runs[1][1]):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 

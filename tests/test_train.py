@@ -1,5 +1,8 @@
 """Training-loop contracts: determinism, gradient isolation, gating, evaluation."""
 
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from caco.errors import (
 from caco.model import CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
 from caco.autodiff import Tensor
 from caco.train import (
+    VARIANTS,
     EvalResult,
     TrainConfig,
     evaluate,
@@ -398,10 +402,10 @@ def test_nan_query_weight_raises_divergence(tiny_pair, monkeypatch, variant):
 
 
 def test_tape_records_per_step(tiny_pair, monkeypatch):
-    # one record per layer and per loss. At two hidden layers a step holds three
-    # linears, l2_normalize, the classifier and the mean NLL (6); a warm full step
-    # adds the target encode, the category NCE, its weight and the sum (13).
-    # Unfused, the same steps held 15 and 32 records.
+    # one record per encoder pass and per loss. A step holds the encoder, the
+    # classifier and the mean NLL (3); a warm full step adds the target encode,
+    # the category NCE, its weight and the sum (7). With one record per layer
+    # the same steps held 6 and 13 records, and unfused 15 and 32.
     import caco.train as train_mod
 
     real_backward = train_mod.backward
@@ -413,10 +417,10 @@ def test_tape_records_per_step(tiny_pair, monkeypatch):
 
     monkeypatch.setattr(train_mod, "backward", backward)
     train_caco(tiny_config(variant="baseline", hidden=(16, 16), epochs=1), tiny_pair)
-    assert set(records) == {6}
+    assert set(records) == {3}
     records.clear()
     train_caco(tiny_config(hidden=(16, 16), queue_size=2, epochs=2), tiny_pair)
-    assert records[0] == 6 and records[-1] == 13 and set(records) == {6, 13}
+    assert records[0] == 3 and records[-1] == 7 and set(records) == {3, 7}
 
 
 def test_categories_come_from_the_label_space():
@@ -505,6 +509,78 @@ def test_trained_parameters_stay_views_of_the_sgd_buffer(tiny_pair, monkeypatch)
     np.testing.assert_array_equal(np.concatenate([t.data.ravel() for t in trainable]), sgd.flat)
     for t in model.encoders.key.tensors():
         assert not np.shares_memory(t.data, sgd.flat)
+
+
+def run_outputs(config, pair, warmups=None):
+    """Every output byte of a run: parameters of both encoders and the classifier,
+    metrics lines, the keys dump, and the warm epoch."""
+    keys = io.StringIO()
+    if config.variant == "baseline":
+        model, metrics = train_source_only(config, pair, warmups=warmups)
+    else:
+        model, metrics = train_caco(config, pair, keys_dump_fp=keys, warmups=warmups)
+    key_bytes = b"".join(t.data.tobytes() for t in model.encoders.key.tensors())
+    return params_bytes(model) + key_bytes, metrics.jsonl_lines(), keys.getvalue(), metrics.warm_epoch
+
+
+def counting_epochs(monkeypatch):
+    """A list that gains one entry per evaluated epoch."""
+    import caco.train as train_mod
+
+    evaluated = []
+    real = train_mod.evaluate
+    monkeypatch.setattr(train_mod, "evaluate", lambda *a: evaluated.append(1) or real(*a))
+    return evaluated
+
+
+@pytest.mark.parametrize("warmup_epochs, epochs, shared", [
+    (2, 4, True), (4, 4, True), (5, 4, False),
+], ids=["warmup_then_contrast", "warmup_is_every_epoch", "warmup_outlasts_run"])
+def test_shared_warmup_gives_the_bytes_of_fresh_runs(tiny_pair, monkeypatch,
+                                                     warmup_epochs, epochs, shared):
+    # SGD momentum, so that the velocity carries over from warm-up too
+    configs = [tiny_config(variant=v, warmup_epochs=warmup_epochs, epochs=epochs, queue_size=2,
+                           momentum=0.5) for v in VARIANTS]
+    fresh = [run_outputs(c, tiny_pair) for c in configs]
+    evaluated = counting_epochs(monkeypatch)
+    warmups = {}
+    assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
+    # the baseline trains the warm-up; S, T and full only the epochs after it
+    trained = epochs + 3 * (epochs - warmup_epochs) if shared else 4 * epochs
+    assert len(evaluated) == trained and len(warmups) == int(shared)
+    if warmup_epochs < epochs:
+        assert fresh[-1][1][-1] != fresh[0][1][-1]  # the contrastive epochs differ
+
+
+def test_warmup_dict_shares_only_between_variants(tiny_pair, monkeypatch):
+    # runs that differ in anything but the variant keep their own warm-ups
+    configs = [tiny_config(variant="S", warmup_epochs=2, learning_rate=lr) for lr in (0.01, 0.02)]
+    configs.append(dataclasses.replace(configs[0], seed=4))
+    fresh = [run_outputs(c, tiny_pair) for c in configs]
+    evaluated = counting_epochs(monkeypatch)
+    warmups = {}
+    assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
+    assert len(evaluated) == 3 * 3 and len(warmups) == 3
+    other_pair = build_domain_pair(TINY_DATA, 3)  # equal arrays, another pair
+    assert run_outputs(configs[0], other_pair, warmups) == fresh[0]
+    assert len(evaluated) == 4 * 3 and len(warmups) == 4
+
+
+def test_shared_warmup_state_is_read_only_and_timed(tiny_pair):
+    warmups = {}
+    _, first = train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair,
+                                 warmups=warmups)
+    _, reused = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
+    (stored,) = warmups.values()
+    assert reused.records[:2] == first.records[:2] == list(stored.records)
+    assert all(a is b for a, b in zip(reused.records, stored.records))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reused.records[0].loss_sup = 0.0
+    assert not stored.prev_pseudo.flags.writeable
+    with pytest.raises(ValueError):
+        stored.prev_pseudo[0] = 0
+    # a restored run's time includes the warm-up it did not train itself
+    assert reused.wall_clock_s >= stored.elapsed_s > 0.0
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
