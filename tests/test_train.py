@@ -520,7 +520,8 @@ def run_outputs(config, pair, warmups=None):
     else:
         model, metrics = train_caco(config, pair, keys_dump_fp=keys, warmups=warmups)
     key_bytes = b"".join(t.data.tobytes() for t in model.encoders.key.tensors())
-    return params_bytes(model) + key_bytes, metrics.jsonl_lines(), keys.getvalue(), metrics.warm_epoch
+    return (params_bytes(model) + key_bytes, tuple(metrics.jsonl_lines()), keys.getvalue(),
+            metrics.warm_epoch)
 
 
 def counting_epochs(monkeypatch):
@@ -581,6 +582,36 @@ def test_shared_warmup_state_is_read_only_and_timed(tiny_pair):
         stored.prev_pseudo[0] = 0
     # a restored run's time includes the warm-up it did not train itself
     assert reused.wall_clock_s >= stored.elapsed_s > 0.0
+
+
+# Until every queue is full, S, T and full all draw source keys and train the
+# same steps. On tiny_pair an epoch is 8 steps of 8 source keys each; a case
+# is its config, the epoch the dictionary warms in, and whether a step
+# follows the warm step, so that the variants' outputs differ.
+COLD_FILL_CASES = {
+    "warms_mid_epoch": (dict(warmup_epochs=1, epochs=3, queue_size=5), 2, True),  # step 3
+    "warms_on_an_epochs_last_step": (dict(warmup_epochs=1, epochs=3, queue_size=13), 2, True),
+    "warms_on_the_runs_last_step": (dict(warmup_epochs=1, epochs=2, queue_size=13), 2, False),
+    "warms_in_a_later_epoch": (dict(warmup_epochs=1, epochs=4, queue_size=30), 3, True),  # step 5
+    "never_warms": (dict(warmup_epochs=1, epochs=3, queue_size=1000), None, False),
+    "no_warmup": (dict(warmup_epochs=0, epochs=3, queue_size=5), 1, True),
+    "no_contrast": (dict(warmup_epochs=1, epochs=3, queue_size=5, catnce_weight=0.0), 2, True),
+    "sgd_momentum": (dict(warmup_epochs=1, epochs=3, queue_size=5, momentum=0.5), 2, True),
+}
+SHARE_ORDERS = {"ablate": VARIANTS, "T_S_full": ("T", "S", "full"), "full_T_S": ("full", "T", "S")}
+
+
+@pytest.mark.parametrize("order", SHARE_ORDERS)
+@pytest.mark.parametrize("case", COLD_FILL_CASES)
+def test_runs_sharing_a_cold_dictionary_fill_give_the_bytes_of_fresh_runs(tiny_pair, case, order):
+    settings, warm_epoch, differ = COLD_FILL_CASES[case]
+    configs = [tiny_config(variant=v, **settings) for v in SHARE_ORDERS[order]]
+    fresh = [run_outputs(c, tiny_pair) for c in configs]
+    contrastive = [out for c, out in zip(configs, fresh) if c.variant != "baseline"]
+    assert {out[3] for out in contrastive} == {warm_epoch}
+    assert len({out[:3] for out in contrastive}) == (3 if differ else 1)
+    warmups = {}
+    assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
