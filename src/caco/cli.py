@@ -20,9 +20,12 @@ writes OUT/summary.csv (finished runs only), ablate writes
 OUT/comparison.csv (one row per variant and seed) and export-embeddings
 writes embeddings.csv into each run directory. All outputs are
 reproducible byte-for-byte from (spec, overrides, seeds), except the
-wall_clock_s column of the two CSVs. The runs of one seed train their
-common warm-up once: under ablate the baseline trains it, and S, T and
-full restore it, with the bytes of a fresh run.
+wall_clock_s column of the two CSVs. The runs of one seed train the steps
+they have in common once, with the bytes of fresh runs. Under ablate the
+baseline trains the supervised warm-up that all four variants share. S
+restores it and goes on until its dictionary's queues are all full; up to
+there T and full, which fill cold queues from source keys too, train the
+same steps, so they restore S's state at that point.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
 
     Validates the data config, builds each seed's pair once and checks
     every run's training config against its pair, all before the first run
-    directory is made. The runs of one seed share one warm-up: the first
-    trains it, the others restore it (train_caco's ``warmups``). Calls
+    directory is made. The runs of one seed share the steps they have in
+    common: the end of warm-up, and for S, T and full the end of the cold
+    dictionary fill (train_caco's ``warmups``, one dict per command). Calls
     report(run_dir, pair, model, metrics) after each run; returns the
     output directory and every run's metrics.
     """

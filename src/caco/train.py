@@ -99,6 +99,10 @@ class TrainConfig:
             raise ParameterError("warmup_epochs must be non-negative")
         if self.key_batch_size < 0:
             raise ParameterError("key_batch_size must be non-negative")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ParameterError(f"hidden must list one or more positive widths, got {self.hidden}")
+        if self.embed_dim < 2:
+            raise ParameterError(f"embed_dim must be at least 2, got {self.embed_dim}")
         if self.variant in KEY_VARIANTS:
             key_batch_rows(self.key_batch_size or self.batch_size, self.variant)
 
@@ -260,15 +264,15 @@ class _QueryCycler:
         self.pair = pair
         self.batch_size = min(batch_size, pair.target_x.shape[0])
         self.rng = rng
-        self._buffer = np.zeros(0, dtype=np.intp)
+        self.buffer = np.zeros(0, dtype=np.intp)
 
     def next(self) -> np.ndarray:
-        if self._buffer.shape[0] < self.batch_size:
+        if self.buffer.shape[0] < self.batch_size:
             fresh = sample_query_batch(self.pair, self.pair.target_x.shape[0], self.rng)
-            self._buffer = np.concatenate([self._buffer, fresh])
-        batch, self._buffer = (
-            self._buffer[: self.batch_size],
-            self._buffer[self.batch_size:],
+            self.buffer = np.concatenate([self.buffer, fresh])
+        batch, self.buffer = (
+            self.buffer[: self.batch_size],
+            self.buffer[self.batch_size:],
         )
         return batch
 
@@ -297,22 +301,42 @@ def _epoch_record(
 
 
 @dataclass(frozen=True)
-class _Warmup:
-    """The state a run holds when its warm-up ends, as train_caco restores it.
+class _SharePoint:
+    """A run's complete mutable state at a step boundary, as train_caco stores and restores it.
 
-    Warm-up is the same for every variant: nothing is enqueued, the key
-    encoder stays at its init and the key and query streams are untouched.
-    The query encoder and the classifier are views of the optimizer's flat
-    buffer, so that buffer, its velocity and its step count are the model.
+    The position is ``step`` steps into ``epoch``. At step 0 the epoch has
+    not started: its batch and loss lists are empty, and a restoring run
+    bootstraps, labels and draws batches as a fresh run would. Past step 0
+    it resumes at the next step with the epoch's own batches and row
+    labels. The query encoder and the classifier are views of the
+    optimizer's flat buffer, so that buffer, its velocity and its step
+    count are the trained model. Every array is a copy or read-only, so
+    the runs that restore the record share it without changing it.
     """
 
+    epoch: int
+    step: int
     flat: np.ndarray
     velocity: np.ndarray
     steps_done: int
-    source_rng_state: dict
+    key_arrays: tuple[np.ndarray, ...]
+    dictionary: CategoricalDictionary
+    rng_states: tuple[dict, ...]  # source batches, key batches, query batches
+    query_buffer: np.ndarray
+    batches: tuple[np.ndarray, ...]
+    row_labels: np.ndarray | None
+    sup_losses: tuple[float, ...]
+    cat_losses: tuple[float, ...]
     records: tuple[EpochRecord, ...]
-    prev_pseudo: np.ndarray
+    warm_epoch: int | None
+    prev_pseudo: np.ndarray | None
     elapsed_s: float
+
+
+def _read_only(array: np.ndarray | None) -> np.ndarray | None:
+    if array is not None:
+        array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +395,14 @@ def train_caco(
 
     ``warmups`` is a dict the caller owns, shared by the runs it passes to.
     Runs on the same pair whose configs differ in nothing but the variant
-    train the same warm-up, so the first of them stores its state at the
-    end of epoch warmup_epochs and the others restore it and go on from
-    there, with the same output bytes as a fresh run. A restored run's
-    wall_clock_s includes the stored warm-up's time.
+    train the same steps up to two share points, where the first run to
+    pass one stores its complete state and the others restore the latest
+    point open to them and go on from there, with the same output bytes as
+    a fresh run. The end of warm-up is open to every variant. The end of
+    the step on which the dictionary warms is open to S, T and full: until
+    then all three draw source keys, and the next step's key draw is the
+    first that reads the variant. A restored run's wall_clock_s includes
+    the time the stored run took to reach the point.
     """
     config.validate()
     check_key_batch_fits(config, pair)
@@ -385,55 +413,85 @@ def train_caco(
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
     steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
     optimizer = _Sgd(trainable, config, config.epochs * steps_per_epoch)
-    rng_source = child_rng(config.seed, "source_batches")
-    rng_keys = child_rng(config.seed, "key_batches")
-    rng_query = child_rng(config.seed, "query_batches")
+    rngs = [child_rng(config.seed, name)
+            for name in ("source_batches", "key_batches", "query_batches")]
+    rng_source, rng_keys, rng_query = rngs
 
     dictionary = CategoricalDictionary(pair.num_categories, config.queue_size)
     queries = _QueryCycler(pair, config.batch_size, rng_query)
     metrics = RunMetrics(config.variant, config.seed)
-    prev_pseudo: np.ndarray | None = None
     num_cat = pair.num_categories
+    # the position: `step` steps into `epoch`, 0 before the epoch starts
+    epoch, step, reused_s = 1, 0, 0.0
+    batches: list[np.ndarray] = []
+    row_labels: np.ndarray | None = None
+    sup_losses: list[float] = []
+    cat_losses: list[float] = []
+    prev_pseudo: np.ndarray | None = None
 
-    first_epoch, reused_s = 1, 0.0
-    warmup = warmup_key = None
+    share_key = stored = None
     if warmups is not None:
-        # runs on this pair that differ only in variant share the warm-up; a run
-        # with no warm-up epoch, or none it finishes, stores and restores nothing
-        warmup_key = pair, astuple(replace(config, variant=""))
-        warmup = warmups.get(warmup_key)
-    if warmup is not None:
-        optimizer.flat[...] = warmup.flat
-        optimizer.velocity[...] = warmup.velocity
-        optimizer.steps_done = warmup.steps_done
-        rng_source.bit_generator.state = warmup.source_rng_state
-        metrics.records.extend(warmup.records)
-        prev_pseudo = warmup.prev_pseudo
-        first_epoch, reused_s = config.warmup_epochs + 1, warmup.elapsed_s
+        share_key = pair, astuple(replace(config, variant=""))
+        # the latest share point open to the run; only S, T and full fill a dictionary
+        for point in ("cold_fill", "warmup") if contrastive else ("warmup",):
+            stored = warmups.get((*share_key, point))
+            if stored is not None:
+                break
 
-    epoch = step = 0
+    def share(point: str, at_epoch: int) -> None:
+        """Store the run's state as share point `point` of its key, unless one is stored."""
+        if share_key is None or (*share_key, point) in warmups:
+            return
+        warmups[(*share_key, point)] = _SharePoint(
+            at_epoch, step, optimizer.flat.copy(), optimizer.velocity.copy(),
+            optimizer.steps_done, tuple(t.data.copy() for t in model.encoders.key.tensors()),
+            dictionary.snapshot(), tuple(rng.bit_generator.state for rng in rngs),
+            _read_only(queries.buffer), tuple(_read_only(b) for b in batches),
+            _read_only(row_labels), tuple(sup_losses), tuple(cat_losses),
+            tuple(metrics.records), metrics.warm_epoch, _read_only(prev_pseudo),
+            time.monotonic() - started,
+        )
+
+    if stored is not None:
+        epoch, step, reused_s = stored.epoch, stored.step, stored.elapsed_s
+        optimizer.flat[...] = stored.flat
+        optimizer.velocity[...] = stored.velocity
+        optimizer.steps_done = stored.steps_done
+        for tensor, array in zip(model.encoders.key.tensors(), stored.key_arrays):
+            tensor.data = array.copy()
+        dictionary = stored.dictionary.snapshot()
+        for rng, state in zip(rngs, stored.rng_states):
+            rng.bit_generator.state = state
+        queries.buffer = stored.query_buffer
+        batches, row_labels, prev_pseudo = list(stored.batches), stored.row_labels, stored.prev_pseudo
+        sup_losses, cat_losses = list(stored.sup_losses), list(stored.cat_losses)
+        metrics.records.extend(stored.records)
+        metrics.warm_epoch = stored.warm_epoch
+
     try:
-        for epoch in range(first_epoch, config.epochs + 1):
-            step = 1  # the epoch labelling readies step 1
-            sup_losses: list[float] = []
-            cat_losses: list[float] = []
+        for epoch in range(epoch, config.epochs + 1):
             enqueueing = contrastive and epoch > config.warmup_epochs
-            if enqueueing and epoch == config.warmup_epochs + 1:
-                # contrastive phase begins: bootstrap the key encoder from the
-                # trained query encoder, exactly as at initialization
-                for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
-                    tk.data = tq.data.copy()
-            if enqueueing:
+            if step == 0 and enqueueing:
+                if epoch == config.warmup_epochs + 1:
+                    # contrastive phase begins: bootstrap the key encoder from the
+                    # trained query encoder, exactly as at initialization
+                    for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
+                        tk.data = tq.data.copy()
                 key_enc = model.encoders.key
                 row_labels = assign_pseudo_label(prototype_memberships(
                     embed(key_enc, pair.source_x), pair.source_y,
                     embed(key_enc, pair.target_x), num_cat,
                 ))
-            for step, idx in enumerate(_source_epoch_batches(pair, config.batch_size, rng_source), 1):
+            if step == 0:
+                batches = _source_epoch_batches(pair, config.batch_size, rng_source)
+            for step, idx in enumerate(batches[step:], step + 1):
+                warms = False
                 if enqueueing:
                     # keys first: cold dictionaries fill from ground-truth source samples
-                    key_variant = config.variant if dictionary.is_warm() else "S"
-                    src, tgt = sample_key_batch(pair, n_keys, key_variant, rng_keys)
+                    filling = not dictionary.is_warm()
+                    src, tgt = sample_key_batch(
+                        pair, n_keys, "S" if filling else config.variant, rng_keys
+                    )
                     key_emb = embed(
                         model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]])
                     )
@@ -443,7 +501,8 @@ def train_caco(
                     domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
                     for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
                         dictionary.enqueue(vec, label, tau, domain)
-                    if metrics.warm_epoch is None and dictionary.is_warm():
+                    warms = filling and dictionary.is_warm()
+                    if warms:
                         metrics.warm_epoch = epoch
 
                 with Tape() as tape:
@@ -464,21 +523,20 @@ def train_caco(
                 if enqueueing:
                     momentum_update(model.encoders)
                 sup_losses.append(sup.item())
+                if warms:
+                    share("cold_fill", epoch)
 
             record, prev_pseudo = _epoch_record(
                 model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm()
             )
             metrics.records.append(record)
-            if warmups is not None and warmup is None and epoch == config.warmup_epochs:
-                prev_pseudo.flags.writeable = False  # shared with the runs that restore it
-                warmups[warmup_key] = _Warmup(
-                    optimizer.flat.copy(), optimizer.velocity.copy(), optimizer.steps_done,
-                    rng_source.bit_generator.state, tuple(metrics.records), prev_pseudo,
-                    time.monotonic() - started,
-                )
+            step, batches, sup_losses, cat_losses = 0, [], [], []
+            if epoch == config.warmup_epochs:
+                share("warmup", epoch + 1)
     except NonFiniteError as exc:
-        # an encoder whose outputs overflowed: the run diverged, wherever it showed first
-        raise DivergenceError(epoch, step, str(exc)) from exc
+        # an encoder whose outputs overflowed: the run diverged, wherever it
+        # showed first; at step 0, in the epoch labelling that readies step 1
+        raise DivergenceError(epoch, step or 1, str(exc)) from exc
 
     metrics.wall_clock_s = time.monotonic() - started + reused_s
     if keys_dump_fp is not None:

@@ -242,6 +242,9 @@ def test_bad_seed_lists_exit_before_any_run(tmp_path, capsys, command, seeds, me
     ("--set=train.learning_rate=nan", "learning_rate must be finite"),
     # an odd key batch is invalid for the full variant only, which ablate runs last
     ("--set=train.key_batch_size=7", "odd key batch of 7"),
+    ("--set=train.hidden=", "hidden must list one or more positive widths, got ()"),
+    ("--set=train.hidden=0", "hidden must list one or more positive widths, got (0,)"),
+    ("--set=train.embed_dim=1", "embed_dim must be at least 2, got 1"),
 ])
 def test_invalid_configs_exit_before_any_run_directory(tmp_path, capsys, command, item, message):
     out = tmp_path / "out"
@@ -371,6 +374,17 @@ def test_gradcheck_passes_on_defaults(capsys):
         for line in captured.splitlines() if "max_relative_error=" in line
     )
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--instances", "0", "instances must be at least 1, got 0"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+])
+def test_gradcheck_rejects_invalid_arguments_by_name(capsys, flag, value, message):
+    # --instances 0 used to check no instance in three suites and print PASS
+    assert main(["gradcheck", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err and "PASS" not in captured.out
 
 
 def test_export_embeddings(tmp_path):

@@ -80,6 +80,13 @@ def test_config_validation():
     with pytest.raises(ParameterError, match="catnce_weight"):
         TrainConfig(catnce_weight=-0.5).validate()
     TrainConfig(catnce_weight=0.0).validate()
+    # encoder shapes fail here, not when train_caco builds the encoders
+    for hidden in ((), (0,), (16, -1)):
+        with pytest.raises(ParameterError, match="hidden"):
+            TrainConfig(hidden=hidden).validate()
+    with pytest.raises(ParameterError, match="embed_dim"):
+        TrainConfig(embed_dim=1).validate()
+    TrainConfig(hidden=(1,), embed_dim=2).validate()
 
 
 @pytest.mark.parametrize("variant, source_rows, target_rows, n_keys", [
@@ -534,6 +541,25 @@ def counting_epochs(monkeypatch):
     return evaluated
 
 
+def counting_calls(monkeypatch, *names):
+    """A dict that counts train_caco's calls to each of the named functions."""
+    import caco.train as train_mod
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(train_mod, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(train_mod, name, counted)
+    return calls
+
+
+def share_point(warmups, point):
+    """The one record stored in `warmups` at the named share point."""
+    (record,) = [record for (*_, name), record in warmups.items() if name == point]
+    return record
+
+
 @pytest.mark.parametrize("warmup_epochs, epochs, shared", [
     (2, 4, True), (4, 4, True), (5, 4, False),
 ], ids=["warmup_then_contrast", "warmup_is_every_epoch", "warmup_outlasts_run"])
@@ -548,7 +574,10 @@ def test_shared_warmup_gives_the_bytes_of_fresh_runs(tiny_pair, monkeypatch,
     assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
     # the baseline trains the warm-up; S, T and full only the epochs after it
     trained = epochs + 3 * (epochs - warmup_epochs) if shared else 4 * epochs
-    assert len(evaluated) == trained and len(warmups) == int(shared)
+    assert len(evaluated) == trained
+    # the warm-up's share point, and the cold fill's once the dictionary warms
+    points = {"warmup", "cold_fill"} if warmup_epochs < epochs else {"warmup"}
+    assert {point for *_, point in warmups} == (points if shared else set())
     if warmup_epochs < epochs:
         assert fresh[-1][1][-1] != fresh[0][1][-1]  # the contrastive epochs differ
 
@@ -561,10 +590,10 @@ def test_warmup_dict_shares_only_between_variants(tiny_pair, monkeypatch):
     evaluated = counting_epochs(monkeypatch)
     warmups = {}
     assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
-    assert len(evaluated) == 3 * 3 and len(warmups) == 3
+    assert len(evaluated) == 3 * 3 and len({key[:2] for key in warmups}) == 3
     other_pair = build_domain_pair(TINY_DATA, 3)  # equal arrays, another pair
     assert run_outputs(configs[0], other_pair, warmups) == fresh[0]
-    assert len(evaluated) == 4 * 3 and len(warmups) == 4
+    assert len(evaluated) == 4 * 3 and len({key[:2] for key in warmups}) == 4
 
 
 def test_shared_warmup_state_is_read_only_and_timed(tiny_pair):
@@ -572,7 +601,7 @@ def test_shared_warmup_state_is_read_only_and_timed(tiny_pair):
     _, first = train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair,
                                  warmups=warmups)
     _, reused = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
-    (stored,) = warmups.values()
+    stored = share_point(warmups, "warmup")
     assert reused.records[:2] == first.records[:2] == list(stored.records)
     assert all(a is b for a, b in zip(reused.records, stored.records))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -598,7 +627,8 @@ COLD_FILL_CASES = {
     "no_contrast": (dict(warmup_epochs=1, epochs=3, queue_size=5, catnce_weight=0.0), 2, True),
     "sgd_momentum": (dict(warmup_epochs=1, epochs=3, queue_size=5, momentum=0.5), 2, True),
 }
-SHARE_ORDERS = {"ablate": VARIANTS, "T_S_full": ("T", "S", "full"), "full_T_S": ("full", "T", "S")}
+SHARE_ORDERS = {"ablate": VARIANTS, "T_S_full": ("T", "S", "full"), "full_T_S": ("full", "T", "S"),
+                "baseline_last": ("full", "S", "baseline", "T")}
 
 
 @pytest.mark.parametrize("order", SHARE_ORDERS)
@@ -612,6 +642,29 @@ def test_runs_sharing_a_cold_dictionary_fill_give_the_bytes_of_fresh_runs(tiny_p
     assert len({out[:3] for out in contrastive}) == (3 if differ else 1)
     warmups = {}
     assert [run_outputs(c, tiny_pair, warmups) for c in configs] == fresh
+
+
+def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
+    # the dictionary warms on the 13th contrastive step, step 5 of epoch 3
+    settings, _, _ = COLD_FILL_CASES["warms_in_a_later_epoch"]
+    configs = [tiny_config(variant=v, **settings) for v in (*VARIANTS, "T")]
+    fresh = [run_outputs(c, tiny_pair) for c in configs]
+    calls = counting_calls(monkeypatch, "sample_key_batch", "backward")
+    warmups, counts = {}, []
+    for config, outputs in zip(configs, fresh):
+        # the second T restores the same record as the first, to the same bytes
+        assert run_outputs(config, tiny_pair, warmups) == outputs
+        counts.append(tuple(calls.values()))
+        calls.update(dict.fromkeys(calls, 0))
+    # key draws and backward passes: the baseline trains 4 epochs of 8 steps,
+    # S the 24 after warm-up, T and full the 11 after the warm step
+    assert counts == [(0, 32), (24, 24), (11, 11), (11, 11), (11, 11)]
+    cold = share_point(warmups, "cold_fill")
+    assert (cold.epoch, cold.step, cold.steps_done, cold.warm_epoch) == (3, 5, 21, 3)
+    # every array the record keeps is its own copy or read-only
+    for array in (cold.query_buffer, cold.row_labels, cold.prev_pseudo, *cold.batches):
+        assert not array.flags.writeable
+    assert all(array.flags.owndata for array in (cold.flat, cold.velocity, *cold.key_arrays))
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
