@@ -145,6 +145,10 @@ class CategoricalDictionary:
 
     def snapshot(self) -> "CategoricalDictionary":
         """A copy safe to read while the original keeps being updated."""
+        return self.copy()
+
+    def copy(self) -> "CategoricalDictionary":
+        """An independent copy: keys, temperatures, ages, domains, ring positions and counts."""
         copy = CategoricalDictionary(self.num_categories, self.capacity)
         for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill"):
             setattr(copy, name, getattr(self, name).copy())

@@ -310,8 +310,12 @@ class _SharePoint:
     it resumes at the next step with the epoch's own batches and row
     labels. The query encoder and the classifier are views of the
     optimizer's flat buffer, so that buffer, its velocity and its step
-    count are the trained model. Every array is a copy or read-only, so
-    the runs that restore the record share it without changing it.
+    count are the trained model. What a run mutates in place (the flat
+    buffer, the velocity, the key-encoder arrays, the dictionary) the
+    record holds as a copy. What a run only reads and replaces (the query
+    buffer, the batches, ``row_labels``, ``prev_pseudo``) it holds as the
+    storing run's own array, made read-only. So the runs that restore the
+    record share it without changing it.
     """
 
     epoch: int
@@ -443,13 +447,24 @@ def train_caco(
         if share_key is None or (*share_key, point) in warmups:
             return
         warmups[(*share_key, point)] = _SharePoint(
-            at_epoch, step, optimizer.flat.copy(), optimizer.velocity.copy(),
-            optimizer.steps_done, tuple(t.data.copy() for t in model.encoders.key.tensors()),
-            dictionary.snapshot(), tuple(rng.bit_generator.state for rng in rngs),
-            _read_only(queries.buffer), tuple(_read_only(b) for b in batches),
-            _read_only(row_labels), tuple(sup_losses), tuple(cat_losses),
-            tuple(metrics.records), metrics.warm_epoch, _read_only(prev_pseudo),
-            time.monotonic() - started,
+            epoch=at_epoch,
+            step=step,
+            flat=optimizer.flat.copy(),
+            velocity=optimizer.velocity.copy(),
+            steps_done=optimizer.steps_done,
+            key_arrays=tuple(t.data.copy() for t in model.encoders.key.tensors()),
+            dictionary=dictionary.copy(),
+            rng_states=tuple(rng.bit_generator.state for rng in rngs),
+            query_buffer=_read_only(queries.buffer),
+            batches=tuple(_read_only(b) for b in batches),
+            row_labels=_read_only(row_labels),
+            sup_losses=tuple(sup_losses),
+            cat_losses=tuple(cat_losses),
+            records=tuple(metrics.records),
+            warm_epoch=metrics.warm_epoch,
+            prev_pseudo=_read_only(prev_pseudo),
+            # the time of the steps this run restored, too
+            elapsed_s=time.monotonic() - started + reused_s,
         )
 
     if stored is not None:
@@ -459,7 +474,7 @@ def train_caco(
         optimizer.steps_done = stored.steps_done
         for tensor, array in zip(model.encoders.key.tensors(), stored.key_arrays):
             tensor.data = array.copy()
-        dictionary = stored.dictionary.snapshot()
+        dictionary = stored.dictionary.copy()
         for rng, state in zip(rngs, stored.rng_states):
             rng.bit_generator.state = state
         queries.buffer = stored.query_buffer

@@ -181,6 +181,17 @@ def test_snapshot_is_isolated():
     assert snap.group(1)[0].age == 0
 
 
+def test_copy_is_isolated_both_ways():
+    d = CategoricalDictionary(2, 2)
+    d.enqueue(unit(3, 0), 1, 0.07, SOURCE)
+    copy = d.copy()
+    copy.enqueue(unit(3, 1), 2, 0.05, SOURCE)
+    d.enqueue(unit(3, 2), 1, 0.07, TARGET)
+    assert d.queue_lengths() == [2, 0] and copy.queue_lengths() == [1, 1]
+    assert [k.age for k in d.keys()] == [0, 1] and [k.age for k in copy.keys()] == [0, 1]
+    assert d.enqueued_by_domain != copy.enqueued_by_domain
+
+
 def test_jsonl_dump_round_trips_fields():
     rng = np.random.default_rng(4)
     d = random_warm_dictionary(rng, 2, 3, 4)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import io
+import itertools
+import types
 
 import numpy as np
 import pytest
@@ -647,6 +649,11 @@ def test_runs_sharing_a_cold_dictionary_fill_give_the_bytes_of_fresh_runs(tiny_p
 def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     # the dictionary warms on the 13th contrastive step, step 5 of epoch 3
     settings, _, _ = COLD_FILL_CASES["warms_in_a_later_epoch"]
+    import caco.train as train_mod
+
+    # a clock that ticks once per reading, so that no run can take zero time
+    ticks = itertools.count()
+    monkeypatch.setattr(train_mod, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     configs = [tiny_config(variant=v, **settings) for v in (*VARIANTS, "T")]
     fresh = [run_outputs(c, tiny_pair) for c in configs]
     calls = counting_calls(monkeypatch, "sample_key_batch", "backward")
@@ -665,6 +672,12 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     for array in (cold.query_buffer, cold.row_labels, cold.prev_pseudo, *cold.batches):
         assert not array.flags.writeable
     assert all(array.flags.owndata for array in (cold.flat, cold.velocity, *cold.key_arrays))
+    # a restored run's time includes the steps it restored: S's time counts the
+    # baseline's warm-up, and T's and full's count that and S's cold fill
+    assert cold.elapsed_s > share_point(warmups, "warmup").elapsed_s > 0
+    for variant in ("T", "full"):
+        _, metrics = train_caco(tiny_config(variant=variant, **settings), tiny_pair, warmups=warmups)
+        assert metrics.wall_clock_s > cold.elapsed_s
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
