@@ -20,6 +20,7 @@ of the config seed, and gradient accumulation order is fixed by the tape.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
@@ -217,11 +218,14 @@ class _Sgd:
         self.total_steps = max(1, total_steps)
         self.steps_done = 0
         self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
+        self.bind()
+        self.velocity = np.zeros_like(self.flat)
+
+    def bind(self) -> None:
         offset = 0
-        for p in params:
+        for p in self.params:
             p.data = self.flat[offset:offset + p.data.size].reshape(p.data.shape)
             offset += p.data.size
-        self.velocity = np.zeros_like(self.flat)
 
     def _lr(self) -> float:
         remaining = 1.0 - self.steps_done / self.total_steps
@@ -302,45 +306,19 @@ def _epoch_record(
 
 @dataclass(frozen=True)
 class _SharePoint:
-    """A run's complete mutable state at a step boundary, as train_caco stores and restores it.
+    """A run's state at a step boundary, as train_caco stores and restores it.
 
     The position is ``step`` steps into ``epoch``. At step 0 the epoch has
-    not started: its batch and loss lists are empty, and a restoring run
-    bootstraps, labels and draws batches as a fresh run would. Past step 0
-    it resumes at the next step with the epoch's own batches and row
-    labels. The query encoder and the classifier are views of the
-    optimizer's flat buffer, so that buffer, its velocity and its step
-    count are the trained model. What a run mutates in place (the flat
-    buffer, the velocity, the key-encoder arrays, the dictionary) the
-    record holds as a copy. What a run only reads and replaces (the query
-    buffer, the batches, ``row_labels``, ``prev_pseudo``) it holds as the
-    storing run's own array, made read-only. So the runs that restore the
-    record share it without changing it.
+    not started, and a restoring run bootstraps, labels and draws batches as
+    a fresh run would; past it, it resumes with the epoch's own batches and
+    row labels. ``state`` is a private deep copy of what the loop changes, by
+    name; each restore copies it again. Neither copy copies the DomainPair.
     """
 
     epoch: int
     step: int
-    flat: np.ndarray
-    velocity: np.ndarray
-    steps_done: int
-    key_arrays: tuple[np.ndarray, ...]
-    dictionary: CategoricalDictionary
-    rng_states: tuple[dict, ...]  # source batches, key batches, query batches
-    query_buffer: np.ndarray
-    batches: tuple[np.ndarray, ...]
-    row_labels: np.ndarray | None
-    sup_losses: tuple[float, ...]
-    cat_losses: tuple[float, ...]
-    records: tuple[EpochRecord, ...]
-    warm_epoch: int | None
-    prev_pseudo: np.ndarray | None
+    state: dict
     elapsed_s: float
-
-
-def _read_only(array: np.ndarray | None) -> np.ndarray | None:
-    if array is not None:
-        array.flags.writeable = False
-    return array
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +383,9 @@ def train_caco(
     a fresh run. The end of warm-up is open to every variant. The end of
     the step on which the dictionary warms is open to S, T and full: until
     then all three draw source keys, and the next step's key draw is the
-    first that reads the variant. A restored run's wall_clock_s includes
-    the time the stored run took to reach the point.
+    first that reads the variant. A point is a private deep copy of the
+    storing run's state, and every restore copies it again. A restored run's
+    wall_clock_s includes the time the stored run took to reach the point.
     """
     config.validate()
     check_key_batch_fits(config, pair)
@@ -417,12 +396,11 @@ def train_caco(
     trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
     steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
     optimizer = _Sgd(trainable, config, config.epochs * steps_per_epoch)
-    rngs = [child_rng(config.seed, name)
-            for name in ("source_batches", "key_batches", "query_batches")]
-    rng_source, rng_keys, rng_query = rngs
+    rng_source = child_rng(config.seed, "source_batches")
+    rng_keys = child_rng(config.seed, "key_batches")
 
     dictionary = CategoricalDictionary(pair.num_categories, config.queue_size)
-    queries = _QueryCycler(pair, config.batch_size, rng_query)
+    queries = _QueryCycler(pair, config.batch_size, child_rng(config.seed, "query_batches"))
     metrics = RunMetrics(config.variant, config.seed)
     num_cat = pair.num_categories
     # the position: `step` steps into `epoch`, 0 before the epoch starts
@@ -432,6 +410,13 @@ def train_caco(
     sup_losses: list[float] = []
     cat_losses: list[float] = []
     prev_pseudo: np.ndarray | None = None
+
+    def state() -> dict:
+        """Every object the loop changes (the cycler holds the query stream), in restore order."""
+        return dict(model=model, optimizer=optimizer, dictionary=dictionary, rng_source=rng_source,
+                    rng_keys=rng_keys, queries=queries, records=metrics.records,
+                    warm_epoch=metrics.warm_epoch, batches=batches, row_labels=row_labels,
+                    sup_losses=sup_losses, cat_losses=cat_losses, prev_pseudo=prev_pseudo)
 
     share_key = stored = None
     if warmups is not None:
@@ -447,41 +432,16 @@ def train_caco(
         if share_key is None or (*share_key, point) in warmups:
             return
         warmups[(*share_key, point)] = _SharePoint(
-            epoch=at_epoch,
-            step=step,
-            flat=optimizer.flat.copy(),
-            velocity=optimizer.velocity.copy(),
-            steps_done=optimizer.steps_done,
-            key_arrays=tuple(t.data.copy() for t in model.encoders.key.tensors()),
-            dictionary=dictionary.copy(),
-            rng_states=tuple(rng.bit_generator.state for rng in rngs),
-            query_buffer=_read_only(queries.buffer),
-            batches=tuple(_read_only(b) for b in batches),
-            row_labels=_read_only(row_labels),
-            sup_losses=tuple(sup_losses),
-            cat_losses=tuple(cat_losses),
-            records=tuple(metrics.records),
-            warm_epoch=metrics.warm_epoch,
-            prev_pseudo=_read_only(prev_pseudo),
-            # the time of the steps this run restored, too
-            elapsed_s=time.monotonic() - started + reused_s,
+            at_epoch, step, copy.deepcopy(state(), {id(pair): pair}),
+            time.monotonic() - started + reused_s,  # the time of the steps this run restored, too
         )
 
     if stored is not None:
         epoch, step, reused_s = stored.epoch, stored.step, stored.elapsed_s
-        optimizer.flat[...] = stored.flat
-        optimizer.velocity[...] = stored.velocity
-        optimizer.steps_done = stored.steps_done
-        for tensor, array in zip(model.encoders.key.tensors(), stored.key_arrays):
-            tensor.data = array.copy()
-        dictionary = stored.dictionary.copy()
-        for rng, state in zip(rngs, stored.rng_states):
-            rng.bit_generator.state = state
-        queries.buffer = stored.query_buffer
-        batches, row_labels, prev_pseudo = list(stored.batches), stored.row_labels, stored.prev_pseudo
-        sup_losses, cat_losses = list(stored.sup_losses), list(stored.cat_losses)
-        metrics.records.extend(stored.records)
-        metrics.warm_epoch = stored.warm_epoch
+        (model, optimizer, dictionary, rng_source, rng_keys, queries, metrics.records,
+         metrics.warm_epoch, batches, row_labels, sup_losses, cat_losses,
+         prev_pseudo) = copy.deepcopy(stored.state, {id(pair): pair}).values()
+        optimizer.bind()  # the copied parameters view the copied buffer again
 
     try:
         for epoch in range(epoch, config.epochs + 1):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import pickle
 import types
 
 import numpy as np
@@ -598,19 +599,16 @@ def test_warmup_dict_shares_only_between_variants(tiny_pair, monkeypatch):
     assert len(evaluated) == 4 * 3 and len({key[:2] for key in warmups}) == 4
 
 
-def test_shared_warmup_state_is_read_only_and_timed(tiny_pair):
+def test_shared_warmup_state_is_private_and_timed(tiny_pair):
     warmups = {}
     _, first = train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair,
                                  warmups=warmups)
-    _, reused = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
     stored = share_point(warmups, "warmup")
-    assert reused.records[:2] == first.records[:2] == list(stored.records)
-    assert all(a is b for a, b in zip(reused.records, stored.records))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        reused.records[0].loss_sup = 0.0
-    assert not stored.prev_pseudo.flags.writeable
-    with pytest.raises(ValueError):
-        stored.prev_pseudo[0] = 0
+    before = pickle.dumps(stored.state)
+    _, reused = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
+    assert reused.records[:2] == first.records[:2] == stored.state["records"]
+    # the restored run trained its own copy: the stored state is unchanged
+    assert pickle.dumps(stored.state) == before
     # a restored run's time includes the warm-up it did not train itself
     assert reused.wall_clock_s >= stored.elapsed_s > 0.0
 
@@ -657,21 +655,30 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     configs = [tiny_config(variant=v, **settings) for v in (*VARIANTS, "T")]
     fresh = [run_outputs(c, tiny_pair) for c in configs]
     calls = counting_calls(monkeypatch, "sample_key_batch", "backward")
+    # the pair of every query cycler that draws a batch
+    cycler_pairs = []
+    real_next = train_mod._QueryCycler.next
+    monkeypatch.setattr(train_mod._QueryCycler, "next",
+                        lambda self: cycler_pairs.append(self.pair) or real_next(self))
     warmups, counts = {}, []
     for config, outputs in zip(configs, fresh):
         # the second T restores the same record as the first, to the same bytes
         assert run_outputs(config, tiny_pair, warmups) == outputs
         counts.append(tuple(calls.values()))
         calls.update(dict.fromkeys(calls, 0))
+        if config.variant == "S":
+            stored_bytes = pickle.dumps(share_point(warmups, "cold_fill").state)
+            cycler_pairs.clear()
     # key draws and backward passes: the baseline trains 4 epochs of 8 steps,
     # S the 24 after warm-up, T and full the 11 after the warm step
     assert counts == [(0, 32), (24, 24), (11, 11), (11, 11), (11, 11)]
     cold = share_point(warmups, "cold_fill")
-    assert (cold.epoch, cold.step, cold.steps_done, cold.warm_epoch) == (3, 5, 21, 3)
-    # every array the record keeps is its own copy or read-only
-    for array in (cold.query_buffer, cold.row_labels, cold.prev_pseudo, *cold.batches):
-        assert not array.flags.writeable
-    assert all(array.flags.owndata for array in (cold.flat, cold.velocity, *cold.key_arrays))
+    assert (cold.epoch, cold.step, cold.state["optimizer"].steps_done,
+            cold.state["warm_epoch"]) == (3, 5, 21, 3)
+    # three restores later, the stored state is what S stored; the restored
+    # runs drew their query batches from the caller's pair, not from a copy
+    assert pickle.dumps(cold.state) == stored_bytes
+    assert len(cycler_pairs) == 3 * 11 and all(p is tiny_pair for p in cycler_pairs)
     # a restored run's time includes the steps it restored: S's time counts the
     # baseline's warm-up, and T's and full's count that and S's cold fill
     assert cold.elapsed_s > share_point(warmups, "warmup").elapsed_s > 0
