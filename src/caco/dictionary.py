@@ -12,7 +12,6 @@ snapshots are safe to read from anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -24,6 +23,7 @@ from .labels import SOURCE, TARGET
 
 _UNIT_TOL = 1e-9
 _DOMAINS = (SOURCE, TARGET)  # domain codes stored in the domain array
+_KEY_LINE = '{"category": %d, "domain": "%s", "age": %d, "temperature": %r, "vector": [%s]}\n'
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class CategoricalDictionary:
             )
         if domain not in _DOMAINS:
             raise ContractError(f"unknown domain {domain!r}")
-        if not temperature > 0.0:
-            raise ParameterError(f"key temperature must be positive, got {temperature}")
+        if not 0.0 < temperature < math.inf:  # NaN fails both comparisons
+            raise ParameterError(f"key temperature must be finite and positive, got {temperature}")
         vec = np.asarray(vector, dtype=np.float64)
         if vec.ndim != 1 or (self._next_age and vec.shape[0] != self._vectors.shape[2]):
             raise DimensionError(
@@ -144,11 +144,7 @@ class CategoricalDictionary:
         return sum(self._fill)
 
     def snapshot(self) -> "CategoricalDictionary":
-        """A copy safe to read while the original keeps being updated."""
-        return self.copy()
-
-    def copy(self) -> "CategoricalDictionary":
-        """An independent copy: keys, temperatures, ages, domains, ring positions and counts."""
+        """A copy, independent both ways, safe to read while the original keeps being updated."""
         copy = CategoricalDictionary(self.num_categories, self.capacity)
         for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill"):
             setattr(copy, name, getattr(self, name).copy())
@@ -157,18 +153,16 @@ class CategoricalDictionary:
         return copy
 
     def dump_jsonl(self, fp: IO[str]) -> None:
-        """One JSON record per key, in keys() order: category, domain, age, temperature, vector."""
+        """One JSON record per key, in keys() order: category, domain, age, temperature, vector.
+
+        Each line has the bytes json.dumps gives the record: every number
+        is finite (enqueue checks), and ints and floats print as their repr.
+        """
         for c in range(self.num_categories):
             slots = self._held_slots(c)
             for domain, age, tau, vec in zip(
                 self._domains[c, slots].tolist(), self._ages[c, slots].tolist(),
                 self._temperatures[c, slots].tolist(), self._vectors[c, slots].tolist(),
             ):
-                fp.write(json.dumps({
-                    "category": c + 1,
-                    "domain": _DOMAINS[domain],
-                    "age": age,
-                    "temperature": tau,
-                    "vector": vec,
-                }))
-                fp.write("\n")
+                fp.write(_KEY_LINE % (c + 1, _DOMAINS[domain], age, tau,
+                                      ", ".join(map(float.__repr__, vec))))

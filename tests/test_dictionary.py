@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caco.dictionary import CategoricalDictionary
-from caco.errors import ContractError, DimensionError, NotWarmError
+from caco.errors import ContractError, DimensionError, NotWarmError, ParameterError
 from caco.labels import SOURCE, TARGET
 
 from conftest import random_warm_dictionary, unit_rows
@@ -50,6 +50,14 @@ def test_out_of_range_category_rejected():
         d.enqueue(unit(2), 0, 0.07, SOURCE)
     with pytest.raises(ContractError):
         d.enqueue(unit(2), 4, 0.07, SOURCE)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan"), float("inf")])
+def test_non_finite_or_non_positive_temperature_rejected(temperature):
+    d = CategoricalDictionary(2, 2)
+    with pytest.raises(ParameterError):
+        d.enqueue(unit(3), 1, temperature, SOURCE)
+    assert len(d) == 0
 
 
 def test_non_unit_vector_rejected():
@@ -181,10 +189,10 @@ def test_snapshot_is_isolated():
     assert snap.group(1)[0].age == 0
 
 
-def test_copy_is_isolated_both_ways():
+def test_snapshot_is_isolated_both_ways():
     d = CategoricalDictionary(2, 2)
     d.enqueue(unit(3, 0), 1, 0.07, SOURCE)
-    copy = d.copy()
+    copy = d.snapshot()
     copy.enqueue(unit(3, 1), 2, 0.05, SOURCE)
     d.enqueue(unit(3, 2), 1, 0.07, TARGET)
     assert d.queue_lengths() == [2, 0] and copy.queue_lengths() == [1, 1]
@@ -280,3 +288,10 @@ def test_dump_jsonl_writes_the_bytes_of_a_per_key_rendering(writes):
     d.dump_jsonl(buf)
     assert buf.getvalue() == _dump_by_keys(d)
     assert len(buf.getvalue().splitlines()) == len(d)
+    # numbers at the edges of their printed forms: a negative zero and
+    # subnormal components, temperatures near both ends of the float range
+    for c, tau in ((1, 1e-300), (3, 1e300)):
+        d.enqueue(np.array([-0.0, 5e-324, -1.0, 2.5e-310, 0.0]), c, tau, TARGET)
+    buf = io.StringIO()
+    d.dump_jsonl(buf)
+    assert buf.getvalue() == _dump_by_keys(d)
