@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -132,13 +133,17 @@ def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) 
 
 
 def _run_one(config: TrainConfig, pair: DomainPair, out_dir: Path, warmups: dict):
-    """Train one run and write its run directory; returns (model, metrics)."""
+    """Train one run, then write its run directory; returns (model, metrics).
+
+    The keys are dumped into memory first, so a run that fails makes no directory.
+    """
+    keys = io.StringIO()  # the baseline's stays empty
+    if config.variant == "baseline":
+        model, metrics = train_source_only(config, pair, warmups=warmups)
+    else:
+        model, metrics = train_caco(config, pair, keys_dump_fp=keys, warmups=warmups)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "keys.jsonl", "w") as fh:  # the baseline's stays empty
-        if config.variant == "baseline":
-            model, metrics = train_source_only(config, pair, warmups=warmups)
-        else:
-            model, metrics = train_caco(config, pair, keys_dump_fp=fh, warmups=warmups)
+    (out_dir / "keys.jsonl").write_text(keys.getvalue())
     with open(out_dir / "metrics.jsonl", "w") as fh:
         metrics.write_jsonl(fh)
     _write_summary(out_dir / "summary.csv", [metrics])

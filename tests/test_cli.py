@@ -149,12 +149,13 @@ def test_unknown_override_key_exits_nonzero(tmp_path, capsys):
 
 
 def test_diverging_run_exits_nonzero_by_name(tmp_path, capsys):
-    argv = ["train", "--out", str(tmp_path), "--set", "train.learning_rate=1e4",
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--set", "train.learning_rate=1e4",
             "--set", "train.epochs=7", "--set", "data.n_per_class=100"]
     with np.errstate(all="ignore"):
         assert main(argv) == 1
     assert "training diverged at epoch" in capsys.readouterr().err
-    assert not (tmp_path / "metrics.jsonl").exists()
+    assert not out.exists()  # a failed run leaves no directory behind
 
 
 def test_overflowing_encoder_exits_as_divergence(tmp_path, capsys):
