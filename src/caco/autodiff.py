@@ -185,14 +185,16 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     return _emit(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
-def relu_array(z: Array) -> Array:
-    """max(z, 0) as a new array, +0.0 wherever z <= 0; a NaN stays NaN.
+def relu_array(z: Array, out: Array | None = None) -> Array:
+    """max(z, 0), +0.0 wherever z <= 0; a NaN stays NaN.
 
-    np.maximum is several times faster than np.where(z > 0, z, 0.0), and
-    adding 0.0 turns its -0.0 results into +0.0, so the two agree bit for
-    bit on every non-NaN input. Unlike np.where it does not hide a NaN.
+    Written into ``out`` when given (``out=z`` works in place), else into
+    a new array. np.maximum is several times faster than
+    np.where(z > 0, z, 0.0), and adding 0.0 turns its -0.0 results into
+    +0.0, so the two agree bit for bit on every non-NaN input. Unlike
+    np.where it does not hide a NaN.
     """
-    out = np.maximum(z, 0.0)
+    out = np.maximum(z, 0.0, out=out)
     out += 0.0
     return out
 
@@ -230,7 +232,7 @@ def _row_index(op: str, shape: tuple[int, ...], idx) -> Array:
     idx = np.asarray(idx, dtype=np.intp)
     if len(shape) != 2 or idx.ndim != 1 or idx.shape[0] != shape[0]:
         raise DimensionError(f"{op} shape mismatch: {shape} with idx {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= shape[1]):
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= shape[1]):
         raise ContractError(f"{op} index out of range")
     return idx
 
@@ -299,15 +301,34 @@ def logsumexp(v: Tensor, mask=None) -> Tensor:
     return _emit(out, (v,), grad_fn)
 
 
+def row_max(a: Array) -> Array:
+    """a.max(axis=1) of a 2-d array with at least one column, bit for bit.
+
+    A column fold: numpy's max along a short trailing axis is about ten
+    times slower, and a max is exact in any order.
+    """
+    return functools.reduce(np.maximum, a.T)
+
+
+def row_sum(a: Array) -> Array:
+    """a.sum(axis=1) of a 2-d array with at least one column, bit for bit.
+
+    Below 8 columns a column fold, which adds the columns left to right as
+    numpy's sum does for fewer than 8 terms; from 8 on numpy sums
+    pairwise, so the sum stays numpy's. The one exception is a row of
+    -0.0 only, which folds to -0.0 where numpy's sum gives +0.0; the
+    callers sum exponentials, which are never -0.0.
+    """
+    return functools.reduce(np.add, a.T) if a.shape[1] < 8 else np.add.reduce(a, axis=1)
+
+
 def row_logsumexp(x: Tensor) -> Tensor:
     """log sum exp of each row of an (m,n) matrix."""
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError("row_logsumexp expects a 2-d tensor")
-    # a column fold: numpy's max along a short trailing axis is about ten
-    # times slower, and a max is exact in any order
-    m = functools.reduce(np.maximum, x.data.T)[:, None]
-    out = (m + np.log(np.exp(x.data - m).sum(axis=1, keepdims=True)))[:, 0]
+    m = row_max(x.data)[:, None]
+    out = m[:, 0] + np.log(row_sum(np.exp(x.data - m)))
     xd = x.data
 
     def grad_fn(g: Array):
@@ -320,13 +341,17 @@ def unit_normalize(a: Array) -> tuple[Array, Array]:
     """``a`` scaled to unit Euclidean norm along its last axis, and the norms.
 
     Raises NonFiniteError if a norm is not finite (a NaN or an overflow
-    upstream) and DegenerateEmbeddingError if one is (near) zero.
+    upstream) and, failing that, DegenerateEmbeddingError if one is (near)
+    zero. The norms are np.linalg.norm's expression for real input.
     """
-    norms = np.linalg.norm(a, axis=-1, keepdims=True)
-    if not np.isfinite(norms).all():
-        raise NonFiniteError("cannot normalize a vector whose norm is not finite")
-    if (norms <= _NORM_FLOOR).any():
-        raise DegenerateEmbeddingError("cannot normalize a (near-)zero vector")
+    norms = np.add.reduce(a * a, axis=-1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    if norms.size:
+        # norms are >= 0 or NaN, and a max holding a NaN is NaN
+        if not np.isfinite(np.maximum.reduce(norms, axis=None)):
+            raise NonFiniteError("cannot normalize a vector whose norm is not finite")
+        if np.minimum.reduce(norms, axis=None) <= _NORM_FLOOR:
+            raise DegenerateEmbeddingError("cannot normalize a (near-)zero vector")
     return a / norms, norms
 
 
@@ -369,9 +394,11 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     hd, wd = h.data, w.data
 
     def grad_fn(g: Array):
-        return (g @ wd.T if h.requires_grad else None), hd.T @ g, g.sum(axis=0)
+        return (g @ wd.T if h.requires_grad else None), hd.T @ g, np.add.reduce(g, axis=0)
 
-    return _emit(hd @ wd + b.data, (h, w, b), grad_fn)
+    out = hd @ wd
+    out += b.data
+    return _emit(out, (h, w, b), grad_fn)
 
 
 def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
@@ -392,20 +419,24 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     for i, (w, b) in enumerate(layers):
         _check_linear(h, w.data, b.data)
         layer_inputs.append(h)
-        h = h @ w.data + b.data
+        h = h @ w.data  # a new array, so the bias and the ReLU go in place
+        h += b.data
         if i < last:
             masks.append(h > 0)
-            h = relu_array(h)
+            relu_array(h, out=h)
     out, norms = unit_normalize(h)
 
     def grad_fn(g: Array):
-        proj = (g * out).sum(axis=-1, keepdims=True)
-        g = (g - proj * out) / norms
+        # g may be shared with other records; every array written below is new
+        proj = np.add.reduce(g * out, axis=-1, keepdims=True)
+        pulled = proj * out
+        g = np.subtract(g, pulled, out=pulled)
+        g /= norms
         grads = []
         for i in range(last, -1, -1):
             if i < last:
-                g = g * masks[i]
-            grads[:0] = (layer_inputs[i].T @ g, g.sum(axis=0))
+                g *= masks[i]
+            grads[:0] = (layer_inputs[i].T @ g, np.add.reduce(g, axis=0))
             if i or x.requires_grad:
                 g = g @ layers[i][0].data.T
         return (g if x.requires_grad else None, *grads)
@@ -423,8 +454,8 @@ def mean_nll(x: Tensor, idx) -> Tensor:
     rows = np.arange(x.shape[0])
     shape = x.shape
     z = x.data  # log_softmax at tau 1.0; z / 1.0 is z exactly
-    m = z.max(axis=-1, keepdims=True)
-    logp = z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    logp = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
     picked = logp[rows, idx]
     n = picked.size
 
@@ -432,9 +463,11 @@ def mean_nll(x: Tensor, idx) -> Tensor:
         gp = np.zeros(shape)
         gp[rows, idx] = -g / n
         p = np.exp(logp)
-        return (gp - p * gp.sum(axis=-1, keepdims=True),)
+        p *= np.add.reduce(gp, axis=-1, keepdims=True)
+        gp -= p
+        return (gp,)
 
-    return _emit(-picked.mean(), (x,), grad_fn)
+    return _emit(-(np.add.reduce(picked) / n), (x,), grad_fn)
 
 
 def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
@@ -457,22 +490,21 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     groups = logits.reshape((-1, width))
     idx = _row_index("grouped_nll", groups.shape, idx)
     rows = np.arange(groups.shape[0])
-    # row_logsumexp with column folds for the max and for the sum. The sum
-    # fold adds the columns left to right, as numpy's sum does for fewer
-    # than 8 terms; from 8 on numpy sums pairwise, so the sum stays there.
-    m = functools.reduce(np.maximum, groups.T)[:, None]
-    e = np.exp(groups - m)
-    lse = m[:, 0] + np.log(functools.reduce(np.add, e.T) if width < 8 else e.sum(axis=1))
+    m = row_max(groups)[:, None]
+    e = groups - m
+    lse = m[:, 0] + np.log(row_sum(np.exp(e, out=e)))
     diff = lse - groups[rows, idx]
     n = diff.size
 
     def grad_fn(g: Array):
         gd = g / n  # the same for every group
-        per_group = np.exp(groups - lse[:, None]) * gd
+        per_group = groups - lse[:, None]
+        np.exp(per_group, out=per_group)
+        per_group *= gd
         per_group[rows, idx] -= gd
         return (per_group.reshape(logits.shape) @ keys,)
 
-    return _emit(diff.mean(), (q,), grad_fn)
+    return _emit(np.add.reduce(diff) / n, (q,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ class CategoryLabel(int):
 def as_label_array(labels, num_categories: int) -> np.ndarray:
     """A 1-D int64 array of 1-based labels, each in [1..num_categories]."""
     arr = np.asarray(labels)
-    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu"
-                                       or ((arr < 1) | (arr > num_categories)).any())):
+    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or np.minimum.reduce(arr) < 1
+                                       or np.maximum.reduce(arr) > num_categories)):
         raise ContractError(f"expected a vector of integer labels in [1..{num_categories}]")
     return arr.astype(np.int64)
 

@@ -57,13 +57,13 @@ def key_temperature(tau_base: float, entropies, num_categories: int) -> np.ndarr
     Confident keys keep the base temperature; maximally uncertain ones get
     twice it: tau * (1 + H / log C), for each entropy H of the vector.
     """
-    if tau_base <= 0.0:
-        raise ParameterError(f"base temperature must be positive, got {tau_base}")
+    if not 0.0 < tau_base < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"base temperature must be finite and positive, got {tau_base}")
     if num_categories < 2:
         raise ParameterError("entropy scaling needs at least 2 categories")
     h_max = math.log(num_categories)
     h = np.asarray(entropies, dtype=np.float64)
-    outside = (h < 0.0) | (h > h_max + 1e-9)
+    outside = ~((h >= 0.0) & (h <= h_max + 1e-9))  # a NaN entropy is outside too
     if outside.any():
         raise ParameterError(f"entropies {h[outside].tolist()} outside [0, log C]")
     return tau_base * (1.0 + np.clip(h, 0.0, h_max) / h_max)

@@ -93,15 +93,28 @@ def encode(params: MlpParams, x: Tensor) -> Tensor:
     return ad.normalized_mlp(x, params.weights, params.biases)
 
 
-def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record."""
+def embed(params: MlpParams, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
+    """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record.
+
+    With a ``workspace`` dict, each layer's output goes into a buffer kept
+    there per (layer, rows, width), so a repeated pass over a large block
+    does not fault in fresh pages. The returned array is always new: no
+    caller sees a workspace buffer.
+    """
     h = np.asarray(x, dtype=np.float64)
     _check_inputs(params, h.shape)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.data + b.data
+        if workspace is None:
+            h = h @ w.data
+        else:
+            key = (i, h.shape[0], w.shape[1])
+            if key not in workspace:
+                workspace[key] = np.empty(key[1:])
+            h = np.matmul(h, w.data, out=workspace[key])
+        h += b.data
         if i < last:
-            h = ad.relu_array(h)
+            ad.relu_array(h, out=h)
     return ad.unit_normalize(h)[0]
 
 
@@ -139,10 +152,13 @@ def classify(clf: Classifier, embeddings) -> np.ndarray:
         raise DimensionError(
             f"classify expects (batch, {clf.weight.shape[0]}) embeddings, got {e.shape}"
         )
-    z = e @ clf.weight.data + clf.bias.data
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    return p / p.sum(axis=1, keepdims=True)
+    # z - max, exp and the division in place on the one new array
+    p = e @ clf.weight.data
+    p += clf.bias.data
+    p -= ad.row_max(p)[:, None]
+    np.exp(p, out=p)
+    p /= ad.row_sum(p)[:, None]
+    return p
 
 
 @dataclass
@@ -190,12 +206,13 @@ class CacoModel:
     encoders: EncoderPair
     classifier: Classifier
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        return classify(self.classifier, embed(self.encoders.query, x))
+    def predict_probs(self, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
+        """Category probabilities for a (batch, D) block; ``workspace`` as for embed."""
+        return classify(self.classifier, embed(self.encoders.query, x, workspace=workspace))
 
-    def predict_indices(self, x: np.ndarray) -> np.ndarray:
-        """1-based argmax categories for a (batch, D) block."""
-        return np.argmax(self.predict_probs(x), axis=1) + 1
+    def predict_indices(self, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
+        """1-based argmax categories for a (batch, D) block; ``workspace`` as for embed."""
+        return np.argmax(self.predict_probs(x, workspace=workspace), axis=1) + 1
 
 
 # ---------------------------------------------------------------------------

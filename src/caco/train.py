@@ -161,14 +161,17 @@ class EvalResult:
         return bool(self.missing_classes)
 
 
-def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
-    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels."""
+def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = None) -> EvalResult:
+    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels.
+
+    ``workspace`` is passed on to the model's embed, as that describes.
+    """
     truth = np.asarray(y)
     if truth.shape[0] == 0:
         raise ContractError("evaluate needs at least one row")
     if truth.shape != (np.shape(x)[0],):
         raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")
-    predicted = model.predict_indices(x)
+    predicted = model.predict_indices(x, workspace=workspace)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
     missing: list[int] = []
@@ -289,8 +292,9 @@ def _epoch_record(
     cat_losses: list[float],
     prev_pseudo: np.ndarray | None,
     warm: bool,
+    workspace: dict,
 ) -> tuple[EpochRecord, np.ndarray]:
-    result = evaluate(model, pair.target_x, pair.evaluation_labels())
+    result = evaluate(model, pair.target_x, pair.evaluation_labels(), workspace=workspace)
     churn = None if prev_pseudo is None else pseudo_label_churn(result.predicted, prev_pseudo)
     record = EpochRecord(
         epoch=epoch,
@@ -410,6 +414,8 @@ def train_caco(
     sup_losses: list[float] = []
     cat_losses: list[float] = []
     prev_pseudo: np.ndarray | None = None
+    # embed's layer buffers: the run's own scratch, never in state() or in a share point
+    workspace: dict = {}
 
     def state() -> dict:
         """Every object the loop changes (the cycler holds the query stream), in restore order."""
@@ -454,8 +460,8 @@ def train_caco(
                         tk.data = tq.data.copy()
                 key_enc = model.encoders.key
                 row_labels = assign_pseudo_label(prototype_memberships(
-                    embed(key_enc, pair.source_x), pair.source_y,
-                    embed(key_enc, pair.target_x), num_cat,
+                    embed(key_enc, pair.source_x, workspace=workspace), pair.source_y,
+                    embed(key_enc, pair.target_x, workspace=workspace), num_cat,
                 ))
             if step == 0:
                 batches = _source_epoch_batches(pair, config.batch_size, rng_source)
@@ -468,7 +474,8 @@ def train_caco(
                         pair, n_keys, "S" if filling else config.variant, rng_keys
                     )
                     key_emb = embed(
-                        model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]])
+                        model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]]),
+                        workspace=workspace,
                     )
                     labels = key_label(pair.source_y[src], row_labels[tgt], num_cat)
                     entropies = prediction_entropy(classify(model.classifier, key_emb))
@@ -502,7 +509,8 @@ def train_caco(
                     share("cold_fill", epoch)
 
             record, prev_pseudo = _epoch_record(
-                model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm()
+                model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm(),
+                workspace,
             )
             metrics.records.append(record)
             step, batches, sup_losses, cat_losses = 0, [], [], []

@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caco import autodiff as ad
 from caco.gradcheck import gradient_error
@@ -105,6 +107,48 @@ def test_l2_normalize_non_finite_norm_rejected():
     for row in ([1e200, 1.0], [np.inf, 0.0], [np.nan, 1.0]):
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             ad.l2_normalize(ad.Tensor(np.array([[0.6, 0.8], row])))
+
+
+# what a row of unit_normalize's input holds: finite values, or one of the
+# entries that make the parent raise
+_ROW_KINDS = ("finite", "finite", "finite", "zero", "nan", "inf", "-inf")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.lists(st.tuples(st.integers(-150, 150), st.sampled_from(_ROW_KINDS)), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_unit_normalize_norms_bit_equal_to_linalg_norm(dim, rows, seed):
+    # rows scaled from 1e-150 to 1e150, down to shape (0, d); a NaN, an inf or
+    # a zero row raises the error np.linalg.norm's norms call for, NonFiniteError
+    # before DegenerateEmbeddingError when a block holds both
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(len(rows), dim))
+    for i, (exponent, kind) in enumerate(rows):
+        a[i] *= 10.0 ** exponent
+        if dim and kind != "finite":
+            a[i, rng.integers(dim)] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(kind, 0.0)
+            if kind == "zero":
+                a[i] = 0.0
+    want = np.linalg.norm(a, axis=-1, keepdims=True)
+    if not np.isfinite(want).all():
+        with pytest.raises(NonFiniteError):
+            ad.unit_normalize(a)
+    elif (want <= 1e-12).any():
+        with pytest.raises(DegenerateEmbeddingError):
+            ad.unit_normalize(a)
+    else:
+        out, norms = ad.unit_normalize(a)
+        assert norms.shape == want.shape and norms.tobytes() == want.tobytes()
+        assert out.tobytes() == (a / want).tobytes()
+
+
+def test_unit_normalize_names_a_non_finite_row_before_a_zero_row():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            ad.unit_normalize(np.array([[0.0, 0.0], [1.0, bad], [3.0, 4.0]]))
 
 
 def test_l2_normalize_unit_norm_property():
@@ -380,6 +424,32 @@ def test_relu_array_bit_equal_to_where_except_nan():
     assert out.tobytes() == np.where(z > 0, z, 0.0).tobytes()
     assert not np.signbit(out).any()
     assert np.isnan(ad.relu_array(np.array([np.nan, 1.0]))[0])  # np.where gave 0.0
+
+
+def test_in_place_relu_bit_equal_to_relu_array():
+    z = np.array([0.0, -0.0, -1.5, 2.0, 5e-324, -5e-324, 1e308, -np.inf, np.inf, np.nan, -np.nan])
+    want = ad.relu_array(z)
+    buf = z.copy()
+    assert ad.relu_array(buf, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert not np.signbit(buf[:-2]).any() and np.isnan(buf[-2:]).all()
+
+
+def test_row_folds_bit_equal_to_numpy_max_and_sum():
+    rng = np.random.default_rng(36)
+    for width in range(1, 13):
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.normal(scale=scale, size=(17, width))
+            a[3] = a[3, 0]  # a tied row
+            a[5, 0] = a[6, -1] = -0.0
+            a[7] = -0.0  # the one row whose fold differs from numpy's sum, in sign only
+            assert ad.row_max(a).tobytes() == a.max(axis=1).tobytes()
+            want = a.sum(axis=1)
+            if width < 8:  # row 7, and rows 5 and 6 at width 1
+                want[((a == 0.0) & np.signbit(a)).all(axis=1)] = -0.0
+            assert ad.row_sum(a).tobytes() == want.tobytes()
+            e = np.exp(a - a.max(axis=1, keepdims=True))
+            assert ad.row_sum(e).tobytes() == e.sum(axis=1).tobytes()
 
 
 def test_linear_bit_equal_to_matmul_add_rowvec_relu():

@@ -304,7 +304,8 @@ def test_ablate_runs_share_warmups_and_equal_train_runs(tmp_path, monkeypatch, e
 
     evaluated = []
     real = caco.train.evaluate
-    monkeypatch.setattr(caco.train, "evaluate", lambda *a: evaluated.append(1) or real(*a))
+    monkeypatch.setattr(caco.train, "evaluate",
+                        lambda *a, **kw: evaluated.append(1) or real(*a, **kw))
     spec = ["--spec", str(GOLDEN_SPEC)]
     for item in GOLDEN_SHORT + extra:
         spec += ["--set", item]

@@ -191,11 +191,15 @@ def test_key_temperature_range():
 def test_key_temperature_validation():
     with pytest.raises(ParameterError):
         key_temperature(0.07, np.array([1.0]), 1)
-    with pytest.raises(ParameterError):
-        key_temperature(0.0, np.array([0.1]), 2)
-    for bad in (math.log(2.0) + 1e-3, -1e-3):  # above log C or negative, among valid ones
+    for tau_base in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            key_temperature(tau_base, np.array([0.1]), 2)
+    # above log C, negative or not a number, among valid ones
+    for bad in (math.log(2.0) + 1e-3, -1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             key_temperature(0.07, np.array([0.1, bad, 0.2]), 2)
+    with pytest.raises(ParameterError):  # a NaN first, as in [nan, 0.5]
+        key_temperature(0.07, np.array([math.nan, 0.5]), 4)
 
 
 def _scalar_entropy(p):

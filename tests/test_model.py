@@ -135,6 +135,27 @@ def test_embed_bit_equal_to_encode(widths, batch, seed, spread):
         return
     got = embed(params, x)
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    workspace = {}
+    for _ in range(2):  # a fresh workspace, then its buffers again
+        assert embed(params, x, workspace=workspace).tobytes() == want.tobytes()
+
+
+def test_embed_workspace_never_reaches_a_caller():
+    params = init_params(MlpSpec((4, 8, 8, 3)), 7)
+    x = np.random.default_rng(8).normal(size=(40, 4))
+    workspace = {}
+    first = embed(params, x[:20], workspace=workspace)
+    first_bytes = first.tobytes()
+    second = embed(params, x[20:], workspace=workspace)  # the same buffers again
+    second_bytes = second.tobytes()
+    assert len(workspace) == 3  # one buffer per layer
+    for out in (first, second):
+        assert not any(np.shares_memory(out, buf) for buf in workspace.values())
+    assert not np.shares_memory(first, second)
+    assert first_bytes == embed(params, x[:20]).tobytes()
+    first[...] = 7.0
+    assert second.tobytes() == second_bytes == embed(params, x[20:]).tobytes()
+    assert embed(params, x[20:], workspace=workspace).tobytes() == second_bytes
 
 
 def test_embed_dimension_check():
@@ -167,6 +188,28 @@ def test_classify_rows_on_simplex():
     probs = classify(clf, rng.normal(size=(50, 3)))
     assert (probs >= 0.0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_classify_bit_equal_to_the_reference_softmax():
+    # the max subtracted per row, exp, divided by the row sum: numpy's own
+    # max and sum along axis 1, from 2 categories to past the 8 where
+    # numpy's sum turns pairwise; tied logits included
+    rng = np.random.default_rng(9)
+    for c in range(2, 13):
+        for scale in (0.1, 1.0, 30.0):
+            weight = rng.normal(scale=scale, size=(5, c))
+            weight[:, c // 2] = weight[:, 0]  # two tied categories in every row
+            bias = rng.normal(size=c)
+            bias[c // 2] = bias[0]
+            clf = Classifier(Tensor(weight), Tensor(bias))
+            e = rng.normal(size=(30, 5))
+            e[:4] = 0.0  # every logit of the row is its bias
+            z = e @ weight + bias
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            want = p / p.sum(axis=1, keepdims=True)
+            assert classify(clf, e).tobytes() == want.tobytes()
+    flat = Classifier(Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))  # all logits tied
+    assert classify(flat, np.ones((2, 5))).tobytes() == np.full((2, 3), 1.0 / 3.0).tobytes()
 
 
 def test_classify_hand_set_two_by_two():

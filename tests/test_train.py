@@ -540,7 +540,8 @@ def counting_epochs(monkeypatch):
 
     evaluated = []
     real = train_mod.evaluate
-    monkeypatch.setattr(train_mod, "evaluate", lambda *a: evaluated.append(1) or real(*a))
+    monkeypatch.setattr(train_mod, "evaluate",
+                        lambda *a, **kw: evaluated.append(1) or real(*a, **kw))
     return evaluated
 
 
@@ -611,6 +612,32 @@ def test_shared_warmup_state_is_private_and_timed(tiny_pair):
     assert pickle.dumps(stored.state) == before
     # a restored run's time includes the warm-up it did not train itself
     assert reused.wall_clock_s >= stored.elapsed_s > 0.0
+
+
+def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
+    # embed's layer buffers belong to the run, outside state(): a stored point
+    # pickles to the size it had before runs kept a workspace
+    import caco.train as train_mod
+
+    workspaces = []
+    real = train_mod.embed
+
+    def embed(params, x, *, workspace=None):
+        workspaces.append(workspace)
+        return real(params, x, workspace=workspace)
+
+    monkeypatch.setattr(train_mod, "embed", embed)
+    # tensor ids as in a fresh process: a larger id pickles to more bytes
+    monkeypatch.setattr(Tensor, "_ids", itertools.count())
+    warmups = {}
+    train_caco(tiny_config(variant="S", warmup_epochs=1, epochs=3, queue_size=5), tiny_pair,
+               warmups=warmups)
+    (workspace,) = {id(w): w for w in workspaces}.values()  # one per run, on every call
+    # the buffers, pickled into a point, would show in its size many times over
+    assert sum(buf.nbytes for buf in workspace.values()) > 10_000
+    sizes = {point: len(pickle.dumps(share_point(warmups, point).state))
+             for point in ("warmup", "cold_fill")}
+    assert sizes == {"warmup": 19042, "cold_fill": 22607}  # as measured without a workspace
 
 
 # Until every queue is full, S, T and full all draw source keys and train the
@@ -729,7 +756,7 @@ def test_baseline_separable_limit_reaches_full_accuracy():
 
 def _stub_model(predictions: dict[tuple, int], num_categories: int) -> CacoModel:
     class Stub(CacoModel):
-        def predict_indices(self, x):
+        def predict_indices(self, x, *, workspace=None):
             return np.array([predictions[tuple(row)] for row in x])
 
     spec = MlpSpec((2, 4, 2))
