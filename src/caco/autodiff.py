@@ -344,8 +344,7 @@ def unit_normalize(a: Array) -> tuple[Array, Array]:
     upstream) and, failing that, DegenerateEmbeddingError if one is (near)
     zero. The norms are np.linalg.norm's expression for real input.
     """
-    norms = np.add.reduce(a * a, axis=-1, keepdims=True)
-    np.sqrt(norms, out=norms)
+    norms = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
     if norms.size:
         # norms are >= 0 or NaN, and a max holding a NaN is NaN
         if not np.isfinite(np.maximum.reduce(norms, axis=None)):

@@ -164,7 +164,7 @@ class EvalResult:
 def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = None) -> EvalResult:
     """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels.
 
-    ``workspace`` is passed on to the model's embed, as that describes.
+    ``workspace``, if given, holds the buffers of the model's embed pass (see embed).
     """
     truth = np.asarray(y)
     if truth.shape[0] == 0:
