@@ -96,22 +96,20 @@ def encode(params: MlpParams, x: Tensor) -> Tensor:
 def embed(params: MlpParams, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
     """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record.
 
-    With a ``workspace`` dict, each layer's output goes into a buffer kept
-    there per (layer, rows, width), so a repeated pass over a large block
-    does not fault in fresh pages. The returned array is always new: no
-    caller sees a workspace buffer.
+    Each layer's output goes into a buffer kept per (layer, rows, width) in
+    ``workspace``, so a repeated pass over a large block through one dict does
+    not fault in fresh pages; without one, the buffers are this call's own.
+    The returned array is always new: no caller sees a workspace buffer.
     """
     h = np.asarray(x, dtype=np.float64)
     _check_inputs(params, h.shape)
+    buffers = {} if workspace is None else workspace
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if workspace is None:
-            h = h @ w.data
-        else:
-            key = (i, h.shape[0], w.shape[1])
-            if key not in workspace:
-                workspace[key] = np.empty(key[1:])
-            h = np.matmul(h, w.data, out=workspace[key])
+        key = (i, h.shape[0], w.shape[1])
+        if key not in buffers:
+            buffers[key] = np.empty(key[1:])
+        h = np.matmul(h, w.data, out=buffers[key])
         h += b.data
         if i < last:
             ad.relu_array(h, out=h)

@@ -616,28 +616,38 @@ def test_shared_warmup_state_is_private_and_timed(tiny_pair):
 
 def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
     # embed's layer buffers belong to the run, outside state(): a stored point
-    # pickles to the size it had before runs kept a workspace
+    # pickles to the size of the same run's point with no workspace anywhere
+    import caco.model as model_mod
     import caco.train as train_mod
 
-    workspaces = []
-    real = train_mod.embed
+    config = tiny_config(variant="S", warmup_epochs=1, epochs=3, queue_size=5)
+    real = model_mod.embed
 
-    def embed(params, x, *, workspace=None):
+    def point_sizes(embed):
+        monkeypatch.setattr(train_mod, "embed", embed)
+        # tensor ids as in a fresh process: a larger id pickles to more bytes
+        monkeypatch.setattr(Tensor, "_ids", itertools.count())
+        warmups = {}
+        train_caco(config, tiny_pair, warmups=warmups)
+        return {point: len(pickle.dumps(share_point(warmups, point).state))
+                for point in ("warmup", "cold_fill")}
+
+    workspaces = []
+
+    def recording(params, x, *, workspace=None):
         workspaces.append(workspace)
         return real(params, x, workspace=workspace)
 
-    monkeypatch.setattr(train_mod, "embed", embed)
-    # tensor ids as in a fresh process: a larger id pickles to more bytes
-    monkeypatch.setattr(Tensor, "_ids", itertools.count())
-    warmups = {}
-    train_caco(tiny_config(variant="S", warmup_epochs=1, epochs=3, queue_size=5), tiny_pair,
-               warmups=warmups)
+    with_workspace = point_sizes(recording)
     (workspace,) = {id(w): w for w in workspaces}.values()  # one per run, on every call
     # the buffers, pickled into a point, would show in its size many times over
     assert sum(buf.nbytes for buf in workspace.values()) > 10_000
-    sizes = {point: len(pickle.dumps(share_point(warmups, point).state))
-             for point in ("warmup", "cold_fill")}
-    assert sizes == {"warmup": 19042, "cold_fill": 22607}  # as measured without a workspace
+
+    def without(params, x, *, workspace=None):
+        return real(params, x)
+
+    monkeypatch.setattr(model_mod, "embed", without)  # evaluate's pass, via predict_probs
+    assert point_sizes(without) == with_workspace
 
 
 # Until every queue is full, S, T and full all draw source keys and train the
