@@ -2,9 +2,9 @@
 
 Every op takes and returns ``Tensor`` values. While a ``Tape`` is active
 (used as a context manager), ops whose inputs require gradients append a
-record holding the output id, the input tensors and a closure that maps
+record of the output tensor, the input tensors and a closure that maps
 the output gradient to input gradients. ``backward`` replays the records
-in reverse, accumulating gradients additively per tensor id, so the
+in reverse, summing gradient arrays per tensor object, so the
 accumulation order is fixed by the tape and runs are bit-reproducible.
 
 Single-threaded per tape: tensors are plain values and may move between
@@ -14,7 +14,6 @@ threads, but a tape must never be written from two threads at once.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,15 +32,13 @@ _NORM_FLOOR = 1e-12
 
 
 class Tensor:
-    """Dense float64 array with an identity used for gradient bookkeeping."""
+    """Dense float64 array on a tape; gradients are keyed by the object itself."""
 
-    __slots__ = ("data", "requires_grad", "id")
-    _ids = itertools.count()
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.id = next(Tensor._ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,7 +70,7 @@ class Tape:
     __slots__ = ("_records",)
 
     def __init__(self):
-        self._records: list[tuple[int, tuple[Tensor, ...], GradFn]] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], GradFn]] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -91,31 +88,31 @@ class Tape:
 def _emit(data: Array, inputs: tuple[Tensor, ...], grad_fn: GradFn) -> Tensor:
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad and _TAPE_STACK:
-        _TAPE_STACK[-1]._records.append((out.id, inputs, grad_fn))
+        _TAPE_STACK[-1]._records.append((out, inputs, grad_fn))
     return out
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[int, Tensor]:
+def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
     """Gradients of a scalar ``loss`` with respect to every grad-enabled leaf.
 
-    Returns a map from tensor id to gradient Tensor. Entries for
+    Returns a map from each leaf tensor to its gradient array. Entries for
     intermediate tensors are consumed during the reverse sweep, so the
     result holds exactly the tensors that were never produced by a
     recorded op (the leaves).
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads: dict[int, Array] = {loss.id: np.ones(())}
-    for out_id, inputs, grad_fn in reversed(tape._records):
-        g = grads.pop(out_id, None)
+    grads: dict[Tensor, Array] = {loss: np.ones(())}
+    for out, inputs, grad_fn in reversed(tape._records):
+        g = grads.pop(out, None)
         if g is None:
             continue
         for t, gi in zip(inputs, grad_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
-            acc = grads.get(t.id)
-            grads[t.id] = gi if acc is None else acc + gi
-    return {tid: Tensor(g) for tid, g in grads.items()}
+            acc = grads.get(t)
+            grads[t] = gi if acc is None else acc + gi
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +397,33 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (h, w, b), grad_fn)
 
 
+def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor],
+               buffers: dict) -> list[Array]:
+    """``x`` and each layer's output of a ReLU MLP over an (m,k) block.
+
+    Layer i computes h @ w + b, with a ReLU after every layer but the last,
+    into ``buffers[(i, rows, width)]``, made on first use: a caller that
+    keeps the dict reuses its pages, one that passes {} gets new arrays.
+    """
+    if not weights or len(weights) != len(biases):
+        raise DimensionError(f"need one bias per weight, at least one layer; "
+                             f"got {len(weights)} and {len(biases)}")
+    hs = [x]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = hs[i]
+        _check_linear(h, w.data, b.data)
+        key = (i, h.shape[0], w.data.shape[1])
+        if key not in buffers:
+            buffers[key] = np.empty(key[1:])
+        h = np.matmul(h, w.data, out=buffers[key])
+        h += b.data
+        if i < last:
+            relu_array(h, out=h)
+        hs.append(h)
+    return hs
+
+
 def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
     """A ReLU MLP over an (m,k) block, each output row scaled to unit norm, as one record.
 
@@ -408,22 +432,11 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     requires none (input rows).
     """
     x = as_tensor(x)
-    if not weights or len(weights) != len(biases):
-        raise DimensionError(f"need one bias per weight, at least one layer; "
-                             f"got {len(weights)} and {len(biases)}")
-    layers = [(as_tensor(w), as_tensor(b)) for w, b in zip(weights, biases)]
-    last = len(layers) - 1
-    h = x.data
-    layer_inputs, masks = [], []
-    for i, (w, b) in enumerate(layers):
-        _check_linear(h, w.data, b.data)
-        layer_inputs.append(h)
-        h = h @ w.data  # a new array, so the bias and the ReLU go in place
-        h += b.data
-        if i < last:
-            masks.append(h > 0)
-            relu_array(h, out=h)
-    out, norms = unit_normalize(h)
+    weights = [as_tensor(w) for w in weights]
+    biases = [as_tensor(b) for b in biases]
+    hs = mlp_layers(x.data, weights, biases, {})
+    last = len(weights) - 1
+    out, norms = unit_normalize(hs[-1])
 
     def grad_fn(g: Array):
         # g may be shared with other records; every array written below is new
@@ -434,13 +447,13 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
         grads = []
         for i in range(last, -1, -1):
             if i < last:
-                g *= masks[i]
-            grads[:0] = (layer_inputs[i].T @ g, np.add.reduce(g, axis=0))
+                g *= hs[i + 1] > 0  # a ReLU output is positive exactly where its input was
+            grads[:0] = (hs[i].T @ g, np.add.reduce(g, axis=0))
             if i or x.requires_grad:
-                g = g @ layers[i][0].data.T
+                g = g @ weights[i].data.T
         return (g if x.requires_grad else None, *grads)
 
-    return _emit(out, (x, *(t for layer in layers for t in layer)), grad_fn)
+    return _emit(out, (x, *(t for layer in zip(weights, biases) for t in layer)), grad_fn)
 
 
 def mean_nll(x: Tensor, idx) -> Tensor:
@@ -511,7 +524,7 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def finite_diff_grad(f: Callable[[Array], float], x, eps: float = 1e-5) -> Tensor:
+def finite_diff_grad(f: Callable[[Array], float], x: Array, eps: float = 1e-5) -> Array:
     """Central finite differences of a scalar function of a flat vector.
 
     ``f`` is evaluated at x +/- eps along every coordinate; the result has
@@ -520,7 +533,7 @@ def finite_diff_grad(f: Callable[[Array], float], x, eps: float = 1e-5) -> Tenso
     eps = float(eps)
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    base = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    base = np.asarray(x, dtype=np.float64)
     flat = base.reshape(-1).copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
@@ -531,4 +544,4 @@ def finite_diff_grad(f: Callable[[Array], float], x, eps: float = 1e-5) -> Tenso
         lo = float(f(flat.reshape(base.shape).copy()))
         flat[i] = orig
         grad[i] = (hi - lo) / (2.0 * eps)
-    return Tensor(grad.reshape(base.shape))
+    return grad.reshape(base.shape)

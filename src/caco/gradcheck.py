@@ -34,14 +34,14 @@ def gradient_error(loss_of: Callable[..., Tensor], *arrays, eps: float = DEFAULT
     with Tape() as tape:
         loss = loss_of(*leaves)
     grads = backward(loss, tape)
-    analytic = np.concatenate([grads[t.id].data.ravel() for t in leaves])
+    analytic = np.concatenate([grads[t].ravel() for t in leaves])
     cuts = np.cumsum([t.data.size for t in leaves])[:-1]
 
     def f(flat):
         parts = np.split(flat, cuts)
         return loss_of(*(Tensor(v.reshape(t.shape)) for v, t in zip(parts, leaves))).item()
 
-    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]), eps).data
+    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]), eps)
     denom = max(1.0, np.abs(analytic).max(), np.abs(numeric).max())
     return float(np.abs(analytic - numeric).max() / denom)
 
@@ -67,7 +67,7 @@ def check_info_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
     for _ in range(instances):
         n_keys = int(rng.integers(2, 8))
         dim = int(rng.integers(2, 7))
-        keys = Tensor(_unit_rows(rng, n_keys, dim))
+        keys = _unit_rows(rng, n_keys, dim)
         mask = np.zeros(n_keys)
         mask[rng.integers(0, n_keys)] = 1.0
         tau = float(rng.uniform(0.05, 0.5))
@@ -112,7 +112,7 @@ def check_encoder_path(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
         labels = np.array([rng.integers(1, 3) for _ in range(2)])
 
         def loss_of(w0, b0, w1, b1, weight, bias):
-            emb = encode(MlpParams([w0, w1], [b0, b1]), Tensor(x))
+            emb = encode(MlpParams([w0, w1], [b0, b1]), x)
             return supervised_loss(classifier_logits(Classifier(weight, bias), emb), labels)
 
         arrays = [t.data for t in params.tensors() + [clf.weight, clf.bias]]

@@ -79,41 +79,23 @@ def init_params(spec: MlpSpec, seed: int) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def _check_inputs(params: MlpParams, shape: tuple[int, ...]) -> None:
-    if len(shape) != 2 or shape[1] != params.weights[0].shape[0]:
-        raise DimensionError(
-            f"encode expects (batch, {params.weights[0].shape[0]}) inputs, got {shape}"
-        )
-
-
-def encode(params: MlpParams, x: Tensor) -> Tensor:
+def encode(params: MlpParams, x) -> Tensor:
     """MLP forward pass over a (batch, D) block, unit-normalized per row, as one tape record."""
-    x = ad.as_tensor(x)
-    _check_inputs(params, x.shape)
     return ad.normalized_mlp(x, params.weights, params.biases)
 
 
 def embed(params: MlpParams, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
     """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record.
 
-    Each layer's output goes into a buffer kept per (layer, rows, width) in
-    ``workspace``, so a repeated pass over a large block through one dict does
-    not fault in fresh pages; without one, the buffers are this call's own.
-    The returned array is always new: no caller sees a workspace buffer.
+    The same forward (autodiff.mlp_layers), with each layer's output in a
+    buffer kept per (layer, rows, width) in ``workspace``, so a repeated pass
+    over a large block through one dict does not fault in fresh pages;
+    without one, the buffers are this call's own. The returned array is
+    always new: no caller sees a workspace buffer.
     """
-    h = np.asarray(x, dtype=np.float64)
-    _check_inputs(params, h.shape)
-    buffers = {} if workspace is None else workspace
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        key = (i, h.shape[0], w.shape[1])
-        if key not in buffers:
-            buffers[key] = np.empty(key[1:])
-        h = np.matmul(h, w.data, out=buffers[key])
-        h += b.data
-        if i < last:
-            ad.relu_array(h, out=h)
-    return ad.unit_normalize(h)[0]
+    hs = ad.mlp_layers(np.asarray(x, dtype=np.float64), params.weights, params.biases,
+                       {} if workspace is None else workspace)
+    return ad.unit_normalize(hs[-1])[0]
 
 
 @dataclass
@@ -143,9 +125,9 @@ def classifier_logits(clf: Classifier, embeddings: Tensor) -> Tensor:
     return ad.linear(embeddings, clf.weight, clf.bias)
 
 
-def classify(clf: Classifier, embeddings) -> np.ndarray:
-    """Per-row softmax probabilities on the simplex; detached from any tape."""
-    e = embeddings.data if isinstance(embeddings, Tensor) else np.asarray(embeddings)
+def classify(clf: Classifier, embeddings: np.ndarray) -> np.ndarray:
+    """Per-row softmax probabilities of an embedding array on the simplex; no tape record."""
+    e = np.asarray(embeddings)
     if e.ndim != 2 or e.shape[1] != clf.weight.shape[0]:
         raise DimensionError(
             f"classify expects (batch, {clf.weight.shape[0]}) embeddings, got {e.shape}"

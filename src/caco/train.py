@@ -234,12 +234,12 @@ class _Sgd:
         remaining = 1.0 - self.steps_done / self.total_steps
         return self.base_lr * max(remaining, 1e-3) ** self.decay_power
 
-    def step(self, grads: dict[int, Tensor]) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         lr = self._lr()
         v = self.velocity
         v *= self.momentum
         if self.params:
-            v += np.concatenate([grads[p.id].data.ravel() if p.id in grads
+            v += np.concatenate([grads[p].ravel() if p in grads
                                  else np.zeros(p.data.size) for p in self.params])
         if self.weight_decay:
             v += self.weight_decay * self.flat
@@ -488,14 +488,14 @@ def train_caco(
                         metrics.warm_epoch = epoch
 
                 with Tape() as tape:
-                    emb = encode(model.encoders.query, Tensor(pair.source_x[idx]))
+                    emb = encode(model.encoders.query, pair.source_x[idx])
                     sup = supervised_loss(
                         classifier_logits(model.classifier, emb), pair.source_y[idx]
                     )
                     total = sup
                     if dictionary.is_warm() and config.catnce_weight != 0.0:
                         q_idx = queries.next()
-                        q_emb = encode(model.encoders.query, Tensor(pair.target_x[q_idx]))
+                        q_emb = encode(model.encoders.query, pair.target_x[q_idx])
                         cat = cat_nce(q_emb, row_labels[q_idx], dictionary.snapshot())
                         total = ad.add(total, ad.scale(cat, config.catnce_weight))
                         cat_losses.append(cat.item())

@@ -195,7 +195,7 @@ def test_backward_sum_gives_ones():
     with ad.Tape() as tape:
         loss = ad.reduce_sum(x)
     grads = ad.backward(loss, tape)
-    np.testing.assert_array_equal(grads[x.id].data, np.ones(3))
+    np.testing.assert_array_equal(grads[x], np.ones(3))
 
 
 def test_backward_half_square_norm_gives_x():
@@ -204,7 +204,7 @@ def test_backward_half_square_norm_gives_x():
         sq = ad.take_per_row(ad.matmul(ad.reshape(x, (3, 1)), ad.reshape(x, (1, 3))), [0, 1, 2])
         loss = ad.scale(ad.reduce_sum(sq), 0.5)
     grads = ad.backward(loss, tape)
-    np.testing.assert_allclose(grads[x.id].data, x.data, atol=1e-12)
+    np.testing.assert_allclose(grads[x], x.data, atol=1e-12)
 
 
 def test_backward_rejects_non_scalar():
@@ -220,7 +220,41 @@ def test_backward_accumulates_shared_input():
     with ad.Tape() as tape:
         loss = ad.reduce_sum(ad.add(x, x))
     grads = ad.backward(loss, tape)
-    np.testing.assert_array_equal(grads[x.id].data, [2.0, 2.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 2.0])
+
+
+def test_backward_keys_exactly_the_leaves_by_identity():
+    x = ad.Tensor([[1.0, -2.0]], requires_grad=True)
+    w = ad.Tensor([[0.5], [0.25]], requires_grad=True)
+    twin = ad.Tensor(w.data, requires_grad=True)  # equal values, another leaf
+    const = ad.Tensor([[3.0]])
+    with ad.Tape() as tape:
+        hidden = ad.matmul(x, w)
+        loss = ad.reduce_sum(ad.add(ad.add(hidden, ad.matmul(x, twin)), const))
+    grads = ad.backward(loss, tape)
+    assert set(grads) == {x, w, twin}  # no intermediate, no constant
+    assert all(type(g) is np.ndarray for g in grads.values())
+    assert grads[w] is not grads[twin] and np.array_equal(grads[w], grads[twin])
+
+
+def test_mlp_layers_returns_every_layer_and_reuses_given_buffers():
+    rng = np.random.default_rng(9)
+    weights = [ad.Tensor(rng.normal(size=(3, 5))), ad.Tensor(rng.normal(size=(5, 2)))]
+    biases = [ad.Tensor(rng.normal(size=5)), ad.Tensor(rng.normal(size=2))]
+    x = rng.normal(size=(4, 3))
+    buffers = {}
+    hs = ad.mlp_layers(x, weights, biases, buffers)
+    assert hs[0] is x and [h.shape for h in hs] == [(4, 3), (4, 5), (4, 2)]
+    assert hs[1].tobytes() == ad.relu_array(x @ weights[0].data + biases[0].data).tobytes()
+    assert hs[2].tobytes() == (hs[1] @ weights[1].data + biases[1].data).tobytes()
+    assert sorted(buffers) == [(0, 4, 5), (1, 4, 2)]
+    again = ad.mlp_layers(x, weights, biases, buffers)
+    assert all(a is b for a, b in zip(again[1:], buffers.values()))
+    # every layer is checked, the second too
+    with pytest.raises(DimensionError):
+        ad.mlp_layers(x, weights, [biases[0], ad.Tensor(np.zeros(3))], {})
+    with pytest.raises(DimensionError):
+        ad.mlp_layers(x, weights, biases[:1], {})
 
 
 def test_backward_deterministic():
@@ -232,7 +266,7 @@ def test_backward_deterministic():
         with ad.Tape() as tape:
             loss = ad.reduce_mean(ad.relu(ad.matmul(x, w)))
         g = ad.backward(loss, tape)
-        return g[x.id].data.copy(), g[w.id].data.copy()
+        return g[x].copy(), g[w].copy()
 
     gx1, gw1 = run()
     gx2, gw2 = run()
@@ -241,12 +275,12 @@ def test_backward_deterministic():
 
 def test_finite_diff_linear():
     out = ad.finite_diff_grad(lambda v: v.sum(), np.array([0.3, -1.2, 4.0]), 1e-5)
-    np.testing.assert_allclose(out.data, np.ones(3), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(out, np.ones(3), rtol=0, atol=1e-9)
 
 
 def test_finite_diff_quadratic():
     out = ad.finite_diff_grad(lambda v: 0.5 * (v**2).sum(), np.array([1.0, 2.0]), 1e-5)
-    np.testing.assert_allclose(out.data, [1.0, 2.0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(out, [1.0, 2.0], rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +420,7 @@ def _run(build, arrays, requires):
     with ad.Tape() as tape:
         out = build(*leaves)
     grads = ad.backward(out, tape)
-    return out.data, [grads[t.id].data if t.id in grads else None for t in leaves], len(tape)
+    return out.data, [grads.get(t) for t in leaves], len(tape)
 
 
 def _assert_bit_equal(fused, primitive):
@@ -424,6 +458,20 @@ def test_relu_array_bit_equal_to_where_except_nan():
     assert out.tobytes() == np.where(z > 0, z, 0.0).tobytes()
     assert not np.signbit(out).any()
     assert np.isnan(ad.relu_array(np.array([np.nan, 1.0]))[0])  # np.where gave 0.0
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, -2.2250738585072009e-308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()), max_size=40))
+def test_relu_output_is_positive_exactly_where_its_input_was(values):
+    # normalized_mlp's backward reads each ReLU mask off the layer's output
+    z = np.array(values, dtype=np.float64)
+    assert np.array_equal(ad.relu_array(z) > 0, z > 0)
+    buf = z.copy()
+    assert np.array_equal(ad.relu_array(buf, out=buf) > 0, z > 0)
 
 
 def test_in_place_relu_bit_equal_to_relu_array():

@@ -103,7 +103,7 @@ def test_supervised_loss_bit_equal_to_primitive_composition():
                     picked = ad.take_per_row(ad.log_softmax(logits, 1.0), labels - 1)
                     loss = ad.neg(ad.reduce_mean(picked))
             grads = backward(loss, tape)
-            runs.append([loss.data] + [grads[t.id].data for t in (emb, weight, bias)])
+            runs.append([loss.data] + [grads[t] for t in (emb, weight, bias)])
         for got, want in zip(*runs):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
@@ -305,7 +305,7 @@ def test_cat_nce_bit_equal_to_slot_loop_reference():
             with Tape() as tape:
                 loss = fn(queries)
             losses.append(loss.data)
-            grads.append(backward(loss, tape)[queries.id].data)
+            grads.append(backward(loss, tape)[queries])
         assert np.array_equal(losses[0], losses[1])
         assert np.array_equal(grads[0], grads[1])
 
@@ -352,8 +352,8 @@ def test_training_step_bit_equal_to_primitive_step():
             with Tape() as tape:
                 loss = step()
             grads = backward(loss, tape)
-            assert set(grads) == {t.id for t in leaves}
-            runs.append((len(tape), [loss.data] + [grads[t.id].data for t in leaves]))
+            assert set(grads) == set(leaves)
+            runs.append((len(tape), [loss.data] + [grads[t] for t in leaves]))
         assert [n for n, _ in runs] == [7, 32]
         for got, want in zip(runs[0][1], runs[1][1]):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -372,7 +372,7 @@ def test_cat_nce_label_objects_and_label_array_are_bit_equal():
             queries = Tensor(q0, requires_grad=True)
             with Tape() as tape:
                 loss = cat_nce(queries, form, d)
-            runs.append((loss.data, backward(loss, tape)[queries.id].data))
+            runs.append((loss.data, backward(loss, tape)[queries]))
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()
 
@@ -495,7 +495,7 @@ def test_cat_nce_gradients_reach_queries_only():
     with Tape() as tape:
         loss = cat_nce(queries, labels, d)
     grads = backward(loss, tape)
-    assert set(grads) == {queries.id}
+    assert set(grads) == {queries}
 
 
 def test_cat_nce_gradient_matches_finite_differences():

@@ -468,7 +468,7 @@ def _per_parameter_sgd_step(params, velocity, grads, lr, momentum, weight_decay)
     """One step of SGD as a loop over parameters, the form the flat buffer replaces."""
     for p, v in zip(params, velocity):
         v *= momentum
-        v += grads[p.id].data
+        v += grads[p]
         if weight_decay:
             v += weight_decay * p.data
         p.data -= lr * v
@@ -490,9 +490,9 @@ def test_flat_sgd_matches_a_per_parameter_loop_bit_for_bit(momentum, weight_deca
     for step in range(20):
         lr = sgd._lr()
         grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
-        sgd.step({p.id: Tensor(g) for p, g in zip(flat_params, grads)})
+        sgd.step(dict(zip(flat_params, grads)))
         _per_parameter_sgd_step(loop_params, velocity,
-                                {p.id: Tensor(g) for p, g in zip(loop_params, grads)},
+                                dict(zip(loop_params, grads)),
                                 lr, momentum, weight_decay)
         for a, b in zip(flat_params, loop_params):
             assert a.data.tobytes() == b.data.tobytes(), f"step {step + 1}"
@@ -614,6 +614,33 @@ def test_shared_warmup_state_is_private_and_timed(tiny_pair):
     assert reused.wall_clock_s >= stored.elapsed_s > 0.0
 
 
+def test_restored_runs_key_gradients_by_their_own_parameters(tiny_pair, monkeypatch):
+    # gradients are keyed by tensor identity, so after a restore they must key
+    # the restored copies that the optimizer steps, not the stored point's
+    import caco.train as train_mod
+
+    steps = []
+    real = train_mod._Sgd.step
+
+    def step(self, grads):
+        steps.append((self, set(grads)))
+        return real(self, grads)
+
+    monkeypatch.setattr(train_mod._Sgd, "step", step)
+    warmups = {}
+    train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair, warmups=warmups)
+    stored = set(share_point(warmups, "warmup").state["optimizer"].params)
+    steps.clear()
+    model, _ = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
+    (optimizer,) = {id(sgd): sgd for sgd, _ in steps}.values()
+    params = set(optimizer.params)
+    assert params == set(model.encoders.query.tensors() + [model.classifier.weight,
+                                                             model.classifier.bias])
+    assert len(steps) == 8  # epoch 3 only: the first two were restored
+    for _, keys in steps:
+        assert keys == params and keys.isdisjoint(stored)
+
+
 def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
     # embed's layer buffers belong to the run, outside state(): a stored point
     # pickles to the size of the same run's point with no workspace anywhere
@@ -625,8 +652,6 @@ def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
 
     def point_sizes(embed):
         monkeypatch.setattr(train_mod, "embed", embed)
-        # tensor ids as in a fresh process: a larger id pickles to more bytes
-        monkeypatch.setattr(Tensor, "_ids", itertools.count())
         warmups = {}
         train_caco(config, tiny_pair, warmups=warmups)
         return {point: len(pickle.dumps(share_point(warmups, point).state))
