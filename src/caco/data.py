@@ -19,6 +19,13 @@ from .errors import ContractError, DimensionError, ParameterError
 KEY_VARIANTS = ("S", "T", "full")
 
 
+def check_integers(fields: dict) -> None:
+    """ParameterError unless each value, by field name, is an int or numpy integer (not a bool)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DomainPair:
     """Labeled source rows plus unlabeled target rows, as read-only arrays.
@@ -74,7 +81,9 @@ class DataConfig:
     scale: float = 1.0
 
     def validate(self) -> None:
-        for name, least in (("num_categories", 2), ("dim", 2), ("n_per_class", 1)):
+        minimums = (("num_categories", 2), ("dim", 2), ("n_per_class", 1))
+        check_integers({name: getattr(self, name) for name, _ in minimums})
+        for name, least in minimums:
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("separation", "scale"):

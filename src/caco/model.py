@@ -20,7 +20,27 @@ from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
 _INIT_VERSION = 1
-_HEADER_FIELDS = ("layer_widths", "num_categories", "seed", "encoder_momentum", "arrays")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# the JSON type each header field must have
+_HEADER_TYPES = {
+    "layer_widths": _is_int_list,
+    "num_categories": _is_int,
+    "seed": _is_int,
+    "encoder_momentum": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "arrays": lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"))
+        for e in v),
+}
+_HEADER_FIELDS = tuple(_HEADER_TYPES)
 
 
 @dataclass(frozen=True)
@@ -164,8 +184,7 @@ def momentum_update(pair: EncoderPair) -> EncoderPair:
     """key <- m*key + (1-m)*query, coordinate-wise; no gradient flows through.
 
     Updates each key array in place, with the bits of the out-of-place
-    expression. Reads every tensor's .data afresh, so a rebound array
-    (the bootstrap at the end of warm-up) is the one updated.
+    expression.
     """
     if not 0.0 <= pair.momentum <= 1.0:
         raise ParameterError(f"momentum must lie in [0, 1], got {pair.momentum}")
@@ -247,10 +266,13 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         missing = [name for name in _HEADER_FIELDS if name not in header]
         if missing:
             raise ContractError(f"checkpoint header lacks {missing}: {path}")
+        malformed = [name for name in _HEADER_FIELDS if not _HEADER_TYPES[name](header[name])]
+        if malformed:
+            raise ContractError(f"checkpoint header fields {malformed} have the wrong type: {path}")
         blob = fh.read()
 
     spec = MlpSpec(tuple(header["layer_widths"]))
-    num_categories = int(header["num_categories"])
+    num_categories = header["num_categories"]
     layout = _array_layout(spec, num_categories)
     declared = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     if declared != layout:
@@ -287,4 +309,4 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         Tensor(arrays["classifier.weight"], True),
         Tensor(arrays["classifier.bias"], True),
     )
-    return CacoModel(spec, num_categories, int(header["seed"]), encoders, classifier)
+    return CacoModel(spec, num_categories, header["seed"], encoders, classifier)

@@ -31,7 +31,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import KEY_VARIANTS, DomainPair, key_batch_rows, sample_key_batch, sample_query_batch
+from .data import (
+    KEY_VARIANTS,
+    DomainPair,
+    check_integers,
+    key_batch_rows,
+    sample_key_batch,
+    sample_query_batch,
+)
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError
 from .labels import SOURCE, TARGET, assign_pseudo_label, key_label, prototype_memberships
@@ -77,6 +84,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not isinstance(self.hidden, tuple):
+            raise ParameterError(f"hidden must be a tuple of widths, got {self.hidden!r}")
+        names = ("epochs", "batch_size", "queue_size", "key_batch_size", "warmup_epochs",
+                 "embed_dim", "seed")
+        check_integers({name: getattr(self, name) for name in names}
+                       | {f"hidden[{i}]": width for i, width in enumerate(self.hidden)})
         if self.epochs < 0:
             raise ParameterError("epochs must be non-negative")
         if self.seed < 0:
@@ -167,10 +180,10 @@ def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = Non
     ``workspace``, if given, holds the buffers of the model's embed pass (see embed).
     """
     truth = np.asarray(y)
-    if truth.shape[0] == 0:
-        raise ContractError("evaluate needs at least one row")
     if truth.shape != (np.shape(x)[0],):
         raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")
+    if truth.shape[0] == 0:
+        raise ContractError("evaluate needs at least one row")
     predicted = model.predict_indices(x, workspace=workspace)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
@@ -195,6 +208,8 @@ def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> f
         raise ContractError(
             f"label lists differ in length: {len(labels_t)} vs {len(labels_prev)}"
         )
+    if not len(labels_t):
+        raise ContractError("pseudo_label_churn needs at least one row")
     return float(np.mean(np.asarray(labels_t) != np.asarray(labels_prev)))
 
 
@@ -456,8 +471,7 @@ def train_caco(
                 if epoch == config.warmup_epochs + 1:
                     # contrastive phase begins: bootstrap the key encoder from the
                     # trained query encoder, exactly as at initialization
-                    for tq, tk in zip(model.encoders.query.tensors(), model.encoders.key.tensors()):
-                        tk.data = tq.data.copy()
+                    model.encoders.key = model.encoders.query.copy(requires_grad=False)
                 key_enc = model.encoders.key
                 row_labels = assign_pseudo_label(prototype_memberships(
                     embed(key_enc, pair.source_x, workspace=workspace), pair.source_y,

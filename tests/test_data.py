@@ -219,6 +219,9 @@ def test_build_domain_pair_bytes_are_pinned(name, seed):
     ("num_categories", 1),
     ("dim", 1),
     ("n_per_class", 0),
+    ("n_per_class", 20.5),  # integer fields take no float or bool, however whole
+    ("num_categories", 3.0),
+    ("dim", True),
     ("separation", float("nan")),
     ("separation", 0.0),
     ("scale", float("nan")),

@@ -373,6 +373,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("layer_widths", "abc"),
+    ("layer_widths", None),
+    ("layer_widths", [4, 6.0, 3]),
+    ("num_categories", "3"),
+    ("seed", "42"),
+    ("seed", True),
+    ("encoder_momentum", "0.999"),
+    ("arrays", [{}]),
+    ("arrays", None),
+    ("arrays", [{"name": "query.w0", "shape": "4,6"}]),
+])
+def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, value):
+    # the right format and version, but a field that would fail as a bare
+    # ValueError, TypeError or KeyError somewhere in the reading
+    path, header, payload = _saved_checkpoint(tmp_path)
+    _write(path, dict(header, **{field: value}), payload)
+    with pytest.raises(ContractError, match=f"{field}.*wrong type"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_shapes_that_disagree_with_its_header(tmp_path):
     path, header, payload = _saved_checkpoint(tmp_path)
     # same element count, so only the shape check can catch it

@@ -92,6 +92,29 @@ def test_config_validation():
     TrainConfig(hidden=(1,), embed_dim=2).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 2.5),
+    ("batch_size", 8.5),
+    ("key_batch_size", 3.0),
+    ("queue_size", 4.5),
+    ("warmup_epochs", 1.5),
+    ("embed_dim", 4.0),
+    ("seed", True),
+    ("hidden", (16.7, 8)),
+    ("hidden", (16, False)),
+    ("hidden", 16),
+])
+def test_config_rejects_a_non_integer_in_an_integer_field(field, value):
+    # each once trained (queue_size 4.5 as 4 slots) or failed with a TypeError
+    config = tiny_config(variant="T", **{field: value})
+    with pytest.raises(ParameterError, match=field):
+        config.validate()
+
+
+def test_config_takes_numpy_integers():
+    tiny_config(epochs=np.int64(2), queue_size=np.int32(5), hidden=(np.int64(16), 8)).validate()
+
+
 @pytest.mark.parametrize("variant, source_rows, target_rows, n_keys", [
     ("S", 120, 120, 122),     # the cold fill draws n source rows
     ("T", 120, 120, 122),
@@ -852,6 +875,8 @@ def test_evaluate_empty_rejected(tiny_pair):
         evaluate(model, np.zeros((0, TINY_DATA.dim)), np.zeros(0, dtype=int))
     with pytest.raises(DimensionError):
         evaluate(model, tiny_pair.target_x, tiny_pair.evaluation_labels()[1:])
+    with pytest.raises(DimensionError):  # a scalar label, read as no labels at all
+        evaluate(model, tiny_pair.target_x, 3)
 
 
 def test_churn_identities():
@@ -862,3 +887,5 @@ def test_churn_identities():
     assert pseudo_label_churn(labels, prev) == 0.25
     with pytest.raises(ContractError):
         pseudo_label_churn([1, 2], [1])
+    with pytest.raises(ContractError, match="at least one row"):  # not a NaN and two warnings
+        pseudo_label_churn([], [])
