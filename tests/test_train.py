@@ -8,6 +8,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caco.data import DataConfig, DomainPair, build_domain_pair, shift_domain
 from caco.errors import (
@@ -770,6 +772,86 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     for variant in ("T", "full"):
         _, metrics = train_caco(tiny_config(variant=variant, **settings), tiny_pair, warmups=warmups)
         assert metrics.wall_clock_s > cold.elapsed_s
+
+
+# (key_batch_size, queue_size) on tiny_pair at seed 3, with the contrastive
+# epoch and step on which the source-key fill warms the dictionary (None: never
+# within 4 epochs); the draw depends on nothing else in the config
+KEY_FILLS = {
+    "mid_epoch": (8, 5, (1, 3)),
+    "mid_epoch_small_keys": (2, 2, (1, 7)),
+    "on_an_epochs_last_step": (8, 13, (1, 8)),
+    "on_an_epochs_last_step_small_keys": (2, 3, (1, 8)),
+    "in_a_later_epoch": (8, 30, (2, 5)),
+    "in_a_later_epoch_on_its_last_step": (4, 16, (2, 8)),
+    "never": (8, 1000, None),
+}
+
+
+def evaluations_with_sharing(order, warmup_epochs, epochs, warm_epoch):
+    """The epochs a run sequence evaluates when every run restores the latest open point."""
+    stored, total = set(), 0
+    for variant in order:
+        if variant != "baseline" and "cold_fill" in stored:
+            total += epochs - warm_epoch + 1  # the point is inside the warm epoch
+        elif "warmup" in stored:
+            total += epochs - warmup_epochs
+        else:
+            total += epochs
+        if 1 <= warmup_epochs <= epochs:
+            stored.add("warmup")
+        if variant != "baseline" and warm_epoch is not None:
+            stored.add("cold_fill")
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    epochs=st.integers(0, 4),
+    warmup_epochs=st.integers(0, 4),
+    fill=st.sampled_from(sorted(KEY_FILLS)),
+    momentum=st.sampled_from((0.0, 0.5, 0.9)),
+    weight_decay=st.sampled_from((0.0, 0.01)),
+    lr_decay_power=st.sampled_from((0.0, 0.9)),
+    catnce_weight=st.sampled_from((0.0, 0.5, 1.0)),
+    order=st.permutations(VARIANTS),
+)
+def test_share_points_give_the_outputs_of_fresh_runs(tiny_pair, epochs, warmup_epochs, fill,
+                                                     order, **knobs):
+    import caco.train as train_mod
+
+    key_batch_size, queue_size, warm_at = KEY_FILLS[fill]
+    configs = [tiny_config(variant=v, epochs=epochs, warmup_epochs=warmup_epochs,
+                           key_batch_size=key_batch_size, queue_size=queue_size, **knobs)
+               for v in order]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # a clock that reads the number of epochs evaluated so far: every run,
+        # fresh or restored, must then report wall_clock_s == epochs
+        evaluated = []
+        real = train_mod.evaluate
+        monkeypatch.setattr(train_mod, "evaluate",
+                            lambda *a, **kw: evaluated.append(1) or real(*a, **kw))
+        monkeypatch.setattr(train_mod, "time",
+                            types.SimpleNamespace(monotonic=lambda: float(len(evaluated))))
+
+        def outputs(config, warmups=None):
+            keys = io.StringIO()
+            model, metrics = train_caco(config, tiny_pair, keys_dump_fp=keys, warmups=warmups)
+            key_bytes = b"".join(t.data.tobytes() for t in model.encoders.key.tensors())
+            return (params_bytes(model) + key_bytes, tuple(metrics.jsonl_lines()),
+                    keys.getvalue(), metrics.warm_epoch, metrics.wall_clock_s)
+
+        fresh = [outputs(c) for c in configs]
+        warm_epoch = None
+        if warm_at is not None and warmup_epochs + warm_at[0] <= epochs:
+            warm_epoch = warmup_epochs + warm_at[0]
+        assert {out[3] for c, out in zip(configs, fresh) if c.variant != "baseline"} == {warm_epoch}
+        assert {out[4] for out in fresh} == {float(epochs)}
+        evaluated.clear()
+        warmups = {}
+        assert [outputs(c, warmups) for c in configs] == fresh
+        # the restores happened: the shared runs skipped the epochs before each point
+        assert len(evaluated) == evaluations_with_sharing(order, warmup_epochs, epochs, warm_epoch)
 
 
 def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
