@@ -75,7 +75,7 @@ class TrainConfig:
     tau_base: float = 0.07
     queue_size: int = 100
     catnce_weight: float = 1.0
-    key_batch_size: int = 8  # keys enqueued per step; 0 means batch_size
+    key_batch_size: int = 8  # keys enqueued per step
     warmup_epochs: int = 5  # supervised-only epochs before key enqueueing starts
     hidden: tuple[int, ...] = (64, 64)
     embed_dim: int = 16
@@ -111,14 +111,14 @@ class TrainConfig:
             raise ParameterError("queue_size must be positive")
         if self.warmup_epochs < 0:
             raise ParameterError("warmup_epochs must be non-negative")
-        if self.key_batch_size < 0:
-            raise ParameterError("key_batch_size must be non-negative")
+        if self.key_batch_size < 1:
+            raise ParameterError("key_batch_size must be positive")
         if not self.hidden or min(self.hidden) < 1:
             raise ParameterError(f"hidden must list one or more positive widths, got {self.hidden}")
         if self.embed_dim < 2:
             raise ParameterError(f"embed_dim must be at least 2, got {self.embed_dim}")
         if self.variant in KEY_VARIANTS:
-            key_batch_rows(self.key_batch_size or self.batch_size, self.variant)
+            key_batch_rows(self.key_batch_size, self.variant)
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,7 @@ class EvalResult:
     accuracy: float
     per_class: dict[int, float]
     mean_class_accuracy: float
-    missing_classes: list[int]
     predicted: np.ndarray  # 1-based argmax category per sample, in sample order
-
-    @property
-    def has_missing_classes(self) -> bool:
-        return bool(self.missing_classes)
 
 
 def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = None) -> EvalResult:
@@ -187,15 +182,12 @@ def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = Non
     predicted = model.predict_indices(x, workspace=workspace)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
-    missing: list[int] = []
     for c in range(1, model.num_categories + 1):
         mask = truth == c
         if mask.any():
             per_class[c] = float((predicted[mask] == c).mean())
-        else:
-            missing.append(c)
     mean_acc = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return EvalResult(accuracy, per_class, mean_acc, missing, predicted)
+    return EvalResult(accuracy, per_class, mean_acc, predicted)
 
 
 def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> float:
@@ -238,6 +230,11 @@ class _Sgd:
         self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
         self.bind()
         self.velocity = np.zeros_like(self.flat)
+
+    def __setstate__(self, state: dict) -> None:
+        # a copy's parameters view the copy's buffer, not copies of the original's views
+        self.__dict__.update(state)
+        self.bind()
 
     def bind(self) -> None:
         offset = 0
@@ -283,14 +280,13 @@ class _QueryCycler:
     """Without-replacement batches of target row indices, re-permuting whenever exhausted."""
 
     def __init__(self, pair: DomainPair, batch_size: int, rng):
-        self.pair = pair
         self.batch_size = min(batch_size, pair.target_x.shape[0])
         self.rng = rng
         self.buffer = np.zeros(0, dtype=np.intp)
 
-    def next(self) -> np.ndarray:
+    def next(self, pair: DomainPair) -> np.ndarray:
         if self.buffer.shape[0] < self.batch_size:
-            fresh = sample_query_batch(self.pair, self.pair.target_x.shape[0], self.rng)
+            fresh = sample_query_batch(pair, pair.target_x.shape[0], self.rng)
             self.buffer = np.concatenate([self.buffer, fresh])
         batch, self.buffer = (
             self.buffer[: self.batch_size],
@@ -299,45 +295,62 @@ class _QueryCycler:
         return batch
 
 
-def _epoch_record(
-    model: CacoModel,
-    pair: DomainPair,
-    epoch: int,
-    sup_losses: list[float],
-    cat_losses: list[float],
-    prev_pseudo: np.ndarray | None,
-    warm: bool,
-    workspace: dict,
-) -> tuple[EpochRecord, np.ndarray]:
-    result = evaluate(model, pair.target_x, pair.evaluation_labels(), workspace=workspace)
-    churn = None if prev_pseudo is None else pseudo_label_churn(result.predicted, prev_pseudo)
-    record = EpochRecord(
-        epoch=epoch,
-        loss_sup=float(np.mean(sup_losses)) if sup_losses else 0.0,
-        loss_catnce=float(np.mean(cat_losses)) if cat_losses else None,
-        target_accuracy=result.accuracy,
-        target_mean_class_accuracy=result.mean_class_accuracy,
-        pseudo_label_churn=churn,
-        dictionary_warm=warm,
-    )
-    return record, result.predicted
-
-
-@dataclass(frozen=True)
-class _SharePoint:
-    """A run's state at a step boundary, as train_caco stores and restores it.
+@dataclass
+class _Run:
+    """Everything train_caco's loop changes. A share point is a deep copy of a run.
 
     The position is ``step`` steps into ``epoch``. At step 0 the epoch has
-    not started, and a restoring run bootstraps, labels and draws batches as
-    a fresh run would; past it, it resumes with the epoch's own batches and
-    row labels. ``state`` is a private deep copy of what the loop changes, by
-    name; each restore copies it again. Neither copy copies the DomainPair.
+    not started, and the loop bootstraps, labels and draws batches for it;
+    past it, a restored run resumes with the epoch's own batches and row
+    labels. ``elapsed_s`` is the time the run took to reach a point it is
+    stored at, including the time of any point it restored.
     """
 
-    epoch: int
-    step: int
-    state: dict
-    elapsed_s: float
+    model: CacoModel
+    optimizer: _Sgd
+    dictionary: CategoricalDictionary
+    rng_source: np.random.Generator
+    rng_keys: np.random.Generator
+    queries: _QueryCycler  # it holds the query stream
+    records: list[EpochRecord] = field(default_factory=list)
+    warm_epoch: int | None = None
+    epoch: int = 1
+    step: int = 0
+    batches: list[np.ndarray] = field(default_factory=list)
+    row_labels: np.ndarray | None = None
+    sup_losses: list[float] = field(default_factory=list)
+    cat_losses: list[float] = field(default_factory=list)
+    prev_pseudo: np.ndarray | None = None
+    elapsed_s: float = 0.0
+
+
+def _new_run(config: TrainConfig, pair: DomainPair) -> _Run:
+    model = _init_model(config, pair)
+    trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
+    steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
+    return _Run(
+        model, _Sgd(trainable, config, config.epochs * steps_per_epoch),
+        CategoricalDictionary(pair.num_categories, config.queue_size),
+        child_rng(config.seed, "source_batches"), child_rng(config.seed, "key_batches"),
+        _QueryCycler(pair, config.batch_size, child_rng(config.seed, "query_batches")),
+    )
+
+
+def _end_epoch(run: _Run, pair: DomainPair, workspace: dict) -> None:
+    """Record the epoch's metrics line and move the run to the start of the next epoch."""
+    result = evaluate(run.model, pair.target_x, pair.evaluation_labels(), workspace=workspace)
+    run.records.append(EpochRecord(
+        epoch=run.epoch,
+        loss_sup=float(np.mean(run.sup_losses)) if run.sup_losses else 0.0,
+        loss_catnce=float(np.mean(run.cat_losses)) if run.cat_losses else None,
+        target_accuracy=result.accuracy,
+        target_mean_class_accuracy=result.mean_class_accuracy,
+        pseudo_label_churn=None if run.prev_pseudo is None
+        else pseudo_label_churn(result.predicted, run.prev_pseudo),
+        dictionary_warm=run.dictionary.is_warm(),
+    ))
+    run.prev_pseudo = result.predicted
+    run.epoch, run.step, run.batches, run.sup_losses, run.cat_losses = run.epoch + 1, 0, [], [], []
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def check_key_batch_fits(config: TrainConfig, pair: DomainPair) -> None:
     if config.variant == "baseline":
         return
     # cold dictionaries fill from n source rows, then the variant draws its own mix
-    n_keys = config.key_batch_size or config.batch_size
+    n_keys = config.key_batch_size
     if (n_keys > pair.source_x.shape[0] or
             key_batch_rows(n_keys, config.variant)[1] > pair.target_x.shape[0]):
         raise ParameterError(
@@ -403,41 +416,16 @@ def train_caco(
     the step on which the dictionary warms is open to S, T and full: until
     then all three draw source keys, and the next step's key draw is the
     first that reads the variant. A point is a private deep copy of the
-    storing run's state, and every restore copies it again. A restored run's
+    storing run's _Run, and every restore copies it again. A restored run's
     wall_clock_s includes the time the stored run took to reach the point.
     """
     config.validate()
     check_key_batch_fits(config, pair)
     contrastive = config.variant != "baseline"
-    n_keys = config.key_batch_size or config.batch_size
-    started = time.monotonic()
-    model = _init_model(config, pair)
-    trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
-    steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
-    optimizer = _Sgd(trainable, config, config.epochs * steps_per_epoch)
-    rng_source = child_rng(config.seed, "source_batches")
-    rng_keys = child_rng(config.seed, "key_batches")
-
-    dictionary = CategoricalDictionary(pair.num_categories, config.queue_size)
-    queries = _QueryCycler(pair, config.batch_size, child_rng(config.seed, "query_batches"))
-    metrics = RunMetrics(config.variant, config.seed)
     num_cat = pair.num_categories
-    # the position: `step` steps into `epoch`, 0 before the epoch starts
-    epoch, step, reused_s = 1, 0, 0.0
-    batches: list[np.ndarray] = []
-    row_labels: np.ndarray | None = None
-    sup_losses: list[float] = []
-    cat_losses: list[float] = []
-    prev_pseudo: np.ndarray | None = None
-    # embed's layer buffers: the run's own scratch, never in state() or in a share point
+    started = time.monotonic()
+    # embed's layer buffers: the run's own scratch, never in a share point
     workspace: dict = {}
-
-    def state() -> dict:
-        """Every object the loop changes (the cycler holds the query stream), in restore order."""
-        return dict(model=model, optimizer=optimizer, dictionary=dictionary, rng_source=rng_source,
-                    rng_keys=rng_keys, queries=queries, records=metrics.records,
-                    warm_epoch=metrics.warm_epoch, batches=batches, row_labels=row_labels,
-                    sup_losses=sup_losses, cat_losses=cat_losses, prev_pseudo=prev_pseudo)
 
     share_key = stored = None
     if warmups is not None:
@@ -447,95 +435,90 @@ def train_caco(
             stored = warmups.get((*share_key, point))
             if stored is not None:
                 break
+    if stored is None:
+        run = _new_run(config, pair)
+    else:
+        run = copy.deepcopy(stored)
+        started -= run.elapsed_s  # the time of the steps this run restored, too
 
-    def share(point: str, at_epoch: int) -> None:
-        """Store the run's state as share point `point` of its key, unless one is stored."""
+    def share(point: str) -> None:
+        """Store a copy of the run as share point `point` of its key, unless one is stored."""
         if share_key is None or (*share_key, point) in warmups:
             return
-        warmups[(*share_key, point)] = _SharePoint(
-            at_epoch, step, copy.deepcopy(state(), {id(pair): pair}),
-            time.monotonic() - started + reused_s,  # the time of the steps this run restored, too
-        )
-
-    if stored is not None:
-        epoch, step, reused_s = stored.epoch, stored.step, stored.elapsed_s
-        (model, optimizer, dictionary, rng_source, rng_keys, queries, metrics.records,
-         metrics.warm_epoch, batches, row_labels, sup_losses, cat_losses,
-         prev_pseudo) = copy.deepcopy(stored.state, {id(pair): pair}).values()
-        optimizer.bind()  # the copied parameters view the copied buffer again
+        run.elapsed_s = time.monotonic() - started
+        warmups[(*share_key, point)] = copy.deepcopy(run)
 
     try:
-        for epoch in range(epoch, config.epochs + 1):
-            enqueueing = contrastive and epoch > config.warmup_epochs
-            if step == 0 and enqueueing:
-                if epoch == config.warmup_epochs + 1:
-                    # contrastive phase begins: bootstrap the key encoder from the
-                    # trained query encoder, exactly as at initialization
-                    model.encoders.key = model.encoders.query.copy(requires_grad=False)
-                key_enc = model.encoders.key
-                row_labels = assign_pseudo_label(prototype_memberships(
-                    embed(key_enc, pair.source_x, workspace=workspace), pair.source_y,
-                    embed(key_enc, pair.target_x, workspace=workspace), num_cat,
-                ))
-            if step == 0:
-                batches = _source_epoch_batches(pair, config.batch_size, rng_source)
-            for step, idx in enumerate(batches[step:], step + 1):
+        while run.epoch <= config.epochs:
+            enqueueing = contrastive and run.epoch > config.warmup_epochs
+            if run.step == 0:
+                if enqueueing:
+                    if run.epoch == config.warmup_epochs + 1:
+                        # contrastive phase begins: bootstrap the key encoder from the
+                        # trained query encoder, exactly as at initialization
+                        run.model.encoders.key = run.model.encoders.query.copy(requires_grad=False)
+                    key_enc = run.model.encoders.key
+                    run.row_labels = assign_pseudo_label(prototype_memberships(
+                        embed(key_enc, pair.source_x, workspace=workspace), pair.source_y,
+                        embed(key_enc, pair.target_x, workspace=workspace), num_cat,
+                    ))
+                run.batches = _source_epoch_batches(pair, config.batch_size, run.rng_source)
+            for idx in run.batches[run.step:]:
+                run.step += 1
                 warms = False
                 if enqueueing:
                     # keys first: cold dictionaries fill from ground-truth source samples
-                    filling = not dictionary.is_warm()
+                    filling = not run.dictionary.is_warm()
                     src, tgt = sample_key_batch(
-                        pair, n_keys, "S" if filling else config.variant, rng_keys
+                        pair, config.key_batch_size, "S" if filling else config.variant,
+                        run.rng_keys,
                     )
                     key_emb = embed(
-                        model.encoders.key, np.concatenate([pair.source_x[src], pair.target_x[tgt]]),
+                        run.model.encoders.key,
+                        np.concatenate([pair.source_x[src], pair.target_x[tgt]]),
                         workspace=workspace,
                     )
-                    labels = key_label(pair.source_y[src], row_labels[tgt], num_cat)
-                    entropies = prediction_entropy(classify(model.classifier, key_emb))
+                    labels = key_label(pair.source_y[src], run.row_labels[tgt], num_cat)
+                    entropies = prediction_entropy(classify(run.model.classifier, key_emb))
                     taus = key_temperature(config.tau_base, entropies, num_cat)
                     domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
                     for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
-                        dictionary.enqueue(vec, label, tau, domain)
-                    warms = filling and dictionary.is_warm()
+                        run.dictionary.enqueue(vec, label, tau, domain)
+                    warms = filling and run.dictionary.is_warm()
                     if warms:
-                        metrics.warm_epoch = epoch
+                        run.warm_epoch = run.epoch
 
                 with Tape() as tape:
-                    emb = encode(model.encoders.query, pair.source_x[idx])
+                    emb = encode(run.model.encoders.query, pair.source_x[idx])
                     sup = supervised_loss(
-                        classifier_logits(model.classifier, emb), pair.source_y[idx]
+                        classifier_logits(run.model.classifier, emb), pair.source_y[idx]
                     )
                     total = sup
-                    if dictionary.is_warm() and config.catnce_weight != 0.0:
-                        q_idx = queries.next()
-                        q_emb = encode(model.encoders.query, pair.target_x[q_idx])
-                        cat = cat_nce(q_emb, row_labels[q_idx], dictionary.snapshot())
+                    if run.dictionary.is_warm() and config.catnce_weight != 0.0:
+                        q_idx = run.queries.next(pair)
+                        q_emb = encode(run.model.encoders.query, pair.target_x[q_idx])
+                        cat = cat_nce(q_emb, run.row_labels[q_idx], run.dictionary.snapshot())
                         total = ad.add(total, ad.scale(cat, config.catnce_weight))
-                        cat_losses.append(cat.item())
+                        run.cat_losses.append(cat.item())
                 if not np.isfinite(total.data):
-                    raise DivergenceError(epoch, step, f"loss {total.item()}")
-                optimizer.step(backward(total, tape))
+                    raise DivergenceError(run.epoch, run.step, f"loss {total.item()}")
+                run.optimizer.step(backward(total, tape))
                 if enqueueing:
-                    momentum_update(model.encoders)
-                sup_losses.append(sup.item())
+                    momentum_update(run.model.encoders)
+                run.sup_losses.append(sup.item())
                 if warms:
-                    share("cold_fill", epoch)
+                    share("cold_fill")
 
-            record, prev_pseudo = _epoch_record(
-                model, pair, epoch, sup_losses, cat_losses, prev_pseudo, dictionary.is_warm(),
-                workspace,
-            )
-            metrics.records.append(record)
-            step, batches, sup_losses, cat_losses = 0, [], [], []
-            if epoch == config.warmup_epochs:
-                share("warmup", epoch + 1)
+            _end_epoch(run, pair, workspace)
+            if run.epoch == config.warmup_epochs + 1:
+                share("warmup")
     except NonFiniteError as exc:
         # an encoder whose outputs overflowed: the run diverged, wherever it
         # showed first; at step 0, in the epoch labelling that readies step 1
-        raise DivergenceError(epoch, step or 1, str(exc)) from exc
+        raise DivergenceError(run.epoch, run.step or 1, str(exc)) from exc
 
-    metrics.wall_clock_s = time.monotonic() - started + reused_s
+    metrics = RunMetrics(config.variant, config.seed, run.records, run.warm_epoch,
+                         time.monotonic() - started)
     if keys_dump_fp is not None:
-        dictionary.dump_jsonl(keys_dump_fp)
-    return model, metrics
+        run.dictionary.dump_jsonl(keys_dump_fp)
+    return run.model, metrics

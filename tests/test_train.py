@@ -69,11 +69,11 @@ def test_config_validation():
     with pytest.raises(ParameterError, match="seed"):
         TrainConfig(seed=-1).validate()
     # the full variant splits its key batch evenly, so an odd one must fail
-    # here, not after warm-up; an explicit key batch or the query batch size
+    # here, not after warm-up; a key batch takes at least one key
     with pytest.raises(ParameterError):
         TrainConfig(variant="full", key_batch_size=7).validate()
-    with pytest.raises(ParameterError):
-        TrainConfig(variant="full", key_batch_size=0, batch_size=33).validate()
+    with pytest.raises(ParameterError, match="key_batch_size"):
+        TrainConfig(variant="T", key_batch_size=0).validate()
     TrainConfig(variant="T", key_batch_size=7).validate()
     TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
     # a non-finite rate, temperature or weight fails here, not mid-run as a divergence
@@ -312,8 +312,8 @@ class _LabelLog:
                 self.events.append(("key", (int(row), int(label))))
             return labels
 
-        def next_queries(cycler):
-            rows = real_next(cycler)
+        def next_queries(cycler, pair):
+            rows = real_next(cycler, pair)
             self._query_rows.extend(int(i) for i in rows)
             return rows
 
@@ -630,11 +630,11 @@ def test_shared_warmup_state_is_private_and_timed(tiny_pair):
     _, first = train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair,
                                  warmups=warmups)
     stored = share_point(warmups, "warmup")
-    before = pickle.dumps(stored.state)
+    before = pickle.dumps(stored)
     _, reused = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
-    assert reused.records[:2] == first.records[:2] == stored.state["records"]
-    # the restored run trained its own copy: the stored state is unchanged
-    assert pickle.dumps(stored.state) == before
+    assert reused.records[:2] == first.records[:2] == stored.records
+    # the restored run trained its own copy: the stored run is unchanged
+    assert pickle.dumps(stored) == before
     # a restored run's time includes the warm-up it did not train itself
     assert reused.wall_clock_s >= stored.elapsed_s > 0.0
 
@@ -654,7 +654,7 @@ def test_restored_runs_key_gradients_by_their_own_parameters(tiny_pair, monkeypa
     monkeypatch.setattr(train_mod._Sgd, "step", step)
     warmups = {}
     train_source_only(tiny_config(variant="baseline", warmup_epochs=2), tiny_pair, warmups=warmups)
-    stored = set(share_point(warmups, "warmup").state["optimizer"].params)
+    stored = set(share_point(warmups, "warmup").optimizer.params)
     steps.clear()
     model, _ = train_caco(tiny_config(variant="T", warmup_epochs=2), tiny_pair, warmups=warmups)
     (optimizer,) = {id(sgd): sgd for sgd, _ in steps}.values()
@@ -667,7 +667,7 @@ def test_restored_runs_key_gradients_by_their_own_parameters(tiny_pair, monkeypa
 
 
 def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
-    # embed's layer buffers belong to the run, outside state(): a stored point
+    # embed's layer buffers are the run's scratch, not a _Run field: a stored point
     # pickles to the size of the same run's point with no workspace anywhere
     import caco.model as model_mod
     import caco.train as train_mod
@@ -679,7 +679,7 @@ def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
         monkeypatch.setattr(train_mod, "embed", embed)
         warmups = {}
         train_caco(config, tiny_pair, warmups=warmups)
-        return {point: len(pickle.dumps(share_point(warmups, point).state))
+        return {point: len(pickle.dumps(share_point(warmups, point)))
                 for point in ("warmup", "cold_fill")}
 
     workspaces = []
@@ -746,7 +746,7 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     cycler_pairs = []
     real_next = train_mod._QueryCycler.next
     monkeypatch.setattr(train_mod._QueryCycler, "next",
-                        lambda self: cycler_pairs.append(self.pair) or real_next(self))
+                        lambda self, pair: cycler_pairs.append(pair) or real_next(self, pair))
     warmups, counts = {}, []
     for config, outputs in zip(configs, fresh):
         # the second T restores the same record as the first, to the same bytes
@@ -754,17 +754,16 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
         counts.append(tuple(calls.values()))
         calls.update(dict.fromkeys(calls, 0))
         if config.variant == "S":
-            stored_bytes = pickle.dumps(share_point(warmups, "cold_fill").state)
+            stored_bytes = pickle.dumps(share_point(warmups, "cold_fill"))
             cycler_pairs.clear()
     # key draws and backward passes: the baseline trains 4 epochs of 8 steps,
     # S the 24 after warm-up, T and full the 11 after the warm step
     assert counts == [(0, 32), (24, 24), (11, 11), (11, 11), (11, 11)]
     cold = share_point(warmups, "cold_fill")
-    assert (cold.epoch, cold.step, cold.state["optimizer"].steps_done,
-            cold.state["warm_epoch"]) == (3, 5, 21, 3)
+    assert (cold.epoch, cold.step, cold.optimizer.steps_done, cold.warm_epoch) == (3, 5, 21, 3)
     # three restores later, the stored state is what S stored; the restored
     # runs drew their query batches from the caller's pair, not from a copy
-    assert pickle.dumps(cold.state) == stored_bytes
+    assert pickle.dumps(cold) == stored_bytes
     assert len(cycler_pairs) == 3 * 11 and all(p is tiny_pair for p in cycler_pairs)
     # a restored run's time includes the steps it restored: S's time counts the
     # baseline's warm-up, and T's and full's count that and S's cold fill
@@ -917,7 +916,6 @@ def test_evaluate_perfect_predictor():
     assert result.accuracy == 1.0
     assert result.per_class == {1: 1.0, 2: 1.0}
     assert result.mean_class_accuracy == 1.0
-    assert not result.has_missing_classes
 
 
 def test_evaluate_constant_predictor_on_balanced_data():
@@ -946,8 +944,8 @@ def test_evaluate_missing_class_flagged():
     rows = [((0.0, 0.0), 1), ((1.0, 0.0), 1)]
     model = _stub_model({(0.0, 0.0): 1, (1.0, 0.0): 1}, 3)
     result = evaluate(model, *_rows(rows))
-    assert result.missing_classes == [2, 3]
-    assert result.has_missing_classes
+    # classes 2 and 3 have no rows: they are left out of the mean, not scored 0
+    assert result.per_class == {1: 1.0}
     assert result.mean_class_accuracy == 1.0
 
 
