@@ -7,8 +7,9 @@ the output gradient to input gradients. ``backward`` replays the records
 in reverse, summing gradient arrays per tensor object, so the
 accumulation order is fixed by the tape and runs are bit-reproducible.
 
-Single-threaded per tape: tensors are plain values and may move between
-threads, but a tape must never be written from two threads at once.
+One recording thread per process: the active tapes form one module-global
+stack, so a second recording thread would write to the first one's tapes.
+Tensors may move between threads; parallel runs use processes.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "tapes must unwind in LIFO order"
+        if not _TAPE_STACK or _TAPE_STACK.pop() is not self:
+            raise ContractError("tapes must unwind in LIFO order: one recording thread per process")
         return False
 
     def __len__(self) -> int:
@@ -397,13 +398,11 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (h, w, b), grad_fn)
 
 
-def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor],
-               buffers: dict) -> list[Array]:
+def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> list[Array]:
     """``x`` and each layer's output of a ReLU MLP over an (m,k) block.
 
-    Layer i computes h @ w + b, with a ReLU after every layer but the last,
-    into ``buffers[(i, rows, width)]``, made on first use: a caller that
-    keeps the dict reuses its pages, one that passes {} gets new arrays.
+    Layer i computes h @ w + b into a new array, with a ReLU after every
+    layer but the last.
     """
     if not weights or len(weights) != len(biases):
         raise DimensionError(f"need one bias per weight, at least one layer; "
@@ -411,12 +410,8 @@ def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor],
     hs = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        h = hs[i]
-        _check_linear(h, w.data, b.data)
-        key = (i, h.shape[0], w.data.shape[1])
-        if key not in buffers:
-            buffers[key] = np.empty(key[1:])
-        h = np.matmul(h, w.data, out=buffers[key])
+        _check_linear(hs[i], w.data, b.data)
+        h = hs[i] @ w.data
         h += b.data
         if i < last:
             relu_array(h, out=h)
@@ -434,7 +429,7 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     x = as_tensor(x)
     weights = [as_tensor(w) for w in weights]
     biases = [as_tensor(b) for b in biases]
-    hs = mlp_layers(x.data, weights, biases, {})
+    hs = mlp_layers(x.data, weights, biases)
     last = len(weights) - 1
     out, norms = unit_normalize(hs[-1])
 

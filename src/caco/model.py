@@ -104,18 +104,30 @@ def encode(params: MlpParams, x) -> Tensor:
     return ad.normalized_mlp(x, params.weights, params.biases)
 
 
-def embed(params: MlpParams, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
+# a block's 64-wide hidden layer stays under glibc's 128 KiB mmap threshold
+EMBED_BLOCK = 128
+
+
+def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record.
 
-    The same forward (autodiff.mlp_layers), with each layer's output in a
-    buffer kept per (layer, rows, width) in ``workspace``, so a repeated pass
-    over a large block through one dict does not fault in fresh pages;
-    without one, the buffers are this call's own. The returned array is
-    always new: no caller sees a workspace buffer.
+    autodiff.mlp_layers over near-equal blocks of at most EMBED_BLOCK rows,
+    so a pass reuses heap pages (a 1-row block would run as a matrix-vector
+    product, whose last bit can differ); then one unit_normalize over all
+    rows, which raises what encode's would.
     """
-    hs = ad.mlp_layers(np.asarray(x, dtype=np.float64), params.weights, params.biases,
-                       {} if workspace is None else workspace)
-    return ad.unit_normalize(hs[-1])[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"embed expects a (batch, D) block, got shape {x.shape}")
+    n = x.shape[0]
+    k = max(1, -(-n // EMBED_BLOCK))  # a block of 0 rows still checks the shapes
+    out = ad.mlp_layers(x[:n // k], params.weights, params.biases)[-1]
+    if k > 1:  # the first block's rows, then room for the others
+        out = np.concatenate([out, np.empty((n - n // k, out.shape[1]))])
+        for i in range(1, k):
+            lo, hi = n * i // k, n * (i + 1) // k
+            out[lo:hi] = ad.mlp_layers(x[lo:hi], params.weights, params.biases)[-1]
+    return ad.unit_normalize(out)[0]
 
 
 @dataclass
@@ -205,13 +217,13 @@ class CacoModel:
     encoders: EncoderPair
     classifier: Classifier
 
-    def predict_probs(self, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
-        """Category probabilities for a (batch, D) block; ``workspace`` as for embed."""
-        return classify(self.classifier, embed(self.encoders.query, x, workspace=workspace))
+    def predict_probs(self, x: np.ndarray) -> np.ndarray:
+        """Category probabilities for a (batch, D) block."""
+        return classify(self.classifier, embed(self.encoders.query, x))
 
-    def predict_indices(self, x: np.ndarray, *, workspace: dict | None = None) -> np.ndarray:
-        """1-based argmax categories for a (batch, D) block; ``workspace`` as for embed."""
-        return np.argmax(self.predict_probs(x, workspace=workspace), axis=1) + 1
+    def predict_indices(self, x: np.ndarray) -> np.ndarray:
+        """1-based argmax categories for a (batch, D) block."""
+        return np.argmax(self.predict_probs(x), axis=1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,14 @@ class EvalResult:
     predicted: np.ndarray  # 1-based argmax category per sample, in sample order
 
 
-def evaluate(model: CacoModel, x: np.ndarray, y, *, workspace: dict | None = None) -> EvalResult:
-    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels.
-
-    ``workspace``, if given, holds the buffers of the model's embed pass (see embed).
-    """
+def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
+    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels."""
     truth = np.asarray(y)
     if truth.shape != (np.shape(x)[0],):
         raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")
     if truth.shape[0] == 0:
         raise ContractError("evaluate needs at least one row")
-    predicted = model.predict_indices(x, workspace=workspace)
+    predicted = model.predict_indices(x)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
     for c in range(1, model.num_categories + 1):
@@ -336,9 +333,9 @@ def _new_run(config: TrainConfig, pair: DomainPair) -> _Run:
     )
 
 
-def _end_epoch(run: _Run, pair: DomainPair, workspace: dict) -> None:
+def _end_epoch(run: _Run, pair: DomainPair) -> None:
     """Record the epoch's metrics line and move the run to the start of the next epoch."""
-    result = evaluate(run.model, pair.target_x, pair.evaluation_labels(), workspace=workspace)
+    result = evaluate(run.model, pair.target_x, pair.evaluation_labels())
     run.records.append(EpochRecord(
         epoch=run.epoch,
         loss_sup=float(np.mean(run.sup_losses)) if run.sup_losses else 0.0,
@@ -424,8 +421,6 @@ def train_caco(
     contrastive = config.variant != "baseline"
     num_cat = pair.num_categories
     started = time.monotonic()
-    # embed's layer buffers: the run's own scratch, never in a share point
-    workspace: dict = {}
 
     share_key = stored = None
     if warmups is not None:
@@ -459,8 +454,8 @@ def train_caco(
                         run.model.encoders.key = run.model.encoders.query.copy(requires_grad=False)
                     key_enc = run.model.encoders.key
                     run.row_labels = assign_pseudo_label(prototype_memberships(
-                        embed(key_enc, pair.source_x, workspace=workspace), pair.source_y,
-                        embed(key_enc, pair.target_x, workspace=workspace), num_cat,
+                        embed(key_enc, pair.source_x), pair.source_y,
+                        embed(key_enc, pair.target_x), num_cat,
                     ))
                 run.batches = _source_epoch_batches(pair, config.batch_size, run.rng_source)
             for idx in run.batches[run.step:]:
@@ -473,11 +468,8 @@ def train_caco(
                         pair, config.key_batch_size, "S" if filling else config.variant,
                         run.rng_keys,
                     )
-                    key_emb = embed(
-                        run.model.encoders.key,
-                        np.concatenate([pair.source_x[src], pair.target_x[tgt]]),
-                        workspace=workspace,
-                    )
+                    key_emb = embed(run.model.encoders.key,
+                                    np.concatenate([pair.source_x[src], pair.target_x[tgt]]))
                     labels = key_label(pair.source_y[src], run.row_labels[tgt], num_cat)
                     entropies = prediction_entropy(classify(run.model.classifier, key_emb))
                     taus = key_temperature(config.tau_base, entropies, num_cat)
@@ -509,7 +501,7 @@ def train_caco(
                 if warms:
                     share("cold_fill")
 
-            _end_epoch(run, pair, workspace)
+            _end_epoch(run, pair)
             if run.epoch == config.warmup_epochs + 1:
                 share("warmup")
     except NonFiniteError as exc:

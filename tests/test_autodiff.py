@@ -237,24 +237,32 @@ def test_backward_keys_exactly_the_leaves_by_identity():
     assert grads[w] is not grads[twin] and np.array_equal(grads[w], grads[twin])
 
 
-def test_mlp_layers_returns_every_layer_and_reuses_given_buffers():
+def test_mlp_layers_returns_every_layer():
     rng = np.random.default_rng(9)
     weights = [ad.Tensor(rng.normal(size=(3, 5))), ad.Tensor(rng.normal(size=(5, 2)))]
     biases = [ad.Tensor(rng.normal(size=5)), ad.Tensor(rng.normal(size=2))]
     x = rng.normal(size=(4, 3))
-    buffers = {}
-    hs = ad.mlp_layers(x, weights, biases, buffers)
+    hs = ad.mlp_layers(x, weights, biases)
     assert hs[0] is x and [h.shape for h in hs] == [(4, 3), (4, 5), (4, 2)]
     assert hs[1].tobytes() == ad.relu_array(x @ weights[0].data + biases[0].data).tobytes()
     assert hs[2].tobytes() == (hs[1] @ weights[1].data + biases[1].data).tobytes()
-    assert sorted(buffers) == [(0, 4, 5), (1, 4, 2)]
-    again = ad.mlp_layers(x, weights, biases, buffers)
-    assert all(a is b for a, b in zip(again[1:], buffers.values()))
+    again = ad.mlp_layers(x, weights, biases)
+    assert not any(np.shares_memory(a, b) for a, b in zip(again[1:], hs[1:]))
     # every layer is checked, the second too
     with pytest.raises(DimensionError):
-        ad.mlp_layers(x, weights, [biases[0], ad.Tensor(np.zeros(3))], {})
+        ad.mlp_layers(x, weights, [biases[0], ad.Tensor(np.zeros(3))])
     with pytest.raises(DimensionError):
-        ad.mlp_layers(x, weights, biases[:1], {})
+        ad.mlp_layers(x, weights, biases[:1])
+
+
+def test_tapes_unwound_out_of_order_are_a_contract_error(monkeypatch):
+    # what two threads recording at once do to the one stack of active tapes
+    monkeypatch.setattr(ad, "_TAPE_STACK", [])
+    outer, inner = ad.Tape(), ad.Tape()
+    outer.__enter__()
+    inner.__enter__()
+    with pytest.raises(ContractError, match="one recording thread per process"):
+        outer.__exit__(None, None, None)
 
 
 def test_backward_deterministic():

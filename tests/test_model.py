@@ -1,10 +1,12 @@
 """Encoder, classifier, momentum update and checkpoint contracts."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caco.autodiff import Tensor
@@ -13,7 +15,9 @@ from caco.errors import (
 )
 from caco.gradcheck import gradient_error
 from caco.losses import supervised_loss
+from caco.train import evaluate
 from caco.model import (
+    EMBED_BLOCK,
     CacoModel,
     Classifier,
     EncoderPair,
@@ -117,16 +121,22 @@ def test_encode_dimension_check():
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 12), min_size=3, max_size=5),
-    st.integers(1, 40),
+    st.integers(1, 3 * EMBED_BLOCK + 40),
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.01, 1.0, 30.0]),
+    st.booleans(),
 )
-def test_embed_bit_equal_to_encode(widths, batch, seed, spread):
+# one past a block and one past two: a split into full blocks would leave a
+# 1-row block, which numpy runs as a matrix-vector product
+@example([8, 12, 12, 5], EMBED_BLOCK + 1, 1, 1.0, False)
+@example([8, 12, 12, 5], 2 * EMBED_BLOCK + 1, 2, 1.0, False)
+def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
     spec = MlpSpec((*widths[:-1], max(widths[-1], 2)))
     params = init_params(spec, seed % 1000)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=spread, size=(batch, spec.input_dim))
-    x[rng.random(batch) < 0.2] = 0.0
+    if zero_rows:
+        x[rng.random(batch) < 0.2] = 0.0
     try:
         want = encode(params, Tensor(x)).data
     except DegenerateEmbeddingError:  # every unit of a row silenced; embed must agree
@@ -135,34 +145,74 @@ def test_embed_bit_equal_to_encode(widths, batch, seed, spread):
         return
     got = embed(params, x)
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-    workspace = {}
-    for _ in range(2):  # a fresh workspace, then its buffers again
-        assert embed(params, x, workspace=workspace).tobytes() == want.tobytes()
 
 
-def test_embed_workspace_never_reaches_a_caller():
+def test_embed_returns_a_new_array_per_call():
     params = init_params(MlpSpec((4, 8, 8, 3)), 7)
-    x = np.random.default_rng(8).normal(size=(40, 4))
-    workspace = {}
-    first = embed(params, x[:20], workspace=workspace)
-    first_bytes = first.tobytes()
-    second = embed(params, x[20:], workspace=workspace)  # the same buffers again
-    second_bytes = second.tobytes()
-    assert len(workspace) == 3  # one buffer per layer
-    for out in (first, second):
-        assert not any(np.shares_memory(out, buf) for buf in workspace.values())
-    assert not np.shares_memory(first, second)
-    assert first_bytes == embed(params, x[:20]).tobytes()
-    first[...] = 7.0
-    assert second.tobytes() == second_bytes == embed(params, x[20:]).tobytes()
-    assert embed(params, x[20:], workspace=workspace).tobytes() == second_bytes
+    x = np.random.default_rng(8).normal(size=(3 * EMBED_BLOCK, 4))
+    outs = [embed(params, rows) for rows in (x[:20], x[20:], x[:20], x, x)]
+    want = [out.tobytes() for out in outs]
+    for a, b in itertools.combinations(outs, 2):
+        assert not np.shares_memory(a, b)
+    assert not any(np.shares_memory(out, x) for out in outs)
+    for out in outs[:-1]:
+        out[...] = 7.0  # writing one result changes no other
+    assert outs[-1].tobytes() == want[-1] == want[-2]
+    assert want[0] == want[2] == embed(params, x[:20]).tobytes()
 
 
 def test_embed_dimension_check():
     params = init_params(SPEC, 3)
-    for bad in (np.zeros((2, 5)), np.zeros(4), np.zeros((1, 2, 4))):
+    for bad in (np.zeros((2, 5)), np.zeros((0, 5)), np.zeros(4), np.zeros(0),
+                np.float64(1.0), np.zeros((1, 2, 4))):
         with pytest.raises(DimensionError):
             embed(params, bad)
+        with pytest.raises(DimensionError):
+            encode(params, Tensor(bad))
+
+
+def test_embed_of_no_rows_is_a_0_by_d_array():
+    params = init_params(SPEC, 3)
+    out = embed(params, np.zeros((0, 4)))
+    assert out.shape == (0, 3) and out.dtype == np.float64
+    assert out.tobytes() == encode(params, Tensor(np.zeros((0, 4)))).data.tobytes()
+
+
+def test_embed_raises_what_encode_raises_across_blocks():
+    # a zero row in the first block and an overflowing row in the last: normalized
+    # block by block, the zero row would raise first, as a degenerate embedding
+    params = init_params(SPEC, 3)
+    x = np.random.default_rng(4).normal(size=(2 * EMBED_BLOCK + 10, 4))
+    x[0], x[-1] = 0.0, 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            encode(params, Tensor(x))
+        with pytest.raises(NonFiniteError):
+            embed(params, x)
+        with pytest.raises(DegenerateEmbeddingError):
+            embed(params, x[:EMBED_BLOCK])
+
+
+@pytest.mark.parametrize("pass_", ["embed", "evaluate"])
+def test_full_data_pass_memory_is_bounded_by_its_result(pass_):
+    # a pass holds one block's hidden layers at a time: its tracemalloc peak over
+    # 20,000 rows stays within 3 arrays of the result's size plus 1 MiB
+    spec = MlpSpec((8, 64, 64, 16))
+    encoders = new_encoder_pair(spec, 1, 0.99)
+    model = CacoModel(spec, 4, 1, encoders, init_classifier(16, 4, 1))
+    x = np.random.default_rng(5).normal(size=(20_000, 8))
+    y = np.random.default_rng(6).integers(1, 5, size=20_000)
+    run = {"embed": lambda: embed(encoders.query, x),
+           "evaluate": lambda: evaluate(model, x, y)}[pass_]
+    run()  # numpy's first-call allocations are not the pass's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result_bytes = 20_000 * 16 * 8
+    assert peak <= 3 * result_bytes + 2**20
 
 
 def test_nan_weight_is_not_hidden_by_the_rectifier():

@@ -15,7 +15,7 @@ from caco.data import DataConfig, DomainPair, build_domain_pair, shift_domain
 from caco.errors import (
     ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError,
 )
-from caco.model import CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
+from caco.model import EMBED_BLOCK, CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
 from caco.autodiff import Tensor
 from caco.train import (
     VARIANTS,
@@ -418,6 +418,22 @@ def test_non_finite_embedding_raises_divergence_with_its_step(tiny_pair, monkeyp
     assert isinstance(info.value.__cause__, NonFiniteError)
 
 
+def test_overflow_in_a_later_block_of_the_labelling_pass_is_divergence():
+    # the key encoder's first labelling pass (init biases are zero) meets a zero
+    # target row in its first block and an overflowing one in its last; that is
+    # an overflow of the whole pass, as encode would report it
+    data = build_domain_pair(dataclasses.replace(TINY_DATA, n_per_class=100), 3)
+    target = data.target_x.copy()
+    assert target.shape[0] > 2 * EMBED_BLOCK
+    target[0], target[-1] = 0.0, 1e300
+    pair = DomainPair(data.source_x, data.source_y, target, data.num_categories,
+                      data.evaluation_labels())
+    with pytest.raises(DivergenceError, match="epoch 1, step 1: .*not finite") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        train_caco(tiny_config(variant="full"), pair)
+    assert isinstance(info.value.__cause__, NonFiniteError)
+
+
 @pytest.mark.parametrize("variant", ["baseline", "full"])
 def test_nan_query_weight_raises_divergence(tiny_pair, monkeypatch, variant):
     # a NaN hidden unit must not pass the rectifier as 0.0 and let the run go on
@@ -666,40 +682,6 @@ def test_restored_runs_key_gradients_by_their_own_parameters(tiny_pair, monkeypa
         assert keys == params and keys.isdisjoint(stored)
 
 
-def test_share_points_hold_no_workspace_buffer(tiny_pair, monkeypatch):
-    # embed's layer buffers are the run's scratch, not a _Run field: a stored point
-    # pickles to the size of the same run's point with no workspace anywhere
-    import caco.model as model_mod
-    import caco.train as train_mod
-
-    config = tiny_config(variant="S", warmup_epochs=1, epochs=3, queue_size=5)
-    real = model_mod.embed
-
-    def point_sizes(embed):
-        monkeypatch.setattr(train_mod, "embed", embed)
-        warmups = {}
-        train_caco(config, tiny_pair, warmups=warmups)
-        return {point: len(pickle.dumps(share_point(warmups, point)))
-                for point in ("warmup", "cold_fill")}
-
-    workspaces = []
-
-    def recording(params, x, *, workspace=None):
-        workspaces.append(workspace)
-        return real(params, x, workspace=workspace)
-
-    with_workspace = point_sizes(recording)
-    (workspace,) = {id(w): w for w in workspaces}.values()  # one per run, on every call
-    # the buffers, pickled into a point, would show in its size many times over
-    assert sum(buf.nbytes for buf in workspace.values()) > 10_000
-
-    def without(params, x, *, workspace=None):
-        return real(params, x)
-
-    monkeypatch.setattr(model_mod, "embed", without)  # evaluate's pass, via predict_probs
-    assert point_sizes(without) == with_workspace
-
-
 # Until every queue is full, S, T and full all draw source keys and train the
 # same steps. On tiny_pair an epoch is 8 steps of 8 source keys each; a case
 # is its config, the epoch the dictionary warms in, and whether a step
@@ -895,7 +877,7 @@ def test_baseline_separable_limit_reaches_full_accuracy():
 
 def _stub_model(predictions: dict[tuple, int], num_categories: int) -> CacoModel:
     class Stub(CacoModel):
-        def predict_indices(self, x, *, workspace=None):
+        def predict_indices(self, x):
             return np.array([predictions[tuple(row)] for row in x])
 
     spec = MlpSpec((2, 4, 2))
