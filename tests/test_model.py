@@ -15,7 +15,6 @@ from caco.errors import (
 )
 from caco.gradcheck import gradient_error
 from caco.losses import supervised_loss
-from caco.train import evaluate
 from caco.model import (
     EMBED_BLOCK,
     CacoModel,
@@ -34,6 +33,7 @@ from caco.model import (
     new_encoder_pair,
     save_checkpoint,
 )
+from caco.train import evaluate
 
 SPEC = MlpSpec((4, 8, 3))
 
@@ -121,15 +121,16 @@ def test_encode_dimension_check():
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 12), min_size=3, max_size=5),
-    st.integers(1, 3 * EMBED_BLOCK + 40),
+    st.integers(0, 3 * EMBED_BLOCK + 40),
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.01, 1.0, 30.0]),
     st.booleans(),
 )
 # one past a block and one past two: a split into full blocks would leave a
-# 1-row block, which numpy runs as a matrix-vector product
+# 1-row block, which numpy runs as a matrix-vector product; and no rows at all
 @example([8, 12, 12, 5], EMBED_BLOCK + 1, 1, 1.0, False)
 @example([8, 12, 12, 5], 2 * EMBED_BLOCK + 1, 2, 1.0, False)
+@example([8, 12, 12, 5], 0, 3, 1.0, False)
 def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
     spec = MlpSpec((*widths[:-1], max(widths[-1], 2)))
     params = init_params(spec, seed % 1000)
@@ -144,6 +145,7 @@ def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
             embed(params, x)
         return
     got = embed(params, x)
+    assert got.shape == want.shape == (batch, spec.embed_dim)
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
@@ -169,13 +171,6 @@ def test_embed_dimension_check():
             embed(params, bad)
         with pytest.raises(DimensionError):
             encode(params, Tensor(bad))
-
-
-def test_embed_of_no_rows_is_a_0_by_d_array():
-    params = init_params(SPEC, 3)
-    out = embed(params, np.zeros((0, 4)))
-    assert out.shape == (0, 3) and out.dtype == np.float64
-    assert out.tobytes() == encode(params, Tensor(np.zeros((0, 4)))).data.tobytes()
 
 
 def test_embed_raises_what_encode_raises_across_blocks():
