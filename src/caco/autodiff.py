@@ -10,6 +10,11 @@ accumulation order is fixed by the tape and runs are bit-reproducible.
 One recording thread per process: the active tapes form one module-global
 stack, so a second recording thread would write to the first one's tapes.
 Tensors may move between threads; parallel runs use processes.
+
+Only the ops that training and ``caco gradcheck`` record live here. The
+primitives that the fused records stand for (``matmul``, ``relu``,
+``l2_normalize`` and the rest) live beside the tests that compare against
+them, in ``tests/reference_ops.py``.
 """
 
 from __future__ import annotations
@@ -121,21 +126,6 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m,k) and b (k,n)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects 2-d operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def grad_fn(g: Array):
-        return g @ bd.T, ad.T @ g
-
-    return _emit(ad @ bd, (a, b), grad_fn)
-
-
 def matvec(a: Tensor, v: Tensor) -> Tensor:
     """Matrix-vector product of a (m,k) and v (k,)."""
     a, v = as_tensor(a), as_tensor(v)
@@ -163,24 +153,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def neg(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return _emit(-x.data, (x,), lambda g: (-g,))
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a plain (non-differentiated) scalar constant."""
     x = as_tensor(x)
     c = float(c)
     return _emit(c * x.data, (x,), lambda g: (c * g,))
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an (m,n) matrix."""
-    x, v = as_tensor(x), as_tensor(v)
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise DimensionError(f"add_rowvec shape mismatch: {x.shape} + {v.shape}")
-    return _emit(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
 def relu_array(z: Array, out: Array | None = None) -> Array:
@@ -197,34 +174,6 @@ def relu_array(z: Array, out: Array | None = None) -> Array:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    return _emit(relu_array(x.data), (x,), lambda g: (g * mask,))
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    shape = x.shape
-    return _emit(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    n = x.data.size
-    shape = x.shape
-    return _emit(x.data.mean(), (x,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = as_tensor(x)
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}")
-    old = x.shape
-    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
-
-
 def _row_index(op: str, shape: tuple[int, ...], idx) -> Array:
     """idx as one column index per row of a 2-d array of ``shape``, checked."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -233,44 +182,6 @@ def _row_index(op: str, shape: tuple[int, ...], idx) -> Array:
     if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= shape[1]):
         raise ContractError(f"{op} index out of range")
     return idx
-
-
-def take_per_row(x: Tensor, idx) -> Tensor:
-    """Pick x[i, idx[i]] for each row i; gradient scatters back."""
-    x = as_tensor(x)
-    idx = _row_index("take_per_row", x.shape, idx)
-    rows = np.arange(x.shape[0])
-    shape = x.shape
-
-    def grad_fn(g: Array):
-        gx = np.zeros(shape)
-        gx[rows, idx] = g
-        return (gx,)
-
-    return _emit(x.data[rows, idx], (x,), grad_fn)
-
-
-def log_softmax(x: Tensor, tau: float = 1.0) -> Tensor:
-    """Temperature log-softmax along the last axis, with max-subtraction.
-
-    out = x/tau - logsumexp(x/tau); works on 1-d vectors and on 2-d
-    matrices row-wise.
-    """
-    x = as_tensor(x)
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    if x.data.ndim not in (1, 2):
-        raise DimensionError("log_softmax expects a 1-d or 2-d tensor")
-    z = x.data / tau
-    m = z.max(axis=-1, keepdims=True)
-    out = z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-
-    def grad_fn(g: Array):
-        p = np.exp(out)
-        return ((g - p * g.sum(axis=-1, keepdims=True)) / tau,)
-
-    return _emit(out, (x,), grad_fn)
 
 
 def logsumexp(v: Tensor, mask=None) -> Tensor:
@@ -320,21 +231,6 @@ def row_sum(a: Array) -> Array:
     return functools.reduce(np.add, a.T) if a.shape[1] < 8 else np.add.reduce(a, axis=1)
 
 
-def row_logsumexp(x: Tensor) -> Tensor:
-    """log sum exp of each row of an (m,n) matrix."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError("row_logsumexp expects a 2-d tensor")
-    m = row_max(x.data)[:, None]
-    out = m[:, 0] + np.log(row_sum(np.exp(x.data - m)))
-    xd = x.data
-
-    def grad_fn(g: Array):
-        return (np.exp(xd - out[:, None]) * g[:, None],)
-
-    return _emit(out, (x,), grad_fn)
-
-
 def unit_normalize(a: Array) -> tuple[Array, Array]:
     """``a`` scaled to unit Euclidean norm along its last axis, and the norms.
 
@@ -352,25 +248,11 @@ def unit_normalize(a: Array) -> tuple[Array, Array]:
     return a / norms, norms
 
 
-def l2_normalize(x: Tensor) -> Tensor:
-    """Scale a vector (or each row of a matrix) to unit Euclidean norm."""
-    x = as_tensor(x)
-    if x.data.ndim not in (1, 2):
-        raise DimensionError("l2_normalize expects a 1-d or 2-d tensor")
-    out, norms = unit_normalize(x.data)
-
-    def grad_fn(g: Array):
-        # d(x/||x||) pulls out the component of g along the output direction
-        proj = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - proj * out) / norms,)
-
-    return _emit(out, (x,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # Fused records: one record where training would otherwise emit several.
 # Each computes the expressions of the primitives it stands for, in the same
-# order, so forward values and leaf gradients are bit-equal to theirs.
+# order, so forward values and leaf gradients are bit-equal to theirs. The
+# primitives are the references in tests/reference_ops.py.
 # ---------------------------------------------------------------------------
 
 
@@ -383,8 +265,8 @@ def _check_linear(h: Array, w: Array, b: Array) -> None:
 def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """h @ w + b over an (m,k) block, as one record.
 
-    Stands for add_rowvec(matmul(h, w), b). The gradient for h is not
-    formed when h requires none (input rows).
+    Stands for add_rowvec(matmul(h, w), b), both in tests/reference_ops.py.
+    The gradient for h is not formed when h requires none (input rows).
     """
     h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
     _check_linear(h.data, w.data, b.data)
@@ -423,7 +305,8 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     """A ReLU MLP over an (m,k) block, each output row scaled to unit norm, as one record.
 
     Stands for linear(h, w, b) per layer with relu() after every layer but
-    the last, then l2_normalize(). The gradient for x is not formed when x
+    the last, then l2_normalize(); relu and l2_normalize are in
+    tests/reference_ops.py. The gradient for x is not formed when x
     requires none (input rows).
     """
     x = as_tensor(x)
@@ -454,7 +337,8 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
 def mean_nll(x: Tensor, idx) -> Tensor:
     """Mean over rows i of -log softmax(x[i])[idx[i]], as one record.
 
-    Stands for neg(reduce_mean(take_per_row(log_softmax(x, 1.0), idx))).
+    Stands for neg(reduce_mean(take_per_row(log_softmax(x, 1.0), idx))),
+    all four in tests/reference_ops.py.
     """
     x = as_tensor(x)
     idx = _row_index("mean_nll", x.shape, idx)
@@ -484,8 +368,9 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     of ``width``; group r (row-major over the whole block) is one softmax
     whose positive sits at idx[r]. Stands for, as one record,
     reduce_mean(sub(row_logsumexp(G), take_per_row(G, idx))) with
-    G = reshape(matmul(q, Tensor(keys.T)), (-1, width)). The keys are
-    constants: their gradient is never formed.
+    G = reshape(matmul(q, Tensor(keys.T)), (-1, width)); all but sub are
+    in tests/reference_ops.py. The keys are constants: their gradient is
+    never formed.
     """
     q = as_tensor(q)
     keys = np.asarray(keys, dtype=np.float64)

@@ -91,11 +91,7 @@ class DataConfig:
                 raise ParameterError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not math.isfinite(self.angle):
             raise ParameterError(f"angle must be finite, got {self.angle}")
-        offset = np.atleast_1d(np.asarray(self.translation, dtype=np.float64))
-        if not np.isfinite(offset).all():
-            raise ParameterError(f"translation must be finite, got {self.translation}")
-        if offset.shape[0] > self.dim:
-            raise ParameterError(f"translation has {offset.shape[0]} entries for dim {self.dim}")
+        _translation_offset(self.translation, self.dim)
 
 
 def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
@@ -159,7 +155,7 @@ def shift_domain(
     if scale <= 0.0:
         raise ParameterError(f"scale must be positive, got {scale}")
     dim = x.shape[1]
-    offset = np.asarray(_as_translation(translation, dim))
+    offset = _translation_offset(translation, dim)
     rot = np.eye(dim)
     rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
 
@@ -173,15 +169,23 @@ def shift_domain(
     return shifted, y
 
 
-def _as_translation(translation, dim: int) -> tuple[float, ...]:
-    if np.isscalar(translation):
+def _translation_offset(translation, dim: int) -> np.ndarray:
+    """``translation`` as a length-``dim`` offset, padded with zeros.
+
+    ParameterError naming translation for a non-zero scalar (a vector says
+    which coordinates move), a non-finite entry, or more than ``dim`` entries.
+    """
+    if np.ndim(translation) == 0:
         if float(translation) != 0.0:
-            raise ContractError("scalar translation must be 0; pass a vector otherwise")
-        return (0.0,) * dim
-    vec = tuple(float(v) for v in translation)
-    if len(vec) > dim:
-        raise ContractError(f"translation has {len(vec)} entries for dim {dim}")
-    return vec + (0.0,) * (dim - len(vec))
+            raise ParameterError(f"a scalar translation must be 0, got {translation!r}; "
+                                 f"pass a vector otherwise")
+        return np.zeros(dim)
+    vec = np.asarray(translation, dtype=np.float64)
+    if vec.ndim != 1 or vec.shape[0] > dim:
+        raise ParameterError(f"translation has shape {vec.shape}; need at most {dim} entries")
+    if not np.isfinite(vec).all():
+        raise ParameterError(f"translation must be finite, got {translation}")
+    return np.concatenate([vec, np.zeros(dim - vec.shape[0])])
 
 
 def sample_query_batch(pair: DomainPair, n: int, rng: np.random.Generator) -> np.ndarray:

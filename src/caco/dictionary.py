@@ -60,9 +60,11 @@ class CategoricalDictionary:
 
     def enqueue(self, vector, category: int, temperature: float, domain: str) -> None:
         """Write a key at its category's head, overwriting the oldest when full."""
-        if not isinstance(category, (int, np.integer)) or not 1 <= category <= self.num_categories:
+        # a bool is an int, but no category
+        if (isinstance(category, bool) or not isinstance(category, (int, np.integer))
+                or not 1 <= category <= self.num_categories):
             raise ContractError(
-                f"category {category} outside [1..{self.num_categories}]"
+                f"category {category!r} is not an integer in [1..{self.num_categories}]"
             )
         if domain not in _DOMAINS:
             raise ContractError(f"unknown domain {domain!r}")
@@ -99,8 +101,8 @@ class CategoricalDictionary:
         )
 
     def _require_slots(self, m: int) -> None:
-        if m < 1:
-            raise ContractError(f"slot index must be >= 1, got {m}")
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ContractError(f"slot index must be an integer >= 1, got {m!r}")
         for c, n in enumerate(self._fill):
             if n < m:
                 raise NotWarmError(f"queue {c + 1} holds {n} keys, slot {m} requested")

@@ -171,6 +171,8 @@ class EvalResult:
 
 def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
     """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels."""
+    if np.ndim(x) != 2:
+        raise DimensionError(f"evaluate needs (n, D) rows, got shape {np.shape(x)}")
     truth = np.asarray(y)
     if truth.shape != (np.shape(x)[0],):
         raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")

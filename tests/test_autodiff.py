@@ -1,6 +1,8 @@
 """Tensor op contracts and the backward-vs-finite-difference property."""
 
+import inspect
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caco import autodiff as ad
+from caco import gradcheck
+from caco.data import DataConfig, build_domain_pair
 from caco.gradcheck import gradient_error
+from caco.train import KEY_VARIANTS, VARIANTS, TrainConfig, train_caco
 from caco.errors import (
     ContractError,
     DegenerateEmbeddingError,
@@ -17,6 +22,8 @@ from caco.errors import (
     NonFiniteError,
     ParameterError,
 )
+
+import reference_ops as ref
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +33,12 @@ from caco.errors import (
 
 def test_matmul_identity():
     b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = ad.matmul(ad.Tensor(np.eye(2)), b)
+    out = ref.matmul(ad.Tensor(np.eye(2)), b)
     np.testing.assert_array_equal(out.data, b.data)
 
 
 def test_matmul_zero():
-    z = ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.arange(12.0).reshape(3, 4)))
+    z = ref.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.arange(12.0).reshape(3, 4)))
     np.testing.assert_array_equal(z.data, np.zeros((2, 4)))
 
 
@@ -44,69 +51,69 @@ def test_matmul_against_triple_loop():
             for t in range(2):
                 expected[i][j] += a[i][t] * b[t][j]
     np.testing.assert_array_equal(expected, [[19.0, 22.0], [43.0, 50.0]])
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(b))
+    out = ref.matmul(ad.Tensor(a), ad.Tensor(b))
     np.testing.assert_array_equal(out.data, expected)
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+        ref.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
 
 
 def test_log_softmax_constant_vector():
     for tau in (0.07, 1.0, 3.5):
-        out = ad.log_softmax(ad.Tensor([2.5, 2.5, 2.5, 2.5]), tau)
+        out = ref.log_softmax(ad.Tensor([2.5, 2.5, 2.5, 2.5]), tau)
         np.testing.assert_allclose(out.data, -math.log(4.0), rtol=0, atol=1e-15)
 
 
 def test_log_softmax_shift_invariance():
     rng = np.random.default_rng(0)
     v = rng.normal(size=6)
-    base = ad.log_softmax(ad.Tensor(v), 0.5).data
-    shifted = ad.log_softmax(ad.Tensor(v + 17.25), 0.5).data
+    base = ref.log_softmax(ad.Tensor(v), 0.5).data
+    shifted = ref.log_softmax(ad.Tensor(v + 17.25), 0.5).data
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
 
 
 def test_log_softmax_direct_value():
     # frozen from a 50-digit scalar evaluation of v - log(sum(exp(v)))
-    out = ad.log_softmax(ad.Tensor([1.0, 2.0, 3.0]), 1.0)
+    out = ref.log_softmax(ad.Tensor([1.0, 2.0, 3.0]), 1.0)
     expected = [-2.4076059644443803, -1.4076059644443803, -0.4076059644443803]
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
 
 
 def test_log_softmax_rejects_bad_tau():
     with pytest.raises(ParameterError):
-        ad.log_softmax(ad.Tensor([1.0, 2.0]), 0.0)
+        ref.log_softmax(ad.Tensor([1.0, 2.0]), 0.0)
 
 
 def test_log_softmax_sums_to_one():
     rng = np.random.default_rng(1)
     for _ in range(25):
         v = rng.normal(scale=5.0, size=rng.integers(1, 9))
-        out = ad.log_softmax(ad.Tensor(v), float(rng.uniform(0.05, 2.0)))
+        out = ref.log_softmax(ad.Tensor(v), float(rng.uniform(0.05, 2.0)))
         assert abs(np.exp(out.data).sum() - 1.0) <= 1e-12
 
 
 def test_l2_normalize_unit_vector_unchanged():
     v = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(ad.l2_normalize(ad.Tensor(v)).data, v, atol=1e-15)
+    np.testing.assert_allclose(ref.l2_normalize(ad.Tensor(v)).data, v, atol=1e-15)
 
 
 def test_l2_normalize_three_four():
-    out = ad.l2_normalize(ad.Tensor([3.0, 4.0]))
+    out = ref.l2_normalize(ad.Tensor([3.0, 4.0]))
     np.testing.assert_allclose(out.data, [0.6, 0.8], rtol=0, atol=1e-15)
 
 
 def test_l2_normalize_zero_vector_rejected():
     with pytest.raises(DegenerateEmbeddingError):
-        ad.l2_normalize(ad.Tensor([0.0, 0.0]))
+        ref.l2_normalize(ad.Tensor([0.0, 0.0]))
 
 
 def test_l2_normalize_non_finite_norm_rejected():
     # 1e200 is finite, but its square overflows, so the row's norm is inf
     for row in ([1e200, 1.0], [np.inf, 0.0], [np.nan, 1.0]):
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-            ad.l2_normalize(ad.Tensor(np.array([[0.6, 0.8], row])))
+            ref.l2_normalize(ad.Tensor(np.array([[0.6, 0.8], row])))
 
 
 # what a row of unit_normalize's input holds: finite values, or one of the
@@ -155,9 +162,9 @@ def test_l2_normalize_unit_norm_property():
     rng = np.random.default_rng(2)
     for _ in range(50):
         v = rng.normal(size=rng.integers(2, 10)) + 0.1
-        out = ad.l2_normalize(ad.Tensor(v))
+        out = ref.l2_normalize(ad.Tensor(v))
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-12
-    rows = ad.l2_normalize(ad.Tensor(rng.normal(size=(8, 5)) + 0.2))
+    rows = ref.l2_normalize(ad.Tensor(rng.normal(size=(8, 5)) + 0.2))
     np.testing.assert_allclose(np.linalg.norm(rows.data, axis=1), 1.0, atol=1e-12)
 
 
@@ -177,12 +184,12 @@ def test_row_logsumexp_bit_equal_to_row_max_formula():
         x[:, 0] = np.where(np.isinf(x).all(axis=1), 1.5, x[:, 0])
         m = x.max(axis=1, keepdims=True)
         want = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True)))[:, 0]
-        assert ad.row_logsumexp(ad.Tensor(x)).data.tobytes() == want.tobytes()
+        assert ref.row_logsumexp(ad.Tensor(x)).data.tobytes() == want.tobytes()
 
 
 def test_reshape_size_mismatch():
     with pytest.raises(DimensionError):
-        ad.reshape(ad.Tensor(np.zeros(6)), (4, 2))
+        ref.reshape(ad.Tensor(np.zeros(6)), (4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,7 @@ def test_reshape_size_mismatch():
 def test_backward_sum_gives_ones():
     x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(x)
+        loss = ref.reduce_sum(x)
     grads = ad.backward(loss, tape)
     np.testing.assert_array_equal(grads[x], np.ones(3))
 
@@ -201,8 +208,8 @@ def test_backward_sum_gives_ones():
 def test_backward_half_square_norm_gives_x():
     x = ad.Tensor([1.5, -0.5, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        sq = ad.take_per_row(ad.matmul(ad.reshape(x, (3, 1)), ad.reshape(x, (1, 3))), [0, 1, 2])
-        loss = ad.scale(ad.reduce_sum(sq), 0.5)
+        sq = ref.take_per_row(ref.matmul(ref.reshape(x, (3, 1)), ref.reshape(x, (1, 3))), [0, 1, 2])
+        loss = ad.scale(ref.reduce_sum(sq), 0.5)
     grads = ad.backward(loss, tape)
     np.testing.assert_allclose(grads[x], x.data, atol=1e-12)
 
@@ -210,7 +217,7 @@ def test_backward_half_square_norm_gives_x():
 def test_backward_rejects_non_scalar():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.neg(x)
+        y = ref.neg(x)
     with pytest.raises(ContractError):
         ad.backward(y, tape)
 
@@ -218,7 +225,7 @@ def test_backward_rejects_non_scalar():
 def test_backward_accumulates_shared_input():
     x = ad.Tensor([2.0, 3.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(ad.add(x, x))
+        loss = ref.reduce_sum(ad.add(x, x))
     grads = ad.backward(loss, tape)
     np.testing.assert_array_equal(grads[x], [2.0, 2.0])
 
@@ -229,8 +236,8 @@ def test_backward_keys_exactly_the_leaves_by_identity():
     twin = ad.Tensor(w.data, requires_grad=True)  # equal values, another leaf
     const = ad.Tensor([[3.0]])
     with ad.Tape() as tape:
-        hidden = ad.matmul(x, w)
-        loss = ad.reduce_sum(ad.add(ad.add(hidden, ad.matmul(x, twin)), const))
+        hidden = ref.matmul(x, w)
+        loss = ref.reduce_sum(ad.add(ad.add(hidden, ref.matmul(x, twin)), const))
     grads = ad.backward(loss, tape)
     assert set(grads) == {x, w, twin}  # no intermediate, no constant
     assert all(type(g) is np.ndarray for g in grads.values())
@@ -272,7 +279,7 @@ def test_backward_deterministic():
 
     def run():
         with ad.Tape() as tape:
-            loss = ad.reduce_mean(ad.relu(ad.matmul(x, w)))
+            loss = ref.reduce_mean(ref.relu(ref.matmul(x, w)))
         g = ad.backward(loss, tape)
         return g[x].copy(), g[w].copy()
 
@@ -303,52 +310,52 @@ def _pin(shape, seed):
 
 OP_CASES = {
     "matmul_left": lambda rng: (
-        lambda x: ad.reduce_sum(ad.matmul(x, ad.Tensor(_pin((4, 3), 10)))),
+        lambda x: ref.reduce_sum(ref.matmul(x, ad.Tensor(_pin((4, 3), 10)))),
         rng.normal(size=(2, 4)),
     ),
     "matmul_right": lambda rng: (
-        lambda x: ad.reduce_mean(ad.matmul(ad.Tensor(_pin((3, 2), 11)), x)),
+        lambda x: ref.reduce_mean(ref.matmul(ad.Tensor(_pin((3, 2), 11)), x)),
         rng.normal(size=(2, 4)),
     ),
     "matvec_both": lambda rng: (
-        lambda x: ad.reduce_sum(ad.matvec(ad.reshape(x, (2, 3)), ad.Tensor(_pin(3, 12)))),
+        lambda x: ref.reduce_sum(ad.matvec(ref.reshape(x, (2, 3)), ad.Tensor(_pin(3, 12)))),
         rng.normal(size=6),
     ),
     "add_sub_neg": lambda rng: (
-        lambda x: ad.reduce_sum(ad.sub(ad.neg(x), ad.add(x, x))),
+        lambda x: ref.reduce_sum(ad.sub(ref.neg(x), ad.add(x, x))),
         rng.normal(size=(3, 2)),
     ),
     "scale": lambda rng: (
-        lambda x: ad.reduce_sum(ad.scale(x, -2.5)),
+        lambda x: ref.reduce_sum(ad.scale(x, -2.5)),
         rng.normal(size=5),
     ),
     "add_rowvec": lambda rng: (
-        lambda x: ad.reduce_sum(
-            ad.relu(ad.add_rowvec(ad.Tensor(_pin((4, 3), 13)), x))
+        lambda x: ref.reduce_sum(
+            ref.relu(ref.add_rowvec(ad.Tensor(_pin((4, 3), 13)), x))
         ),
         rng.normal(size=3) + 0.31,
     ),
     "relu": lambda rng: (
-        lambda x: ad.reduce_sum(ad.relu(x)),
+        lambda x: ref.reduce_sum(ref.relu(x)),
         # keep inputs away from the kink where central differences are wrong
         rng.normal(size=(3, 3)) + np.sign(rng.normal(size=(3, 3))) * 0.2,
     ),
     "reduce_mean": lambda rng: (
-        lambda x: ad.reduce_mean(x),
+        lambda x: ref.reduce_mean(x),
         rng.normal(size=(2, 5)),
     ),
     "reshape_take": lambda rng: (
-        lambda x: ad.reduce_sum(ad.take_per_row(ad.reshape(x, (3, 4)), [1, 0, 3])),
+        lambda x: ref.reduce_sum(ref.take_per_row(ref.reshape(x, (3, 4)), [1, 0, 3])),
         rng.normal(size=12),
     ),
     "log_softmax_1d": lambda rng: (
-        lambda x: ad.reduce_sum(
-            ad.sub(ad.log_softmax(x, 0.3), ad.Tensor(_pin(6, 14)))
+        lambda x: ref.reduce_sum(
+            ad.sub(ref.log_softmax(x, 0.3), ad.Tensor(_pin(6, 14)))
         ),
         rng.normal(size=6),
     ),
     "log_softmax_2d": lambda rng: (
-        lambda x: ad.reduce_mean(ad.log_softmax(x, 1.7)),
+        lambda x: ref.reduce_mean(ref.log_softmax(x, 1.7)),
         rng.normal(size=(3, 4)),
     ),
     "logsumexp_masked": lambda rng: (
@@ -356,22 +363,22 @@ OP_CASES = {
         rng.normal(size=5),
     ),
     "row_logsumexp": lambda rng: (
-        lambda x: ad.reduce_sum(ad.row_logsumexp(x)),
+        lambda x: ref.reduce_sum(ref.row_logsumexp(x)),
         rng.normal(size=(4, 3)),
     ),
     "l2_normalize": lambda rng: (
-        lambda x: ad.reduce_sum(ad.matmul(ad.l2_normalize(x), ad.Tensor(_pin((3, 2), 15)))),
+        lambda x: ref.reduce_sum(ref.matmul(ref.l2_normalize(x), ad.Tensor(_pin((3, 2), 15)))),
         rng.normal(size=(4, 3)) + 0.4,
     ),
     "linear_relu_input": lambda rng: (
-        lambda x: ad.reduce_sum(
-            ad.relu(ad.linear(x, ad.Tensor(_pin((4, 3), 16)), ad.Tensor(_pin(3, 17))))
+        lambda x: ref.reduce_sum(
+            ref.relu(ad.linear(x, ad.Tensor(_pin((4, 3), 16)), ad.Tensor(_pin(3, 17))))
         ),
         # keep pre-activations away from the kink
         rng.normal(size=(2, 4)) * 0.05 + _pin((2, 4), 18),
     ),
     "normalized_mlp_input": lambda rng: (
-        lambda x: ad.reduce_sum(ad.matmul(
+        lambda x: ref.reduce_sum(ref.matmul(
             ad.normalized_mlp(x, [ad.Tensor(_pin((4, 5), 23)), ad.Tensor(_pin((5, 3), 24))],
                               [ad.Tensor(_pin(5, 25)), ad.Tensor(_pin(3, 26))]),
             ad.Tensor(_pin((3, 2), 27)),
@@ -380,7 +387,7 @@ OP_CASES = {
         rng.normal(size=(3, 4)) * 0.05 + _pin((3, 4), 28),
     ),
     "normalized_mlp_weight": lambda rng: (
-        lambda x: ad.reduce_mean(ad.matmul(
+        lambda x: ref.reduce_mean(ref.matmul(
             ad.normalized_mlp(ad.Tensor(_pin((3, 4), 29)), [ad.Tensor(_pin((4, 5), 30)), x],
                               [ad.Tensor(_pin(5, 31)), ad.Tensor(_pin(3, 32))]),
             ad.Tensor(_pin((3, 2), 33)),
@@ -388,7 +395,7 @@ OP_CASES = {
         rng.normal(size=(5, 3)),
     ),
     "linear_weight": lambda rng: (
-        lambda x: ad.reduce_mean(
+        lambda x: ref.reduce_mean(
             ad.linear(ad.Tensor(_pin((3, 4), 19)), x, ad.Tensor(_pin(2, 20)))
         ),
         rng.normal(size=(4, 2)),
@@ -441,14 +448,14 @@ def _assert_bit_equal(fused, primitive):
 
 
 def _primitive_linear(h, w, b):
-    return ad.add_rowvec(ad.matmul(h, w), b)
+    return ref.add_rowvec(ref.matmul(h, w), b)
 
 
 def _linear_relu(linear):
     """One layer followed by a ReLU record when asked, built from ``linear``."""
     def layer(h, w, b, relu):
         z = linear(h, w, b)
-        return ad.relu(z) if relu else z
+        return ref.relu(z) if relu else z
     return layer
 
 
@@ -457,7 +464,7 @@ def _layered_encoder(x, weights, biases):
     h = x
     for i, (w, b) in enumerate(zip(weights, biases)):
         h = _linear_relu(ad.linear)(h, w, b, i < len(weights) - 1)
-    return ad.l2_normalize(h)
+    return ref.l2_normalize(h)
 
 
 def test_relu_array_bit_equal_to_where_except_nan():
@@ -525,7 +532,7 @@ def test_linear_bit_equal_to_matmul_add_rowvec_relu():
 
         def loss_of(linear):
             layer = _linear_relu(linear)
-            return lambda h, w, b: ad.reduce_sum(ad.matmul(layer(h, w, b, relu), ad.Tensor(pin)))
+            return lambda h, w, b: ref.reduce_sum(ref.matmul(layer(h, w, b, relu), ad.Tensor(pin)))
 
         requires = (input_grad, True, True)
         fused = _run(loss_of(ad.linear), (h, w, b), requires)
@@ -549,7 +556,7 @@ def test_linear_hand_set_kink():
     for sign in (1.0, -1.0):
 
         def loss_of(encoder):
-            return lambda h, w, b, w_out, b_out: ad.reduce_sum(ad.scale(ad.matmul(
+            return lambda h, w, b, w_out, b_out: ref.reduce_sum(ad.scale(ref.matmul(
                 encoder(h, [w, w_out], [b, b_out]), ad.Tensor(_pin((2, 1), 35))), sign))
 
         arrays = (h, w, b, w_out, b_out)
@@ -575,8 +582,8 @@ def test_one_encoder_used_twice_sums_gradients_in_tape_order():
 
         def loss_of(encoder):
             def build(x1, x2, *p):
-                first = ad.reduce_sum(ad.matmul(encoder(x1, p[0::2], p[1::2]), ad.Tensor(pin1)))
-                second = ad.reduce_mean(ad.matmul(encoder(x2, p[0::2], p[1::2]), ad.Tensor(pin2)))
+                first = ref.reduce_sum(ref.matmul(encoder(x1, p[0::2], p[1::2]), ad.Tensor(pin1)))
+                second = ref.reduce_mean(ref.matmul(encoder(x2, p[0::2], p[1::2]), ad.Tensor(pin2)))
                 return ad.add(first, ad.scale(second, 0.7))
             return build
 
@@ -611,7 +618,7 @@ def test_normalized_mlp_bit_equal_to_linear_relu_l2_normalize():
         input_grad = bool(trial % 3)
 
         def loss_of(encoder):
-            return lambda x, *p: ad.reduce_sum(ad.matmul(encoder(x, p[0::2], p[1::2]), ad.Tensor(pin)))
+            return lambda x, *p: ref.reduce_sum(ref.matmul(encoder(x, p[0::2], p[1::2]), ad.Tensor(pin)))
 
         arrays = (x, *params)
         requires = (input_grad,) + (True,) * len(params)
@@ -632,7 +639,7 @@ def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
         pin = float(rng.uniform(0.1, 2.0))
 
         def primitive(x):
-            return ad.neg(ad.reduce_mean(ad.take_per_row(ad.log_softmax(x, 1.0), idx)))
+            return ref.neg(ref.reduce_mean(ref.take_per_row(ref.log_softmax(x, 1.0), idx)))
 
         # scaled so the gradient reaching the record is not 1.0
         fused = _run(lambda x: ad.scale(ad.mean_nll(x, idx), pin), (x,), (True,))
@@ -653,10 +660,10 @@ def test_grouped_nll_bit_equal_to_matmul_reshape_take_row_logsumexp():
         pin = float(rng.uniform(0.1, 2.0))
 
         def primitive(q):
-            logits = ad.matmul(q, ad.Tensor(keys.T))
-            per_group = ad.reshape(logits, (batch * groups, width))
-            positives = ad.take_per_row(per_group, idx)
-            return ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+            logits = ref.matmul(q, ad.Tensor(keys.T))
+            per_group = ref.reshape(logits, (batch * groups, width))
+            positives = ref.take_per_row(per_group, idx)
+            return ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
 
         fused = _run(lambda q: ad.scale(ad.grouped_nll(q, keys, idx, width), pin), (q,), (True,))
         _assert_bit_equal(fused, _run(lambda q: ad.scale(primitive(q), pin), (q,), (True,)))
@@ -685,3 +692,33 @@ def test_fused_records_check_shapes_and_indices():
         ad.grouped_nll(ad.Tensor(np.zeros((2, 5))), keys, [0] * 6, 3)
     with pytest.raises(ContractError):
         ad.grouped_nll(ad.Tensor(np.zeros((2, 4))), keys, [0, 0, 3, 0], 3)
+
+
+# ---------------------------------------------------------------------------
+# Every op of the library runs in training or in caco gradcheck
+# ---------------------------------------------------------------------------
+
+
+def test_every_public_function_runs_in_training_or_gradcheck():
+    # the references the fused records stand for live in reference_ops, not in the library
+    pair = build_domain_pair(DataConfig(num_categories=3, dim=4, n_per_class=40), 3)
+    called = set()
+    source = ad.backward.__code__.co_filename  # the path the module's code objects carry
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == source:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        runs = {v: train_caco(TrainConfig(variant=v, epochs=3, warmup_epochs=1, queue_size=5,
+                                          key_batch_size=4, hidden=(16,), embed_dim=4, seed=3), pair)
+                for v in VARIANTS}
+        gradcheck.run_all(instances=1)
+    finally:
+        sys.setprofile(None)
+    assert all(runs[v][1].warm_epoch is not None for v in KEY_VARIANTS)  # cat_nce ran
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")}
+    missing = sorted(public - called)
+    assert not missing, f"run by neither training nor caco gradcheck: {missing}"

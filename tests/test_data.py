@@ -229,6 +229,7 @@ def test_build_domain_pair_bytes_are_pinned(name, seed):
     ("angle", float("inf")),
     ("translation", (1.0, float("nan"))),
     ("translation", (0.0,) * 5),  # longer than dim 4
+    ("translation", 5.0),  # a scalar shift must be 0: a vector says which coordinates move
 ])
 def test_data_config_rejects_each_invalid_field_before_drawing(field, value, monkeypatch):
     import caco.data as data_mod

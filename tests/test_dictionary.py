@@ -50,6 +50,9 @@ def test_out_of_range_category_rejected():
         d.enqueue(unit(2), 0, 0.07, SOURCE)
     with pytest.raises(ContractError):
         d.enqueue(unit(2), 4, 0.07, SOURCE)
+    with pytest.raises(ContractError):  # a bool is an int, but no category
+        d.enqueue(unit(2), True, 0.07, SOURCE)
+    assert len(d) == 0
 
 
 @pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan"), float("inf")])
@@ -118,6 +121,10 @@ def test_group_beyond_shortest_queue_rejected():
     d.enqueue(unit(3), 2, 0.07, SOURCE)
     with pytest.raises(NotWarmError):
         d.group(2)
+    # slot 1 is held, so a bad index must be named as one, not as a cold queue
+    for m in (1.5, True, 0):
+        with pytest.raises(ContractError, match="slot index"):
+            d.group(m)
 
 
 def test_group_slot_order_against_reference():

@@ -22,6 +22,7 @@ from caco.losses import (
 )
 
 from conftest import random_labels, random_warm_dictionary, unit_rows
+import reference_ops as ref
 
 mp.mp.dps = 40
 
@@ -96,12 +97,12 @@ def test_supervised_loss_bit_equal_to_primitive_composition():
         for fused in (True, False):
             emb, weight, bias = (Tensor(a, requires_grad=True) for a in arrays)
             with Tape() as tape:
-                logits = ad.add_rowvec(ad.matmul(emb, weight), bias)
+                logits = ref.add_rowvec(ref.matmul(emb, weight), bias)
                 if fused:
                     loss = supervised_loss(logits, labels)
                 else:
-                    picked = ad.take_per_row(ad.log_softmax(logits, 1.0), labels - 1)
-                    loss = ad.neg(ad.reduce_mean(picked))
+                    picked = ref.take_per_row(ref.log_softmax(logits, 1.0), labels - 1)
+                    loss = ref.neg(ref.reduce_mean(picked))
             grads = backward(loss, tape)
             runs.append([loss.data] + [grads[t] for t in (emb, weight, bias)])
         for got, want in zip(*runs):
@@ -277,11 +278,11 @@ def catnce_slot_loop_reference(queries, labels, dictionary):
     for m in range(1, capacity + 1):
         for c, key in enumerate(dictionary.group(m)):
             scaled[(m - 1) * num_cat + c] = key.vector / key.temperature
-    logits = ad.matmul(queries, Tensor(scaled.T))
-    per_group = ad.reshape(logits, (batch * capacity, num_cat))
+    logits = ref.matmul(queries, Tensor(scaled.T))
+    per_group = ref.reshape(logits, (batch * capacity, num_cat))
     idx = np.repeat([lab.index - 1 for lab in labels], capacity)
-    positives = ad.take_per_row(per_group, idx)
-    return ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+    positives = ref.take_per_row(per_group, idx)
+    return ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
 
 
 def test_cat_nce_bit_equal_to_slot_loop_reference():
@@ -328,17 +329,17 @@ def test_training_step_bit_equal_to_primitive_step():
         def primitive_encode(x):
             h = Tensor(x)
             for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-                h = ad.add_rowvec(ad.matmul(h, w), b)
+                h = ref.add_rowvec(ref.matmul(h, w), b)
                 if i < len(params.weights) - 1:
-                    h = ad.relu(h)
-            return ad.l2_normalize(h)
+                    h = ref.relu(h)
+            return ref.l2_normalize(h)
 
         def primitive_step():
-            logits = ad.add_rowvec(ad.matmul(primitive_encode(src), clf.weight), clf.bias)
-            sup = ad.neg(ad.reduce_mean(ad.take_per_row(ad.log_softmax(logits, 1.0), src_y - 1)))
-            per_group = ad.reshape(ad.matmul(primitive_encode(tgt), Tensor(scaled.T)), (6 * 4, 3))
-            positives = ad.take_per_row(per_group, idx)
-            cat = ad.reduce_mean(ad.sub(ad.row_logsumexp(per_group), positives))
+            logits = ref.add_rowvec(ref.matmul(primitive_encode(src), clf.weight), clf.bias)
+            sup = ref.neg(ref.reduce_mean(ref.take_per_row(ref.log_softmax(logits, 1.0), src_y - 1)))
+            per_group = ref.reshape(ref.matmul(primitive_encode(tgt), Tensor(scaled.T)), (6 * 4, 3))
+            positives = ref.take_per_row(per_group, idx)
+            cat = ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
             return ad.add(sup, ad.scale(cat, 0.5))
 
         def fused_step():

@@ -939,6 +939,9 @@ def test_evaluate_empty_rejected(tiny_pair):
         evaluate(model, tiny_pair.target_x, tiny_pair.evaluation_labels()[1:])
     with pytest.raises(DimensionError):  # a scalar label, read as no labels at all
         evaluate(model, tiny_pair.target_x, 3)
+    for x in (np.float64(1.0), tiny_pair.target_x[0]):  # a 0-d input, and one row as a 1-d vector
+        with pytest.raises(DimensionError, match="evaluate needs"):
+            evaluate(model, x, np.array([1]))
 
 
 def test_churn_identities():
