@@ -29,12 +29,12 @@ from .errors import (
     DegenerateEmbeddingError,
     DimensionError,
     NonFiniteError,
-    ParameterError,
 )
 
 Array = np.ndarray
 
 _NORM_FLOOR = 1e-12
+FD_STEP = 1e-5  # the step of finite_diff_grad's central differences
 
 
 class Tensor:
@@ -54,9 +54,6 @@ class Tensor:
         if self.data.shape != ():
             raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -86,9 +83,6 @@ class Tape:
         if not _TAPE_STACK or _TAPE_STACK.pop() is not self:
             raise ContractError("tapes must unwind in LIFO order: one recording thread per process")
         return False
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 def _emit(data: Array, inputs: tuple[Tensor, ...], grad_fn: GradFn) -> Tensor:
@@ -404,24 +398,21 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def finite_diff_grad(f: Callable[[Array], float], x: Array, eps: float = 1e-5) -> Array:
+def finite_diff_grad(f: Callable[[Array], float], x: Array) -> Array:
     """Central finite differences of a scalar function of a flat vector.
 
-    ``f`` is evaluated at x +/- eps along every coordinate; the result has
-    the same shape as ``x``.
+    ``f`` is evaluated at x +/- FD_STEP along every coordinate; the result
+    has the same shape as ``x``.
     """
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
     base = np.asarray(x, dtype=np.float64)
     flat = base.reshape(-1).copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_STEP
         hi = float(f(flat.reshape(base.shape).copy()))
-        flat[i] = orig - eps
+        flat[i] = orig - FD_STEP
         lo = float(f(flat.reshape(base.shape).copy()))
         flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * eps)
+        grad[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad.reshape(base.shape)

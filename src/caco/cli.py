@@ -45,7 +45,7 @@ from .train import (
     VARIANTS,
     RunMetrics,
     TrainConfig,
-    check_key_batch_fits,
+    check_pair_fits,
     train_caco,
     train_source_only,
 )
@@ -188,7 +188,7 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
         config.validate()
     pairs = {seed: build_domain_pair(spec.data, seed) for seed in seeds}
     for config in configs:
-        check_key_batch_fits(config, pairs[config.seed])
+        check_pair_fits(config, pairs[config.seed])
     warmups: dict = {}
     finished = []
     for config in configs:

@@ -43,6 +43,8 @@ class DomainPair:
     _eval_labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_integers({"num_categories": self.num_categories})
+        object.__setattr__(self, "num_categories", int(self.num_categories))
         for name in ("source_x", "source_y", "target_x", "_eval_labels"):
             given = getattr(self, name)
             array = np.array(given, dtype=np.float64) if name.endswith("_x") else np.array(given)

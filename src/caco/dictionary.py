@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
+from .data import check_integers
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import SOURCE, TARGET
 
@@ -41,6 +42,7 @@ class CategoricalDictionary:
     """C ring buffers of capacity M holding categorical keys."""
 
     def __init__(self, num_categories: int, capacity: int):
+        check_integers({"num_categories": num_categories, "capacity": capacity})
         if num_categories < 1:
             raise ParameterError(f"need at least one category, got {num_categories}")
         if capacity < 1:
@@ -129,18 +131,9 @@ class CategoricalDictionary:
     def is_warm(self) -> bool:
         return min(self._fill) == self.capacity
 
-    def queue_lengths(self) -> list[int]:
-        return list(self._fill)
-
     def _held_slots(self, c: int) -> np.ndarray:
         """The slots of category index c that hold keys, oldest to newest."""
         return (self._head[c] - self._fill[c] + np.arange(self._fill[c])) % self.capacity
-
-    def keys(self) -> Iterator[CategoricalKey]:
-        """All keys, by category then oldest to newest."""
-        for c in range(self.num_categories):
-            for slot in self._held_slots(c):
-                yield self._key(c, slot)
 
     def __len__(self) -> int:
         return sum(self._fill)
@@ -155,7 +148,8 @@ class CategoricalDictionary:
         return copy
 
     def dump_jsonl(self, fp: IO[str]) -> None:
-        """One JSON record per key, in keys() order: category, domain, age, temperature, vector.
+        """One JSON record per key, by category then oldest to newest: category, domain, age,
+        temperature, vector.
 
         Each line has the bytes json.dumps gives the record: every number
         is finite (enqueue checks), and ints and floats print as their repr.

@@ -18,11 +18,10 @@ from .labels import SOURCE
 from .losses import cat_nce, info_nce, supervised_loss
 from .model import Classifier, MlpParams, MlpSpec, classifier_logits, encode, init_classifier, init_params
 
-DEFAULT_EPS = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 
 
-def gradient_error(loss_of: Callable[..., Tensor], *arrays, eps: float = DEFAULT_EPS) -> float:
+def gradient_error(loss_of: Callable[..., Tensor], *arrays) -> float:
     """Relative error of tape gradients of loss_of(*arrays) against central differences.
 
     Each array becomes a grad-enabled leaf and loss_of runs on a tape; the
@@ -41,7 +40,7 @@ def gradient_error(loss_of: Callable[..., Tensor], *arrays, eps: float = DEFAULT
         parts = np.split(flat, cuts)
         return loss_of(*(Tensor(v.reshape(t.shape)) for v, t in zip(parts, leaves))).item()
 
-    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]), eps)
+    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]))
     denom = max(1.0, np.abs(analytic).max(), np.abs(numeric).max())
     return float(np.abs(analytic - numeric).max() / denom)
 
@@ -51,18 +50,18 @@ def _unit_rows(rng, n: int, d: int) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def check_supervised_loss(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
+def check_supervised_loss(instances: int, rng) -> float:
     worst = 0.0
     for _ in range(instances):
         batch = int(rng.integers(1, 5))
         num_cat = int(rng.integers(2, 6))
         logits = rng.normal(scale=2.0, size=(batch, num_cat))
         labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
-        worst = max(worst, gradient_error(lambda x: supervised_loss(x, labels), logits, eps=eps))
+        worst = max(worst, gradient_error(lambda x: supervised_loss(x, labels), logits))
     return worst
 
 
-def check_info_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
+def check_info_nce(instances: int, rng) -> float:
     worst = 0.0
     for _ in range(instances):
         n_keys = int(rng.integers(2, 8))
@@ -72,11 +71,11 @@ def check_info_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
         mask[rng.integers(0, n_keys)] = 1.0
         tau = float(rng.uniform(0.05, 0.5))
         q = _unit_rows(rng, 1, dim)[0]
-        worst = max(worst, gradient_error(lambda x: info_nce(x, keys, mask, tau), q, eps=eps))
+        worst = max(worst, gradient_error(lambda x: info_nce(x, keys, mask, tau), q))
     return worst
 
 
-def check_cat_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
+def check_cat_nce(instances: int, rng) -> float:
     worst = 0.0
     for _ in range(instances):
         num_cat = int(rng.integers(2, 5))
@@ -91,11 +90,11 @@ def check_cat_nce(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
                 )
         labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
         q = _unit_rows(rng, batch, dim)
-        worst = max(worst, gradient_error(lambda x: cat_nce(x, labels, d), q, eps=eps))
+        worst = max(worst, gradient_error(lambda x: cat_nce(x, labels, d), q))
     return worst
 
 
-def check_encoder_path(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
+def check_encoder_path(instances: int, rng) -> float:
     """Supervised loss through encoder and classifier, gradients for all parameters.
 
     Instances whose rectifier silences a whole sample (degenerate embedding)
@@ -117,7 +116,7 @@ def check_encoder_path(instances: int, rng, eps: float = DEFAULT_EPS) -> float:
 
         arrays = [t.data for t in params.tensors() + [clf.weight, clf.bias]]
         try:
-            worst = max(worst, gradient_error(loss_of, *arrays, eps=eps))
+            worst = max(worst, gradient_error(loss_of, *arrays))
         except DegenerateEmbeddingError:
             continue
         done += 1

@@ -30,10 +30,6 @@ class CategoryLabel(int):
             raise ContractError(f"label index {index} is not an integer in [1..{num_categories}]")
         return cls(index)
 
-    @property
-    def index(self) -> int:
-        return int(self)
-
 
 def as_label_array(labels, num_categories: int) -> np.ndarray:
     """A 1-D int64 array of 1-based labels, each in [1..num_categories]."""
@@ -73,6 +69,14 @@ def key_label(source_labels, target_labels, num_categories: int) -> np.ndarray:
                            as_label_array(target_labels, num_categories)])
 
 
+def check_source_categories(source_labels, num_categories: int) -> None:
+    """ContractError naming every category in [1..num_categories] that no source label holds."""
+    counts = np.bincount(np.asarray(source_labels) - 1, minlength=num_categories)[:num_categories]
+    if (counts == 0).any():
+        missing = (np.flatnonzero(counts == 0) + 1).tolist()
+        raise ContractError(f"no source rows to seed the prototypes of categories {missing}")
+
+
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
@@ -99,10 +103,7 @@ def prototype_memberships(
         raise ContractError(
             f"{source_emb.shape[0]} source embeddings for {source_labels.shape[0]} labels"
         )
-    counts = np.bincount(source_labels - 1, minlength=num_categories)[:num_categories]
-    if (counts == 0).any():
-        missing = (np.flatnonzero(counts == 0) + 1).tolist()
-        raise ContractError(f"no source rows to seed the prototypes of categories {missing}")
+    check_source_categories(source_labels, num_categories)
     hot = np.eye(num_categories)
     prototypes = _unit_rows(hot[source_labels - 1].T @ source_emb)
     target = _unit_rows(np.asarray(target_emb, dtype=np.float64))

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import check_integers
 from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
@@ -50,6 +51,7 @@ class MlpSpec:
     layer_widths: tuple[int, ...]
 
     def __post_init__(self):
+        check_integers({f"layer_widths[{i}]": w for i, w in enumerate(self.layer_widths)})
         widths = tuple(int(w) for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 3:
@@ -58,10 +60,6 @@ class MlpSpec:
             raise ParameterError(f"layer widths must be positive, got {widths}")
         if widths[-1] < 2:
             raise ParameterError("embedding dimension must be at least 2")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_widths[0]
 
     @property
     def embed_dim(self) -> int:
@@ -81,10 +79,11 @@ class MlpParams:
             out.extend((w, b))
         return out
 
-    def copy(self, requires_grad: bool) -> "MlpParams":
+    def copy(self) -> "MlpParams":
+        """Copies of the arrays as constants: the key encoder, which no gradient reaches."""
         return MlpParams(
-            [Tensor(w.data.copy(), requires_grad) for w in self.weights],
-            [Tensor(b.data.copy(), requires_grad) for b in self.biases],
+            [Tensor(w.data.copy()) for w in self.weights],
+            [Tensor(b.data.copy()) for b in self.biases],
         )
 
 
@@ -137,10 +136,6 @@ class Classifier:
     weight: Tensor  # (d, C)
     bias: Tensor  # (C,)
 
-    @property
-    def num_categories(self) -> int:
-        return self.weight.shape[1]
-
 
 def init_classifier(embed_dim: int, num_categories: int, seed: int) -> Classifier:
     if num_categories < 2:
@@ -189,7 +184,7 @@ class EncoderPair:
 def new_encoder_pair(spec: MlpSpec, seed: int, momentum: float) -> EncoderPair:
     """Initialize the query encoder and copy it exactly into the key encoder."""
     query = init_params(spec, seed)
-    return EncoderPair(query, query.copy(requires_grad=False), momentum)
+    return EncoderPair(query, query.copy(), momentum)
 
 
 def momentum_update(pair: EncoderPair) -> EncoderPair:
@@ -281,6 +276,10 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         malformed = [name for name in _HEADER_FIELDS if not _HEADER_TYPES[name](header[name])]
         if malformed:
             raise ContractError(f"checkpoint header fields {malformed} have the wrong type: {path}")
+        for name, least in (("num_categories", 2), ("seed", 0)):  # what training accepts
+            if header[name] < least:
+                raise ContractError(f"checkpoint header field {name} must be at least {least}, "
+                                    f"got {header[name]}: {path}")
         blob = fh.read()
 
     spec = MlpSpec(tuple(header["layer_widths"]))

@@ -41,7 +41,9 @@ from .data import (
 )
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError
-from .labels import SOURCE, TARGET, assign_pseudo_label, key_label, prototype_memberships
+from .labels import (
+    SOURCE, TARGET, assign_pseudo_label, check_source_categories, key_label, prototype_memberships,
+)
 from .losses import cat_nce, key_temperature, prediction_entropy, supervised_loss
 from .model import (
     CacoModel,
@@ -357,10 +359,16 @@ def _end_epoch(run: _Run, pair: DomainPair) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_key_batch_fits(config: TrainConfig, pair: DomainPair) -> None:
-    """ParameterError if a contrastive run's key batch draws more rows than the pair holds."""
+def check_pair_fits(config: TrainConfig, pair: DomainPair) -> None:
+    """Reject, before it starts, a contrastive run that the pair cannot feed.
+
+    ParameterError if its key batch draws more rows than the pair holds;
+    ContractError if a category has no source row, since every epoch's
+    labelling seeds one prototype per category from the source rows.
+    """
     if config.variant == "baseline":
         return
+    check_source_categories(pair.source_y, pair.num_categories)
     # cold dictionaries fill from n source rows, then the variant draws its own mix
     n_keys = config.key_batch_size
     if (n_keys > pair.source_x.shape[0] or
@@ -403,8 +411,9 @@ def train_caco(
     DivergenceError before its backward pass; so does an encoder output
     whose norm is not finite (NonFiniteError), with the step in which it
     showed: step 1 for the epoch labelling, the last step for the epoch's
-    evaluation. A key batch larger than a pool it draws from raises
-    ParameterError before epoch 1.
+    evaluation. Before epoch 1, S, T and full raise ParameterError for a key
+    batch larger than a pool it draws from, and ContractError for a
+    category without source rows.
 
     ``warmups`` is a dict the caller owns, shared by the runs it passes to.
     Runs on the same pair whose configs differ in nothing but the variant
@@ -419,7 +428,7 @@ def train_caco(
     wall_clock_s includes the time the stored run took to reach the point.
     """
     config.validate()
-    check_key_batch_fits(config, pair)
+    check_pair_fits(config, pair)
     contrastive = config.variant != "baseline"
     num_cat = pair.num_categories
     started = time.monotonic()
@@ -453,7 +462,7 @@ def train_caco(
                     if run.epoch == config.warmup_epochs + 1:
                         # contrastive phase begins: bootstrap the key encoder from the
                         # trained query encoder, exactly as at initialization
-                        run.model.encoders.key = run.model.encoders.query.copy(requires_grad=False)
+                        run.model.encoders.key = run.model.encoders.query.copy()
                     key_enc = run.model.encoders.key
                     run.row_labels = assign_pseudo_label(prototype_memberships(
                         embed(key_enc, pair.source_x), pair.source_y,

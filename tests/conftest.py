@@ -1,4 +1,5 @@
-"""Shared builders for randomized loss and dictionary instances, and the acceptance marker."""
+"""Shared builders for randomized loss and dictionary instances, readers of tape and
+dictionary state that only tests need, and the acceptance marker."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,21 @@ def random_warm_dictionary(rng, num_categories, capacity, dim, uniform_tau=None)
             domain = SOURCE if rng.random() < 0.5 else TARGET
             d.enqueue(vec, c, tau, domain)
     return d
+
+
+def tape_length(tape):
+    """The number of records on a tape."""
+    return len(tape._records)
+
+
+def queue_lengths(d):
+    """How many keys each category's queue holds, in category order."""
+    return list(d._fill)
+
+
+def held_keys(d):
+    """Every key the dictionary holds, by category then oldest to newest."""
+    return [d._key(c, slot) for c in range(d.num_categories) for slot in d._held_slots(c)]
 
 
 def random_labels(rng, batch, num_categories):

@@ -1,8 +1,6 @@
 """Tensor op contracts and the backward-vs-finite-difference property."""
 
-import inspect
 import math
-import sys
 import zlib
 
 import numpy as np
@@ -11,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caco import autodiff as ad
-from caco import gradcheck
-from caco.data import DataConfig, build_domain_pair
 from caco.gradcheck import gradient_error
-from caco.train import KEY_VARIANTS, VARIANTS, TrainConfig, train_caco
 from caco.errors import (
     ContractError,
     DegenerateEmbeddingError,
@@ -24,6 +19,7 @@ from caco.errors import (
 )
 
 import reference_ops as ref
+from conftest import tape_length
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +240,18 @@ def test_backward_keys_exactly_the_leaves_by_identity():
     assert grads[w] is not grads[twin] and np.array_equal(grads[w], grads[twin])
 
 
+def test_backward_skips_a_record_whose_output_never_reaches_the_loss():
+    x = ad.Tensor([2.0, 3.0], requires_grad=True)
+    w = ad.Tensor([5.0, 7.0], requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ref.reduce_sum(ad.scale(x, 3.0))
+        ad.sub(x, w)  # recorded after the loss, so the reverse sweep meets it first
+    assert tape_length(tape) == 3
+    grads = ad.backward(loss, tape)
+    assert set(grads) == {x}  # nothing flowed through the dropped record into w
+    np.testing.assert_array_equal(grads[x], [3.0, 3.0])
+
+
 def test_mlp_layers_returns_every_layer():
     rng = np.random.default_rng(9)
     weights = [ad.Tensor(rng.normal(size=(3, 5))), ad.Tensor(rng.normal(size=(5, 2)))]
@@ -289,12 +297,12 @@ def test_backward_deterministic():
 
 
 def test_finite_diff_linear():
-    out = ad.finite_diff_grad(lambda v: v.sum(), np.array([0.3, -1.2, 4.0]), 1e-5)
+    out = ad.finite_diff_grad(lambda v: v.sum(), np.array([0.3, -1.2, 4.0]))
     np.testing.assert_allclose(out, np.ones(3), rtol=0, atol=1e-9)
 
 
 def test_finite_diff_quadratic():
-    out = ad.finite_diff_grad(lambda v: 0.5 * (v**2).sum(), np.array([1.0, 2.0]), 1e-5)
+    out = ad.finite_diff_grad(lambda v: 0.5 * (v**2).sum(), np.array([1.0, 2.0]))
     np.testing.assert_allclose(out, [1.0, 2.0], rtol=0, atol=1e-8)
 
 
@@ -435,7 +443,7 @@ def _run(build, arrays, requires):
     with ad.Tape() as tape:
         out = build(*leaves)
     grads = ad.backward(out, tape)
-    return out.data, [grads.get(t) for t in leaves], len(tape)
+    return out.data, [grads.get(t) for t in leaves], tape_length(tape)
 
 
 def _assert_bit_equal(fused, primitive):
@@ -692,33 +700,3 @@ def test_fused_records_check_shapes_and_indices():
         ad.grouped_nll(ad.Tensor(np.zeros((2, 5))), keys, [0] * 6, 3)
     with pytest.raises(ContractError):
         ad.grouped_nll(ad.Tensor(np.zeros((2, 4))), keys, [0, 0, 3, 0], 3)
-
-
-# ---------------------------------------------------------------------------
-# Every op of the library runs in training or in caco gradcheck
-# ---------------------------------------------------------------------------
-
-
-def test_every_public_function_runs_in_training_or_gradcheck():
-    # the references the fused records stand for live in reference_ops, not in the library
-    pair = build_domain_pair(DataConfig(num_categories=3, dim=4, n_per_class=40), 3)
-    called = set()
-    source = ad.backward.__code__.co_filename  # the path the module's code objects carry
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == source:
-            called.add(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        runs = {v: train_caco(TrainConfig(variant=v, epochs=3, warmup_epochs=1, queue_size=5,
-                                          key_batch_size=4, hidden=(16,), embed_dim=4, seed=3), pair)
-                for v in VARIANTS}
-        gradcheck.run_all(instances=1)
-    finally:
-        sys.setprofile(None)
-    assert all(runs[v][1].warm_epoch is not None for v in KEY_VARIANTS)  # cat_nce ran
-    public = {name for name, f in vars(ad).items()
-              if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")}
-    missing = sorted(public - called)
-    assert not missing, f"run by neither training nor caco gradcheck: {missing}"

@@ -270,3 +270,7 @@ def test_domain_pair_rejects_out_of_range_labels():
     with pytest.raises(ContractError):
         DomainPair(x, y.astype(float), x, 3, y)
     assert DomainPair(x, y, x, 5, y).num_categories == 5  # the label space may be larger
+    for bad in (3.5, True):
+        with pytest.raises(ParameterError, match="num_categories"):
+            DomainPair(x, y, x, bad, y)
+    assert type(DomainPair(x, y, x, np.int64(3), y).num_categories) is int

@@ -12,7 +12,7 @@ from caco.dictionary import CategoricalDictionary
 from caco.errors import ContractError, DimensionError, NotWarmError, ParameterError
 from caco.labels import SOURCE, TARGET
 
-from conftest import random_warm_dictionary, unit_rows
+from conftest import held_keys, queue_lengths, random_warm_dictionary, unit_rows
 
 
 def unit(d, i=0):
@@ -24,13 +24,28 @@ def unit(d, i=0):
 def _put(d, vector, category, temperature, domain):
     """Enqueue one key and read it back from the dictionary: the newest of its category."""
     d.enqueue(vector, category, temperature, domain)
-    return [k for k in d.keys() if k.category == category][-1]
+    return [k for k in held_keys(d) if k.category == category][-1]
+
+
+@pytest.mark.parametrize("num_categories, capacity", [
+    (0, 3), (2, 0),  # no category, no slot
+    (2.7, 3), (2, 3.9), (True, 3),  # not truncated to 2, 3 or 1
+])
+def test_sizes_must_be_positive_integers(num_categories, capacity):
+    with pytest.raises(ParameterError):
+        CategoricalDictionary(num_categories, capacity)
+
+
+def test_numpy_integer_sizes_become_ints():
+    d = CategoricalDictionary(np.int64(2), np.int32(3))
+    assert (type(d.num_categories), type(d.capacity)) == (int, int)
+    assert (d.num_categories, d.capacity) == (2, 3)
 
 
 def test_enqueue_into_empty_queue():
     d = CategoricalDictionary(2, 3)
     d.enqueue(unit(4), 1, 0.07, SOURCE)
-    assert d.queue_lengths() == [1, 0]
+    assert queue_lengths(d) == [1, 0]
 
 
 def test_fifo_eviction_keeps_newest():
@@ -79,7 +94,7 @@ def test_key_length_fixed_by_first_key():
     d.enqueue(unit(3), 1, 0.07, SOURCE)
     with pytest.raises(DimensionError):
         d.enqueue(unit(4), 2, 0.07, SOURCE)
-    assert d.queue_lengths() == [1, 0]
+    assert queue_lengths(d) == [1, 0]
 
 
 def test_randomized_enqueues_match_reference_lists():
@@ -162,7 +177,7 @@ def test_warm_dictionary_is_category_balanced():
     C, M = 4, 7
     d = random_warm_dictionary(rng, C, M, 5)
     counts = {c: 0 for c in range(1, C + 1)}
-    for key in d.keys():
+    for key in held_keys(d):
         counts[key.category] += 1
     assert counts == {c: M for c in range(1, C + 1)}
     assert len(d) == C * M
@@ -192,7 +207,7 @@ def test_snapshot_is_isolated():
     snap = d.snapshot()
     d.enqueue(unit(3, 1), 1, 0.07, TARGET)
     d.enqueue(unit(3, 2), 1, 0.07, TARGET)
-    assert snap.queue_lengths() == [1]
+    assert queue_lengths(snap) == [1]
     assert snap.group(1)[0].age == 0
 
 
@@ -202,8 +217,8 @@ def test_snapshot_is_isolated_both_ways():
     copy = d.snapshot()
     copy.enqueue(unit(3, 1), 2, 0.05, SOURCE)
     d.enqueue(unit(3, 2), 1, 0.07, TARGET)
-    assert d.queue_lengths() == [2, 0] and copy.queue_lengths() == [1, 1]
-    assert [k.age for k in d.keys()] == [0, 1] and [k.age for k in copy.keys()] == [0, 1]
+    assert queue_lengths(d) == [2, 0] and queue_lengths(copy) == [1, 1]
+    assert [k.age for k in held_keys(d)] == [0, 1] and [k.age for k in held_keys(copy)] == [0, 1]
     assert d.enqueued_by_domain != copy.enqueued_by_domain
 
 
@@ -214,7 +229,7 @@ def test_jsonl_dump_round_trips_fields():
     d.dump_jsonl(buf)
     records = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(records) == 6
-    by_age = {k.age: k for k in d.keys()}
+    by_age = {k.age: k for k in held_keys(d)}
     for rec in records:
         key = by_age[rec["age"]]
         assert rec["category"] == key.category
@@ -229,10 +244,10 @@ def _fields(key):
 
 def _check_against_lists(d, model, C, M):
     lengths = [len(model[c]) for c in range(1, C + 1)]
-    assert d.queue_lengths() == lengths
+    assert queue_lengths(d) == lengths
     assert len(d) == sum(lengths)
     assert d.is_warm() == all(n == M for n in lengths)
-    assert [_fields(k) for k in d.keys()] == [
+    assert [_fields(k) for k in held_keys(d)] == [
         _fields(k) for c in range(1, C + 1) for k in model[c]
     ]
     shortest = min(lengths)
@@ -280,7 +295,7 @@ def _dump_by_keys(d: CategoricalDictionary) -> str:
         "age": key.age,
         "temperature": key.temperature,
         "vector": key.vector.tolist(),
-    }) + "\n" for key in d.keys())
+    }) + "\n" for key in held_keys(d))
 
 
 @pytest.mark.parametrize("writes", [0, 7, 23])  # empty; partly filled; wrapped past capacity

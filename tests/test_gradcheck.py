@@ -48,11 +48,11 @@ def test_encoder_path_redraws_degenerate_instances(monkeypatch):
 
     real, calls = gc.gradient_error, []
 
-    def silenced_first(loss_of, *arrays, **kw):
+    def silenced_first(loss_of, *arrays):
         calls.append(len(arrays))
         if len(calls) == 1:
             raise DegenerateEmbeddingError("every unit silenced")
-        return real(loss_of, *arrays, **kw)
+        return real(loss_of, *arrays)
 
     monkeypatch.setattr(gc, "gradient_error", silenced_first)
     assert check_encoder_path(2, np.random.default_rng(0)) <= 1e-4

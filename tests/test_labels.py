@@ -102,7 +102,7 @@ def test_label_index_range_checked():
 
 def test_category_label_is_its_index():
     label = CategoryLabel.of(np.int64(2), 3)
-    assert label == 2 and label.index == 2 and type(label.index) is int
+    assert label == 2 and isinstance(label, int)
     assert np.asarray([label, CategoryLabel.of(1, 3)]).dtype.kind == "i"
 
 
@@ -149,7 +149,7 @@ def test_prototype_without_target_rows_stays_at_its_source_mean():
 
 
 def test_category_without_source_rows_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"categories \[2\]"):
         prototype_memberships(np.eye(2), np.array([1, 1]), np.eye(2), 2)
     with pytest.raises(ContractError):
         prototype_memberships(np.eye(2), np.array([1]), np.eye(2), 2)

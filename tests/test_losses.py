@@ -21,7 +21,7 @@ from caco.losses import (
     supervised_loss,
 )
 
-from conftest import random_labels, random_warm_dictionary, unit_rows
+from conftest import random_labels, random_warm_dictionary, tape_length, unit_rows
 import reference_ops as ref
 
 mp.mp.dps = 40
@@ -266,7 +266,7 @@ def test_cat_nce_matches_scalar_double_loop_oracle():
         queries = unit_rows(rng, 3, 5)
         labels = random_labels(rng, 3, 3)
         got = cat_nce(Tensor(queries), labels, d).item()
-        want = catnce_scalar_oracle(queries, [lab.index for lab in labels], d)
+        want = catnce_scalar_oracle(queries, [int(lab) for lab in labels], d)
         assert abs(got - want) <= 1e-10
 
 
@@ -280,7 +280,7 @@ def catnce_slot_loop_reference(queries, labels, dictionary):
             scaled[(m - 1) * num_cat + c] = key.vector / key.temperature
     logits = ref.matmul(queries, Tensor(scaled.T))
     per_group = ref.reshape(logits, (batch * capacity, num_cat))
-    idx = np.repeat([lab.index - 1 for lab in labels], capacity)
+    idx = np.repeat([int(lab) - 1 for lab in labels], capacity)
     positives = ref.take_per_row(per_group, idx)
     return ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
 
@@ -323,7 +323,7 @@ def test_training_step_bit_equal_to_primitive_step():
         src, tgt = rng.normal(size=(8, 5)), rng.normal(size=(6, 5))
         src_y = rng.integers(1, 4, size=8)
         labels = random_labels(rng, 6, 3)
-        idx = np.repeat([lab.index - 1 for lab in labels], d.capacity)
+        idx = np.repeat([int(lab) - 1 for lab in labels], d.capacity)
         scaled = d.scaled_block()
 
         def primitive_encode(x):
@@ -354,7 +354,7 @@ def test_training_step_bit_equal_to_primitive_step():
                 loss = step()
             grads = backward(loss, tape)
             assert set(grads) == set(leaves)
-            runs.append((len(tape), [loss.data] + [grads[t] for t in leaves]))
+            runs.append((tape_length(tape), [loss.data] + [grads[t] for t in leaves]))
         assert [n for n, _ in runs] == [7, 32]
         for got, want in zip(runs[0][1], runs[1][1]):
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
@@ -445,7 +445,7 @@ def test_cat_nce_permutation_invariance():
         perm = rng.permutation(C) + 1
         slot_order = list(rng.permutation(M))
         base = cat_nce(Tensor(queries), labels, build(list(range(1, C + 1)), list(range(M))))
-        renamed = [CategoryLabel.of(int(perm[lab.index - 1]), C) for lab in labels]
+        renamed = [CategoryLabel.of(int(perm[int(lab) - 1]), C) for lab in labels]
         mixed = cat_nce(Tensor(queries), renamed, build(list(perm), slot_order))
         assert abs(base.item() - mixed.item()) <= 1e-12
 
@@ -473,7 +473,7 @@ def test_cat_nce_monotone_in_positive_similarity():
                     d.enqueue(vec, c, tau, SOURCE)
             return cat_nce(Tensor(q[None, :]), labels, d).item()
 
-        pos = labels[0].index - 1
+        pos = int(labels[0]) - 1
         prev = loss_for(entries)
         for step in range(3):
             # move the slot-0 positive key along the geodesic toward q
@@ -518,7 +518,7 @@ def test_losses_finite_and_non_negative():
         batch, num_cat = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         logits = Tensor(rng.normal(scale=3.0, size=(batch, num_cat)))
         labels = random_labels(rng, batch, num_cat)
-        sup = supervised_loss(logits, np.array([lab.index for lab in labels])).item()
+        sup = supervised_loss(logits, np.array([int(lab) for lab in labels])).item()
         assert np.isfinite(sup) and sup >= 0.0
 
         dim = int(rng.integers(2, 6))

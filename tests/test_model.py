@@ -45,6 +45,11 @@ def test_spec_validation():
         MlpSpec((4, 8, 1))  # embedding too small
     with pytest.raises(ParameterError):
         MlpSpec((4, 0, 3))
+    for widths in ((3.7, 5, 2.9), (4, True, 3)):  # not truncated to (3, 5, 2) or (4, 1, 3)
+        with pytest.raises(ParameterError, match="layer_widths"):
+            MlpSpec(widths)
+    widths = MlpSpec((np.int64(4), 8, 3)).layer_widths  # a numpy integer becomes an int
+    assert widths == (4, 8, 3) and type(widths[0]) is int
 
 
 def test_init_deterministic_per_seed():
@@ -135,7 +140,7 @@ def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
     spec = MlpSpec((*widths[:-1], max(widths[-1], 2)))
     params = init_params(spec, seed % 1000)
     rng = np.random.default_rng(seed)
-    x = rng.normal(scale=spread, size=(batch, spec.input_dim))
+    x = rng.normal(scale=spread, size=(batch, spec.layer_widths[0]))
     if zero_rows:
         x[rng.random(batch) < 0.2] = 0.0
     try:
@@ -294,7 +299,7 @@ def test_momentum_update_scalar_case():
 
 def test_momentum_validation():
     with pytest.raises(ParameterError):
-        EncoderPair(init_params(SPEC, 0), init_params(SPEC, 0).copy(False), 1.5)
+        EncoderPair(init_params(SPEC, 0), init_params(SPEC, 0).copy(), 1.5)
 
 
 def test_momentum_closed_form():
@@ -436,6 +441,19 @@ def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, valu
     path, header, payload = _saved_checkpoint(tmp_path)
     _write(path, dict(header, **{field: value}), payload)
     with pytest.raises(ContractError, match=f"{field}.*wrong type"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_categories", 0),
+    ("num_categories", 1),
+    ("seed", -5),
+])
+def test_checkpoint_names_a_header_field_out_of_range(tmp_path, field, value):
+    # well-typed values that no training run writes
+    path, header, payload = _saved_checkpoint(tmp_path)
+    _write(path, dict(header, **{field: value}), payload)
+    with pytest.raises(ContractError, match=f"{field} must be at least"):
         load_checkpoint(path)
 
 

@@ -27,6 +27,8 @@ from caco.train import (
     train_source_only,
 )
 
+from conftest import tape_length
+
 TINY_DATA = DataConfig(num_categories=3, dim=4, separation=3.0, n_per_class=40, angle=0.3)
 
 
@@ -139,6 +141,23 @@ def test_oversized_key_batch_raises_before_training(tiny_pair, monkeypatch, vari
     # one key fewer per draw fits, and so does any key batch for the baseline
     train_caco(tiny_config(variant=variant, key_batch_size=n_keys - 2, epochs=0), pair)
     train_caco(tiny_config(variant="baseline", key_batch_size=n_keys, epochs=0), pair)
+
+
+def test_category_without_source_rows_raises_before_training(tiny_pair, monkeypatch):
+    # every contrastive epoch seeds one prototype per category from the source rows
+    keep = tiny_pair.source_y != 3
+    pair = DomainPair(tiny_pair.source_x[keep], tiny_pair.source_y[keep], tiny_pair.target_x,
+                      tiny_pair.num_categories, tiny_pair.evaluation_labels())
+    import caco.train as train_mod
+
+    evaluated = []
+    monkeypatch.setattr(train_mod, "evaluate", lambda *a: evaluated.append(a))
+    with pytest.raises(ContractError, match=r"no source rows .* categories \[3\]"):
+        train_caco(tiny_config(variant="S", warmup_epochs=2), pair)
+    assert evaluated == []
+    monkeypatch.undo()
+    _, metrics = train_caco(tiny_config(variant="baseline", warmup_epochs=2), pair)
+    assert len(metrics.records) == tiny_config().epochs
 
 
 def test_variant_routing(tiny_pair):
@@ -397,6 +416,25 @@ def test_non_finite_loss_raises_divergence_before_backward(monkeypatch):
     assert backward_losses and np.isfinite(backward_losses).all()
 
 
+def test_non_finite_contrast_loss_raises_divergence_naming_step_and_loss(tiny_pair, monkeypatch):
+    # keys divided by a subnormal base temperature overflow, so the contrast loss is NaN
+    import caco.train as train_mod
+
+    real_backward, passes = train_mod.backward, []
+
+    def backward(loss, tape):
+        passes.append(loss.item())
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(train_mod, "backward", backward)
+    with pytest.raises(DivergenceError) as info, np.errstate(over="ignore", invalid="ignore"):
+        train_caco(tiny_config(variant="S", tau_base=1e-320), tiny_pair)
+    err = info.value
+    assert (err.epoch, err.step) == (1, len(passes) + 1)  # no backward pass on the NaN
+    assert str(err) == f"training diverged at epoch 1, step {err.step}: loss nan"
+    assert err.__cause__ is None  # the loss check, not an encoder output
+
+
 def test_non_finite_embedding_raises_divergence_with_its_step(tiny_pair, monkeypatch):
     # the query encoder's output overflows in the third step of the second epoch
     import caco.train as train_mod
@@ -463,7 +501,7 @@ def test_tape_records_per_step(tiny_pair, monkeypatch):
     records = []
 
     def backward(loss, tape):
-        records.append(len(tape))
+        records.append(tape_length(tape))
         return real_backward(loss, tape)
 
     monkeypatch.setattr(train_mod, "backward", backward)
