@@ -2,9 +2,9 @@
 
 Classes are isotropic unit-variance Gaussians whose means sit on a circle
 in the first two coordinates. The target domain redraws from the same
-mixture and then rotates, scales and translates it. A DomainPair keeps the
-target labels in an evaluation-only pocket: training code sees source
-rows with their labels and bare target rows, nothing else.
+mixture and then rotates it. A DomainPair keeps the target labels in an
+evaluation-only pocket: training code sees source rows with their labels
+and bare target rows, nothing else.
 """
 
 from __future__ import annotations
@@ -79,8 +79,6 @@ class DataConfig:
     separation: float = 3.0
     n_per_class: int = 500
     angle: float = float(np.pi / 4)
-    translation: tuple[float, ...] = (0.0,)
-    scale: float = 1.0
 
     def validate(self) -> None:
         minimums = (("num_categories", 2), ("dim", 2), ("n_per_class", 1))
@@ -88,12 +86,10 @@ class DataConfig:
         for name, least in minimums:
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("separation", "scale"):
-            if not 0.0 < getattr(self, name) < math.inf:  # false for NaN too
-                raise ParameterError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0.0 < self.separation < math.inf:  # false for NaN too
+            raise ParameterError(f"separation must be finite and positive, got {self.separation}")
         if not math.isfinite(self.angle):
             raise ParameterError(f"angle must be finite, got {self.angle}")
-        _translation_offset(self.translation, self.dim)
 
 
 def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
@@ -104,10 +100,7 @@ def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
     mixture = (config.num_categories, config.dim, config.n_per_class, config.separation)
     source_x, source_y = make_gaussian_mixture(*mixture, child_seed(root_seed, "source_data"))
     target_x, target_y = shift_domain(
-        *make_gaussian_mixture(*mixture, child_seed(root_seed, "target_data")),
-        config.angle,
-        config.translation,
-        config.scale,
+        *make_gaussian_mixture(*mixture, child_seed(root_seed, "target_data")), config.angle
     )
     return DomainPair(source_x, source_y, target_x, config.num_categories, target_y)
 
@@ -141,23 +134,14 @@ def make_gaussian_mixture(
     return x, np.repeat(np.arange(1, num_categories + 1), n_per_class)
 
 
-def shift_domain(
-    x: np.ndarray,
-    y: np.ndarray,
-    angle: float,
-    translation,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows rotated by angle in the first two coordinates, then scaled and translated.
+def shift_domain(x: np.ndarray, y: np.ndarray, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows rotated by angle in the first two coordinates.
 
-    A pure transform: row i of the result is row i of x shifted, and the
+    A pure transform: row i of the result is row i of x rotated, and the
     labels come back as given, so the caller can park them on the
     evaluation side of a pair.
     """
-    if scale <= 0.0:
-        raise ParameterError(f"scale must be positive, got {scale}")
     dim = x.shape[1]
-    offset = _translation_offset(translation, dim)
     rot = np.eye(dim)
     rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
 
@@ -166,28 +150,7 @@ def shift_domain(
     cuts = [0, *(np.flatnonzero(y[1:] != y[:-1]) + 1), len(y)]
     for lo, hi in zip(cuts, cuts[1:]):
         np.matmul(x[lo:hi], rot.T, out=shifted[lo:hi])
-    shifted *= scale
-    shifted += offset
     return shifted, y
-
-
-def _translation_offset(translation, dim: int) -> np.ndarray:
-    """``translation`` as a length-``dim`` offset, padded with zeros.
-
-    ParameterError naming translation for a non-zero scalar (a vector says
-    which coordinates move), a non-finite entry, or more than ``dim`` entries.
-    """
-    if np.ndim(translation) == 0:
-        if float(translation) != 0.0:
-            raise ParameterError(f"a scalar translation must be 0, got {translation!r}; "
-                                 f"pass a vector otherwise")
-        return np.zeros(dim)
-    vec = np.asarray(translation, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] > dim:
-        raise ParameterError(f"translation has shape {vec.shape}; need at most {dim} entries")
-    if not np.isfinite(vec).all():
-        raise ParameterError(f"translation must be finite, got {translation}")
-    return np.concatenate([vec, np.zeros(dim - vec.shape[0])])
 
 
 def sample_query_batch(pair: DomainPair, n: int, rng: np.random.Generator) -> np.ndarray:

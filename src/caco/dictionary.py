@@ -140,12 +140,13 @@ class CategoricalDictionary:
 
     def snapshot(self) -> "CategoricalDictionary":
         """A copy, independent both ways, safe to read while the original keeps being updated."""
-        copy = CategoricalDictionary(self.num_categories, self.capacity)
-        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill"):
-            setattr(copy, name, getattr(self, name).copy())
-        copy._next_age = self._next_age
-        copy.enqueued_by_domain = dict(self.enqueued_by_domain)
-        return copy
+        # a bare instance: __init__'s checks and empty arrays would all be overwritten
+        snap = object.__new__(CategoricalDictionary)
+        snap.__dict__.update(self.__dict__)
+        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill",
+                     "enqueued_by_domain"):
+            setattr(snap, name, getattr(self, name).copy())
+        return snap
 
     def dump_jsonl(self, fp: IO[str]) -> None:
         """One JSON record per key, by category then oldest to newest: category, domain, age,

@@ -67,7 +67,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 0.003
-    momentum: float = 0.0  # SGD; nonzero values amplify contrastive oscillation here
     weight_decay: float = 0.01
     lr_decay_power: float = 0.9  # polynomial annealing; 0 keeps the rate constant
     # EMA coefficient of the key encoder. Its horizon 1/(1-m) = 200 steps spans
@@ -98,8 +97,8 @@ class TrainConfig:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
-        for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_power",
-                     "tau_base", "catnce_weight"):
+        for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base",
+                     "catnce_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.tau_base <= 0:
@@ -212,10 +211,10 @@ def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> f
 
 
 class _Sgd:
-    """SGD with momentum, L2 weight decay and optional polynomial lr annealing.
+    """Plain SGD with L2 weight decay and optional polynomial lr annealing.
 
     The parameters live in one flat buffer: each p.data is rebound to a
-    view of it, so a step is four whole-buffer expressions, the same
+    view of it, so a step is three whole-buffer expressions, the same
     element-wise ones a per-parameter loop would run. A parameter
     without a gradient counts as one of zeros.
     """
@@ -223,14 +222,12 @@ class _Sgd:
     def __init__(self, params: list[Tensor], config: "TrainConfig", total_steps: int):
         self.params = params
         self.base_lr = config.learning_rate
-        self.momentum = config.momentum
         self.weight_decay = config.weight_decay
         self.decay_power = config.lr_decay_power
         self.total_steps = max(1, total_steps)
         self.steps_done = 0
         self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
         self.bind()
-        self.velocity = np.zeros_like(self.flat)
 
     def __setstate__(self, state: dict) -> None:
         # a copy's parameters view the copy's buffer, not copies of the original's views
@@ -249,11 +246,8 @@ class _Sgd:
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         lr = self._lr()
-        v = self.velocity
-        v *= self.momentum
-        if self.params:
-            v += np.concatenate([grads[p].ravel() if p in grads
-                                 else np.zeros(p.data.size) for p in self.params])
+        v = np.concatenate([grads[p].ravel() if p in grads else np.zeros(p.data.size)
+                            for p in self.params] or [np.zeros(0)])
         if self.weight_decay:
             v += self.weight_decay * self.flat
         self.flat -= lr * v

@@ -20,7 +20,7 @@ from caco.errors import ContractError, DimensionError, ParameterError
 
 def small_pair(seed=0, n=40, C=3, D=4):
     src = make_gaussian_mixture(C, D, n, 2.0, seed)
-    tgt = shift_domain(*make_gaussian_mixture(C, D, n, 2.0, seed + 1), 0.3, 0, 1.0)
+    tgt = shift_domain(*make_gaussian_mixture(C, D, n, 2.0, seed + 1), 0.3)
     return DomainPair(*src, tgt[0], C, tgt[1])
 
 
@@ -49,7 +49,7 @@ def test_mixture_zero_separation_degenerates():
 
 
 def test_shift_identity_reproduces_source_process():
-    # at angle 0, scale 1 and no translation the target is its own stream's mixture draw
+    # at angle 0 the target is its own stream's mixture draw
     from caco.data import DataConfig, build_domain_pair
     from caco.seeding import child_seed
 
@@ -66,11 +66,11 @@ def test_shift_domain_keeps_row_order_and_input():
     x = rng.normal(size=(12, 3))
     x_before = x.copy()
     y = np.array([2, 1, 3, 1, 2, 3, 3, 1, 2, 2, 1, 3])
-    angle, offset, scale = 0.7, np.array([1.0, -2.0, 0.5]), 1.5
+    angle = 0.7
     rot = np.eye(3)
     rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-    shifted, labels = shift_domain(x, y, angle, tuple(offset), scale)
-    expected = np.array([scale * (rot @ row) + offset for row in x])
+    shifted, labels = shift_domain(x, y, angle)
+    expected = np.array([rot @ row for row in x])
     np.testing.assert_allclose(shifted, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(labels, y)
     np.testing.assert_array_equal(x, x_before)
@@ -80,14 +80,14 @@ def test_shift_half_turn_swaps_antipodal_classes():
     # C=2 puts the two centers at +/- separation on the first axis
     centers = mixture_centers(2, 4, 3.0)
     rot = np.pi
-    x, y = shift_domain(*make_gaussian_mixture(2, 4, 4000, 3.0, 6), rot, 0, 1.0)
+    x, y = shift_domain(*make_gaussian_mixture(2, 4, 4000, 3.0, 6), rot)
     np.testing.assert_allclose(x[y == 1].mean(axis=0), centers[1], atol=0.1)
 
 
 def test_shift_rotates_means_by_closed_form():
     angle = np.pi / 6
     C, D = 4, 5
-    x, y = shift_domain(*make_gaussian_mixture(C, D, 4000, 3.0, 9), angle, 0, 1.0)
+    x, y = shift_domain(*make_gaussian_mixture(C, D, 4000, 3.0, 9), angle)
     rot = np.eye(D)
     rot[0, 0] = rot[1, 1] = np.cos(angle)
     rot[0, 1] = -np.sin(angle)
@@ -95,12 +95,6 @@ def test_shift_rotates_means_by_closed_form():
     expected = mixture_centers(C, D, 3.0) @ rot.T
     for c in range(1, C + 1):
         np.testing.assert_allclose(x[y == c].mean(axis=0), expected[c - 1], atol=0.1)
-
-
-def test_shift_applies_scale_and_translation():
-    x, y = shift_domain(*make_gaussian_mixture(2, 4, 3000, 3.0, 11), 0.0, (1.0, -2.0), 2.0)
-    mean1 = x[y == 1].mean(axis=0)
-    np.testing.assert_allclose(mean1, [2.0 * 3.0 + 1.0, -2.0, 0.0, 0.0], atol=0.15)
 
 
 def test_query_batch_comes_from_target_only():
@@ -193,14 +187,11 @@ PINNED_PAIRS = {
     ("pi/6", 2): "999ac1c57763abb87af8a097e18079a0df8601512dec3b6b2a72da25a452355e",
     ("C=12, D=16", 1): "2334b628c7755ba9b159cd70708a0f3b0504bcc4c6455b6270460f1ecde06639",
     ("C=12, D=16", 2): "2565037b834af2109f813de1f4ef19e81682156c35ef13ffeb3645c19ab782a8",
-    ("C=3, shifted, scaled", 1): "3eb84fec27425a29c6aa18a5a885bafe27a0cc59060a1aaedcdfe80041b28b3b",
-    ("C=3, shifted, scaled", 2): "6c67f1dbb4d5c150558e0876cc42526a3c69fc4897f390fbe443e998300030c3",
 }
 PIN_CONFIGS = {
     "default": {},
     "pi/6": {"angle": math.pi / 6},
     "C=12, D=16": {"num_categories": 12, "dim": 16},
-    "C=3, shifted, scaled": {"num_categories": 3, "translation": (1.0, -2.0), "scale": 2.0},
 }
 
 
@@ -224,12 +215,7 @@ def test_build_domain_pair_bytes_are_pinned(name, seed):
     ("dim", True),
     ("separation", float("nan")),
     ("separation", 0.0),
-    ("scale", float("nan")),
-    ("scale", -1.0),
     ("angle", float("inf")),
-    ("translation", (1.0, float("nan"))),
-    ("translation", (0.0,) * 5),  # longer than dim 4
-    ("translation", 5.0),  # a scalar shift must be 0: a vector says which coordinates move
 ])
 def test_data_config_rejects_each_invalid_field_before_drawing(field, value, monkeypatch):
     import caco.data as data_mod
@@ -238,7 +224,7 @@ def test_data_config_rejects_each_invalid_field_before_drawing(field, value, mon
         raise AssertionError("drew data for an invalid config")
 
     monkeypatch.setattr(data_mod, "make_gaussian_mixture", no_draw)
-    cfg = data_mod.DataConfig(num_categories=3, dim=4, n_per_class=20, translation=(1.0, 2.0))
+    cfg = data_mod.DataConfig(num_categories=3, dim=4, n_per_class=20)
     cfg.validate()
     setattr(cfg, field, value)
     with pytest.raises(ParameterError, match=field):

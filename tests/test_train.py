@@ -79,8 +79,7 @@ def test_config_validation():
     TrainConfig(variant="T", key_batch_size=7).validate()
     TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
     # a non-finite rate, temperature or weight fails here, not mid-run as a divergence
-    for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_power",
-                 "tau_base", "catnce_weight"):
+    for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base", "catnce_weight"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match=name):
                 TrainConfig(**{name: value}).validate()
@@ -517,7 +516,7 @@ def test_categories_come_from_the_label_space():
     rng = np.random.default_rng(0)
     source_x = np.concatenate([rng.normal(size=(20, 4)) + 3.0 * c for c in (1, 2)])
     source_y = np.repeat([1, 2], 20)
-    target_x, target_y = shift_domain(source_x, source_y, 0.3, 0, 1.0)
+    target_x, target_y = shift_domain(source_x, source_y, 0.3)
     pair = DomainPair(source_x, source_y, target_x, 3, target_y)
     assert pair.num_categories == 3
     assert set(pair.evaluation_labels().tolist()) == {1, 2}  # no third-category rows either
@@ -543,19 +542,17 @@ def test_lr_decay_power_schedule():
     assert decayed[-1] == 0.03 * 1e-3 ** 0.9  # the floor once every step is done
 
 
-def _per_parameter_sgd_step(params, velocity, grads, lr, momentum, weight_decay):
+def _per_parameter_sgd_step(params, grads, lr, weight_decay):
     """One step of SGD as a loop over parameters, the form the flat buffer replaces."""
-    for p, v in zip(params, velocity):
-        v *= momentum
-        v += grads[p]
+    for p in params:
+        v = grads[p].copy()
         if weight_decay:
             v += weight_decay * p.data
         p.data -= lr * v
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_flat_sgd_matches_a_per_parameter_loop_bit_for_bit(momentum, weight_decay):
+def test_flat_sgd_matches_a_per_parameter_loop_bit_for_bit(weight_decay):
     from caco.train import _Sgd
 
     rng = np.random.default_rng(7)
@@ -563,16 +560,13 @@ def test_flat_sgd_matches_a_per_parameter_loop_bit_for_bit(momentum, weight_deca
     values = [rng.normal(size=shape) for shape in shapes]
     flat_params = [Tensor(v.copy(), True) for v in values]
     loop_params = [Tensor(v.copy(), True) for v in values]
-    config = tiny_config(learning_rate=0.03, momentum=momentum, weight_decay=weight_decay)
+    config = tiny_config(learning_rate=0.03, weight_decay=weight_decay)
     sgd = _Sgd(flat_params, config, total_steps=20)
-    velocity = [np.zeros(shape) for shape in shapes]
     for step in range(20):
         lr = sgd._lr()
         grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for shape in shapes]
         sgd.step(dict(zip(flat_params, grads)))
-        _per_parameter_sgd_step(loop_params, velocity,
-                                dict(zip(loop_params, grads)),
-                                lr, momentum, weight_decay)
+        _per_parameter_sgd_step(loop_params, dict(zip(loop_params, grads)), lr, weight_decay)
         for a, b in zip(flat_params, loop_params):
             assert a.data.tobytes() == b.data.tobytes(), f"step {step + 1}"
 
@@ -648,9 +642,8 @@ def share_point(warmups, point):
 ], ids=["warmup_then_contrast", "warmup_is_every_epoch", "warmup_outlasts_run"])
 def test_shared_warmup_gives_the_bytes_of_fresh_runs(tiny_pair, monkeypatch,
                                                      warmup_epochs, epochs, shared):
-    # SGD momentum, so that the velocity carries over from warm-up too
-    configs = [tiny_config(variant=v, warmup_epochs=warmup_epochs, epochs=epochs, queue_size=2,
-                           momentum=0.5) for v in VARIANTS]
+    configs = [tiny_config(variant=v, warmup_epochs=warmup_epochs, epochs=epochs, queue_size=2)
+               for v in VARIANTS]
     fresh = [run_outputs(c, tiny_pair) for c in configs]
     evaluated = counting_epochs(monkeypatch)
     warmups = {}
@@ -732,7 +725,6 @@ COLD_FILL_CASES = {
     "never_warms": (dict(warmup_epochs=1, epochs=3, queue_size=1000), None, False),
     "no_warmup": (dict(warmup_epochs=0, epochs=3, queue_size=5), 1, True),
     "no_contrast": (dict(warmup_epochs=1, epochs=3, queue_size=5, catnce_weight=0.0), 2, True),
-    "sgd_momentum": (dict(warmup_epochs=1, epochs=3, queue_size=5, momentum=0.5), 2, True),
 }
 SHARE_ORDERS = {"ablate": VARIANTS, "T_S_full": ("T", "S", "full"), "full_T_S": ("full", "T", "S"),
                 "baseline_last": ("full", "S", "baseline", "T")}
@@ -829,7 +821,6 @@ def evaluations_with_sharing(order, warmup_epochs, epochs, warm_epoch):
     epochs=st.integers(0, 4),
     warmup_epochs=st.integers(0, 4),
     fill=st.sampled_from(sorted(KEY_FILLS)),
-    momentum=st.sampled_from((0.0, 0.5, 0.9)),
     weight_decay=st.sampled_from((0.0, 0.01)),
     lr_decay_power=st.sampled_from((0.0, 0.9)),
     catnce_weight=st.sampled_from((0.0, 0.5, 1.0)),
