@@ -97,11 +97,6 @@ def test_spec_text_and_overrides_parse_to_the_same_spec(data, train, seed):
         assert load_spec(str(path), []) == expected
 
 
-# SGD momentum and the target's translation and scale are constants, not
-# config fields: a spec that still names one fails like any unknown key
-RETIRED_ITEMS = ("train.momentum=0.9", "data.translation=1,2", "data.scale=2")
-
-
 def test_parse_spec_rejects_unknown_keys():
     with pytest.raises(ContractError):
         parse_spec_text("data.bogus = 1")
@@ -109,12 +104,6 @@ def test_parse_spec_rejects_unknown_keys():
         parse_spec_text("train.seed = 4")  # seed is top-level only
     with pytest.raises(ContractError):
         parse_spec_text("just a line")
-    for item in RETIRED_ITEMS:
-        key = item.partition("=")[0]
-        with pytest.raises(ContractError, match=f"^line 1: unknown spec key '{key}'$"):
-            parse_spec_text(item)
-        with pytest.raises(ContractError, match=f"^--set: unknown spec key '{key}'$"):
-            load_spec(None, [item])
 
 
 @pytest.mark.parametrize("item", [
@@ -166,15 +155,31 @@ def test_unknown_override_key_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--set", "train.nope=1", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
-    for n, item in enumerate(RETIRED_ITEMS):
-        key = item.partition("=")[0]
-        spec = tmp_path / f"retired_{n}.spec"
+
+
+# SGD momentum and the target's translation and scale are constants, not
+# config fields: a spec that still names one fails like any unknown key
+RETIRED_ITEMS = ("train.momentum=0.9", "data.translation=1,2", "data.scale=2")
+
+
+@pytest.mark.parametrize("from_set", [False, True], ids=["spec_line", "set"])
+@pytest.mark.parametrize("item", RETIRED_ITEMS)
+def test_retired_key_fails_as_an_unknown_key(tmp_path, capsys, item, from_set):
+    key = item.partition("=")[0]
+    if from_set:
+        where, argv = "--set", ["--set", item]
+        with pytest.raises(ContractError, match=f"^--set: unknown spec key '{key}'$"):
+            load_spec(None, [item])
+    else:
+        with pytest.raises(ContractError, match=f"^line 1: unknown spec key '{key}'$"):
+            parse_spec_text(item)
+        spec = tmp_path / "retired.spec"
         spec.write_text(f"seed = 1\n{item}\n")
-        for argv, where in ((["--spec", str(spec)], "line 2"), (["--set", item], "--set")):
-            out = tmp_path / f"out_{n}"
-            assert main(["train", *argv, "--out", str(out)]) == 1
-            assert capsys.readouterr().err == f"error: {where}: unknown spec key '{key}'\n"
-            assert not out.exists()
+        where, argv = "line 2", ["--spec", str(spec)]
+    out = tmp_path / "out"
+    assert main(["train", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {where}: unknown spec key '{key}'\n"
+    assert not out.exists()
 
 
 def test_diverging_run_exits_nonzero_by_name(tmp_path, capsys):

@@ -97,6 +97,14 @@ def test_shift_rotates_means_by_closed_form():
         np.testing.assert_allclose(x[y == c].mean(axis=0), expected[c - 1], atol=0.1)
 
 
+def test_shift_moves_only_the_first_two_coordinates_and_keeps_norms():
+    x, y = make_gaussian_mixture(3, 5, 50, 3.0, 11)
+    shifted, _ = shift_domain(x, y, 1.1)
+    assert shifted[:, 2:].tobytes() == x[:, 2:].tobytes()
+    np.testing.assert_allclose(np.linalg.norm(shifted, axis=1), np.linalg.norm(x, axis=1),
+                               rtol=1e-12)
+
+
 def test_query_batch_comes_from_target_only():
     pair = small_pair()
     rng = np.random.default_rng(0)
@@ -187,11 +195,14 @@ PINNED_PAIRS = {
     ("pi/6", 2): "999ac1c57763abb87af8a097e18079a0df8601512dec3b6b2a72da25a452355e",
     ("C=12, D=16", 1): "2334b628c7755ba9b159cd70708a0f3b0504bcc4c6455b6270460f1ecde06639",
     ("C=12, D=16", 2): "2565037b834af2109f813de1f4ef19e81682156c35ef13ffeb3645c19ab782a8",
+    ("C=3", 1): "55d7231bcc690a6663ec190ff48c33a67f2387e86d1b6e8760f30c2fddbfdc16",
+    ("C=3", 2): "2034367566f6134b6777bf65e9026109b5ba54980ac8603eadfd26f95c528879",
 }
 PIN_CONFIGS = {
     "default": {},
     "pi/6": {"angle": math.pi / 6},
     "C=12, D=16": {"num_categories": 12, "dim": 16},
+    "C=3": {"num_categories": 3},
 }
 
 
@@ -215,6 +226,7 @@ def test_build_domain_pair_bytes_are_pinned(name, seed):
     ("dim", True),
     ("separation", float("nan")),
     ("separation", 0.0),
+    ("separation", float("inf")),
     ("angle", float("inf")),
 ])
 def test_data_config_rejects_each_invalid_field_before_drawing(field, value, monkeypatch):

@@ -725,6 +725,8 @@ COLD_FILL_CASES = {
     "never_warms": (dict(warmup_epochs=1, epochs=3, queue_size=1000), None, False),
     "no_warmup": (dict(warmup_epochs=0, epochs=3, queue_size=5), 1, True),
     "no_contrast": (dict(warmup_epochs=1, epochs=3, queue_size=5, catnce_weight=0.0), 2, True),
+    "plain_sgd": (dict(warmup_epochs=1, epochs=3, queue_size=5, weight_decay=0.0,
+                       lr_decay_power=0.0), 2, True),  # no decay term, constant rate
 }
 SHARE_ORDERS = {"ablate": VARIANTS, "T_S_full": ("T", "S", "full"), "full_T_S": ("full", "T", "S"),
                 "baseline_last": ("full", "S", "baseline", "T")}
