@@ -25,7 +25,8 @@ they have in common once, with the bytes of fresh runs. Under ablate the
 baseline trains the supervised warm-up that all four variants share. S
 restores it and goes on until its dictionary's queues are all full; up to
 there T and full, which fill cold queues from source keys too, train the
-same steps, so they restore S's state at that point.
+same steps, so they restore S's state at that point. train and
+export-embeddings run one variant per seed and store no share point.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) 
                                  *final, round(m.wall_clock_s, 3)])
 
 
-def _run_one(config: TrainConfig, pair: DomainPair, out_dir: Path, warmups: dict):
+def _run_one(config: TrainConfig, pair: DomainPair, out_dir: Path, warmups: dict | None):
     """Train one run, then write its run directory; returns (model, metrics).
 
     The keys are dumped into memory first, so a run that fails makes no directory.
@@ -172,9 +173,11 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
 
     Validates the data config, builds each seed's pair once and checks
     every run's training config against its pair, all before the first run
-    directory is made. The runs of one seed share the steps they have in
-    common: the end of warm-up, and for S, T and full the end of the cold
-    dictionary fill (train_caco's ``warmups``, one dict per command). Calls
+    directory is made. Under ablate, the runs of one seed share the steps
+    they have in common: the end of warm-up, and for S, T and full the end
+    of the cold dictionary fill (train_caco's ``warmups``, one dict per
+    command). The other commands run one variant per seed, so no run could
+    restore a share point, and they store none. Calls
     report(run_dir, pair, model, metrics) after each run; returns the
     output directory and every run's metrics.
     """
@@ -189,7 +192,7 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     pairs = {seed: build_domain_pair(spec.data, seed) for seed in seeds}
     for config in configs:
         check_pair_fits(config, pairs[config.seed])
-    warmups: dict = {}
+    warmups = {} if variants else None
     finished = []
     for config in configs:
         run_dir = out / config.variant / f"seed_{config.seed}" if variants else (

@@ -19,11 +19,20 @@ from .errors import ContractError, DimensionError, ParameterError
 KEY_VARIANTS = ("S", "T", "full")
 
 
-def check_integers(fields: dict) -> None:
-    """ParameterError unless each value, by field name, is an int or numpy integer (not a bool)."""
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is an int, but no integer argument."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integers(fields: dict, at_least: int | None = None) -> None:
+    """ParameterError, naming the field, for the first value that is not an integer (is_integer)
+    or is below at_least."""
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not is_integer(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if at_least is not None and value < at_least:
+            bound = "non-negative" if at_least == 0 else f"at least {at_least}"
+            raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +90,8 @@ class DataConfig:
     angle: float = float(np.pi / 4)
 
     def validate(self) -> None:
-        minimums = (("num_categories", 2), ("dim", 2), ("n_per_class", 1))
-        check_integers({name: getattr(self, name) for name, _ in minimums})
-        for name, least in minimums:
-            if getattr(self, name) < least:
-                raise ParameterError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        check_integers({"num_categories": self.num_categories, "dim": self.dim}, at_least=2)
+        check_integers({"n_per_class": self.n_per_class}, at_least=1)
         if not 0.0 < self.separation < math.inf:  # false for NaN too
             raise ParameterError(f"separation must be finite and positive, got {self.separation}")
         if not math.isfinite(self.angle):
@@ -122,10 +128,8 @@ def make_gaussian_mixture(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-variance Gaussian blobs as (x, 1-based y), class-major order, deterministic per seed."""
-    if num_categories < 2:
-        raise ParameterError("need at least 2 categories")
-    if dim < 2:
-        raise ParameterError("need at least 2 dimensions")
+    check_integers({"num_categories": num_categories, "dim": dim}, at_least=2)
+    check_integers({"n_per_class": n_per_class}, at_least=1)
     rng = np.random.default_rng(seed)
     centers = mixture_centers(num_categories, dim, separation)
     x = np.concatenate([

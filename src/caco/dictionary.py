@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .data import check_integers
+from .data import check_integers, is_integer
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import SOURCE, TARGET
 
@@ -42,11 +42,7 @@ class CategoricalDictionary:
     """C ring buffers of capacity M holding categorical keys."""
 
     def __init__(self, num_categories: int, capacity: int):
-        check_integers({"num_categories": num_categories, "capacity": capacity})
-        if num_categories < 1:
-            raise ParameterError(f"need at least one category, got {num_categories}")
-        if capacity < 1:
-            raise ParameterError(f"queue capacity must be positive, got {capacity}")
+        check_integers({"num_categories": num_categories, "capacity": capacity}, at_least=1)
         self.num_categories = int(num_categories)
         self.capacity = int(capacity)
         shape = (self.num_categories, self.capacity)
@@ -62,9 +58,7 @@ class CategoricalDictionary:
 
     def enqueue(self, vector, category: int, temperature: float, domain: str) -> None:
         """Write a key at its category's head, overwriting the oldest when full."""
-        # a bool is an int, but no category
-        if (isinstance(category, bool) or not isinstance(category, (int, np.integer))
-                or not 1 <= category <= self.num_categories):
+        if not is_integer(category) or not 1 <= category <= self.num_categories:
             raise ContractError(
                 f"category {category!r} is not an integer in [1..{self.num_categories}]"
             )
@@ -103,8 +97,7 @@ class CategoricalDictionary:
         )
 
     def _require_slots(self, m: int) -> None:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ContractError(f"slot index must be an integer >= 1, got {m!r}")
+        check_integers({"slot index": m}, at_least=1)
         for c, n in enumerate(self._fill):
             if n < m:
                 raise NotWarmError(f"queue {c + 1} holds {n} keys, slot {m} requested")

@@ -13,7 +13,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, finite_diff_grad
 from .dictionary import CategoricalDictionary
-from .errors import DegenerateEmbeddingError, ParameterError
+from .data import check_integers
+from .errors import DegenerateEmbeddingError
 from .labels import SOURCE
 from .losses import cat_nce, info_nce, supervised_loss
 from .model import Classifier, MlpParams, MlpSpec, classifier_logits, encode, init_classifier, init_params
@@ -125,10 +126,8 @@ def check_encoder_path(instances: int, rng) -> float:
 
 def run_all(instances: int = 50, seed: int = 0) -> dict[str, float]:
     """Every suite with its own child stream; returns max relative error per suite."""
-    if instances < 1:
-        raise ParameterError(f"instances must be at least 1, got {instances}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
+    check_integers({"instances": instances}, at_least=1)
+    check_integers({"seed": seed}, at_least=0)
     return {
         "supervised_loss": check_supervised_loss(instances, np.random.default_rng([seed, 101])),
         "info_nce": check_info_nce(instances, np.random.default_rng([seed, 102])),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import is_integer
 from .errors import ContractError
 
 SOURCE = "source"
@@ -26,7 +27,7 @@ class CategoryLabel(int):
 
     @classmethod
     def of(cls, index: int, num_categories: int) -> "CategoryLabel":
-        if int(index) != index or not 1 <= index <= num_categories:
+        if not is_integer(index) or not 1 <= index <= num_categories:
             raise ContractError(f"label index {index} is not an integer in [1..{num_categories}]")
         return cls(index)
 

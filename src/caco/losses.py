@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import check_integers
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import as_label_array, as_probability_rows
@@ -59,8 +60,7 @@ def key_temperature(tau_base: float, entropies, num_categories: int) -> np.ndarr
     """
     if not 0.0 < tau_base < math.inf:  # NaN fails both comparisons
         raise ParameterError(f"base temperature must be finite and positive, got {tau_base}")
-    if num_categories < 2:
-        raise ParameterError("entropy scaling needs at least 2 categories")
+    check_integers({"num_categories": num_categories}, at_least=2)
     h_max = math.log(num_categories)
     h = np.asarray(entropies, dtype=np.float64)
     outside = ~((h >= 0.0) & (h <= h_max + 1e-9))  # a NaN entropy is outside too

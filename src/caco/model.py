@@ -16,26 +16,22 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_integers
+from .data import check_integers, is_integer
 from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
 _INIT_VERSION = 1
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+    return isinstance(value, list) and all(map(is_integer, value))
 
 
 # the JSON type each header field must have
 _HEADER_TYPES = {
     "layer_widths": _is_int_list,
-    "num_categories": _is_int,
-    "seed": _is_int,
+    "num_categories": is_integer,
+    "seed": is_integer,
     "encoder_momentum": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"))
@@ -51,15 +47,12 @@ class MlpSpec:
     layer_widths: tuple[int, ...]
 
     def __post_init__(self):
-        check_integers({f"layer_widths[{i}]": w for i, w in enumerate(self.layer_widths)})
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
-        if len(widths) < 3:
+        if len(self.layer_widths) < 3:
             raise ParameterError("need at least one hidden layer")
-        if any(w < 1 for w in widths):
-            raise ParameterError(f"layer widths must be positive, got {widths}")
-        if widths[-1] < 2:
-            raise ParameterError("embedding dimension must be at least 2")
+        check_integers({f"layer_widths[{i}]": w for i, w in enumerate(self.layer_widths)},
+                       at_least=1)
+        check_integers({"layer_widths[-1]": self.layer_widths[-1]}, at_least=2)
+        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
 
     @property
     def embed_dim(self) -> int:
@@ -138,8 +131,7 @@ class Classifier:
 
 
 def init_classifier(embed_dim: int, num_categories: int, seed: int) -> Classifier:
-    if num_categories < 2:
-        raise ParameterError("classifier needs at least 2 categories")
+    check_integers({"embed_dim": embed_dim, "num_categories": num_categories}, at_least=2)
     rng = np.random.default_rng(seed)
     limit = np.sqrt(6.0 / embed_dim)
     return Classifier(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .data import check_integers
+from .errors import ContractError
 
 STREAM_IDS = {
     "source_data": 0,
@@ -25,8 +26,7 @@ STREAM_IDS = {
 def _stream_key(root_seed: int, name: str) -> list[int]:
     if name not in STREAM_IDS:
         raise ContractError(f"unknown random stream {name!r}")
-    if root_seed < 0:
-        raise ParameterError(f"the root seed must be non-negative, got {root_seed}")
+    check_integers({"the root seed": root_seed}, at_least=0)
     return [int(root_seed), STREAM_IDS[name]]
 
 

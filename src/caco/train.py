@@ -87,16 +87,11 @@ class TrainConfig:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not isinstance(self.hidden, tuple):
             raise ParameterError(f"hidden must be a tuple of widths, got {self.hidden!r}")
-        names = ("epochs", "batch_size", "queue_size", "key_batch_size", "warmup_epochs",
-                 "embed_dim", "seed")
-        check_integers({name: getattr(self, name) for name in names}
-                       | {f"hidden[{i}]": width for i, width in enumerate(self.hidden)})
-        if self.epochs < 0:
-            raise ParameterError("epochs must be non-negative")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be positive")
+        check_integers({f"hidden[{i}]": width for i, width in enumerate(self.hidden)})
+        for least, names in ((0, ("epochs", "seed", "warmup_epochs")),
+                             (1, ("batch_size", "queue_size", "key_batch_size")),
+                             (2, ("embed_dim",))):
+            check_integers({name: getattr(self, name) for name in names}, at_least=least)
         for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base",
                      "catnce_weight"):
             if not math.isfinite(getattr(self, name)):
@@ -108,16 +103,8 @@ class TrainConfig:
                 raise ParameterError(f"{name} must be non-negative")
         if not 0.0 <= self.encoder_momentum <= 1.0:
             raise ParameterError("encoder_momentum must lie in [0, 1]")
-        if self.queue_size < 1:
-            raise ParameterError("queue_size must be positive")
-        if self.warmup_epochs < 0:
-            raise ParameterError("warmup_epochs must be non-negative")
-        if self.key_batch_size < 1:
-            raise ParameterError("key_batch_size must be positive")
         if not self.hidden or min(self.hidden) < 1:
             raise ParameterError(f"hidden must list one or more positive widths, got {self.hidden}")
-        if self.embed_dim < 2:
-            raise ParameterError(f"embed_dim must be at least 2, got {self.embed_dim}")
         if self.variant in KEY_VARIANTS:
             key_batch_rows(self.key_batch_size, self.variant)
 

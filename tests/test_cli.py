@@ -322,6 +322,19 @@ def test_ablate_run_directories_equal_train_runs(tmp_path):
             assert _summary_rows(run / "summary.csv") == _summary_rows(alone / "summary.csv")
 
 
+@pytest.mark.parametrize("command", ["train", "export-embeddings"])
+def test_one_variant_per_seed_stores_no_share_point(tmp_path, monkeypatch, command):
+    import caco.cli
+
+    stores, real = [], caco.cli.train_caco
+    monkeypatch.setattr(caco.cli, "train_caco", lambda config, pair, **kw: (
+        stores.append(kw["warmups"]) or real(config, pair, **kw)))
+    argv = [command, "--out", str(tmp_path / "out"), "--seeds", "1,2"]
+    assert main(argv + fast_args("train.warmup_epochs=1")) == 0
+    # no other run of the seed could restore a point, so none is stored
+    assert len(stores) == 2 and not any(stores)
+
+
 GOLDEN_SPEC = Path(__file__).resolve().parents[1] / "configs" / "default.spec"
 GOLDEN_SHORT = ("data.n_per_class=100", "train.epochs=7", "train.queue_size=10")
 

@@ -8,7 +8,9 @@ import pytest
 from scipy import stats
 
 from caco.data import (
+    DataConfig,
     DomainPair,
+    build_domain_pair,
     make_gaussian_mixture,
     mixture_centers,
     sample_key_batch,
@@ -243,6 +245,24 @@ def test_data_config_rejects_each_invalid_field_before_drawing(field, value, mon
         cfg.validate()
     with pytest.raises(ParameterError):
         data_mod.build_domain_pair(cfg, 1)
+
+
+@pytest.mark.parametrize("root_seed", [1.5, True])
+def test_build_domain_pair_rejects_a_non_integer_root_seed(root_seed):
+    # once truncated, so that both built seed 1's pair
+    with pytest.raises(ParameterError, match="root seed"):
+        build_domain_pair(DataConfig(num_categories=3, dim=4, n_per_class=5), root_seed)
+
+
+@pytest.mark.parametrize("sizes, name", [
+    ((2.5, 4, 10), "num_categories"),
+    ((3, 4.0, 10), "dim"),
+    ((3, 4, 10.0), "n_per_class"),
+    ((1, 4, 10), "num_categories"),
+])
+def test_make_gaussian_mixture_rejects_bad_sizes_by_name(sizes, name):
+    with pytest.raises(ParameterError, match=name):
+        make_gaussian_mixture(*sizes, 2.0, 1)
 
 
 def test_domain_pair_rejects_mismatched_shapes():

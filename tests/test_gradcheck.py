@@ -1,8 +1,10 @@
 """The finite-difference suites themselves stay under tolerance."""
 
 import numpy as np
+import pytest
 
 from caco.cli import main
+from caco.errors import ParameterError
 from caco.gradcheck import (
     check_cat_nce,
     check_encoder_path,
@@ -28,6 +30,15 @@ def test_run_all_reports_every_suite():
 
 def test_run_all_deterministic_per_seed():
     assert run_all(instances=5, seed=2) == run_all(instances=5, seed=2)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"instances": 1.5}, "instances"),
+    ({"seed": True}, "seed"),
+])
+def test_run_all_rejects_bad_arguments_by_name(kwargs, name):
+    with pytest.raises(ParameterError, match=name):
+        run_all(**kwargs)
 
 
 def test_cli_gradcheck_output_is_pinned(capsys):

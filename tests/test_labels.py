@@ -96,8 +96,10 @@ def test_label_index_range_checked():
         CategoryLabel.of(0, 3)
     with pytest.raises(ContractError):
         CategoryLabel.of(5, 4)
-    with pytest.raises(ContractError):  # not truncated to 1
-        CategoryLabel.of(1.5, 3)
+    # not truncated to 1, and no integer-valued float or bool passes as an index
+    for index in (1.5, True, 2.0, np.float64(2.0)):
+        with pytest.raises(ContractError, match="label index"):
+            CategoryLabel.of(index, 4)
 
 
 def test_category_label_is_its_index():

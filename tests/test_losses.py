@@ -190,8 +190,9 @@ def test_key_temperature_range():
 
 
 def test_key_temperature_validation():
-    with pytest.raises(ParameterError):
-        key_temperature(0.07, np.array([1.0]), 1)
+    for num_categories in (1, 4.0, True):
+        with pytest.raises(ParameterError, match="num_categories"):
+            key_temperature(0.07, np.array([1.0]), num_categories)
     for tau_base in (0.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             key_temperature(tau_base, np.array([0.1]), 2)

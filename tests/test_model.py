@@ -226,6 +226,17 @@ def test_nan_weight_is_not_hidden_by_the_rectifier():
         encode(params, Tensor(x))
 
 
+@pytest.mark.parametrize("embed_dim, num_categories, name", [
+    (16, 1, "num_categories"),
+    (16, 4.0, "num_categories"),
+    (16, True, "num_categories"),
+    (4.0, 3, "embed_dim"),
+])
+def test_init_classifier_rejects_bad_sizes_by_name(embed_dim, num_categories, name):
+    with pytest.raises(ParameterError, match=name):
+        init_classifier(embed_dim, num_categories, 1)
+
+
 def test_classify_uniform_for_zero_classifier():
     clf = Classifier(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
     probs = classify(clf, np.random.default_rng(1).normal(size=(5, 3)))

@@ -37,3 +37,12 @@ def test_negative_root_seed_rejected():
         child_rng(-1, "source_batches")
     with pytest.raises(ParameterError, match="root seed"):
         child_seed(-3, "source_data")
+
+
+@pytest.mark.parametrize("root_seed", [1.5, 1.0, True])
+def test_non_integer_root_seed_rejected(root_seed):
+    # once truncated by int(), so that 1.5, 1.0 and True all drew seed 1's streams
+    with pytest.raises(ParameterError, match="root seed"):
+        child_rng(root_seed, "source_batches")
+    with pytest.raises(ParameterError, match="root seed"):
+        child_seed(root_seed, "source_data")

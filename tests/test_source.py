@@ -1,0 +1,45 @@
+"""Static checks over the source of src/caco/*.py."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "caco").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export, so it is left out
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_np_integer_appears_only_inside_is_integer():
+    # the one integer predicate: every other check calls is_integer or check_integers
+    stray = []
+    for path in SOURCES:
+        tree = _tree(path)
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "is_integer"
+                   for node in ast.walk(fn)}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "integer"
+                  and isinstance(node.value, ast.Name) and node.value.id == "np"
+                  and id(node) not in allowed]
+    assert not stray, f"np.integer outside is_integer: {stray}"
