@@ -225,6 +225,15 @@ def row_sum(a: Array) -> Array:
     return functools.reduce(np.add, a.T) if a.shape[1] < 8 else np.add.reduce(a, axis=1)
 
 
+def _minus_per_row(a: Array, v: Array) -> Array:
+    """a - v[:, None] as a new C-contiguous array, one column at a time: a
+    broadcast subtraction's inner loop runs over a few columns per row."""
+    out = np.empty(a.shape)
+    for j in range(a.shape[1]):
+        np.subtract(a[:, j], v, out=out[:, j])
+    return out
+
+
 def unit_normalize(a: Array) -> tuple[Array, Array]:
     """``a`` scaled to unit Euclidean norm along its last axis, and the norms.
 
@@ -375,19 +384,20 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     logits = q.data @ keys.T
     groups = logits.reshape((-1, width))
     idx = _row_index("grouped_nll", groups.shape, idx)
-    rows = np.arange(groups.shape[0])
-    m = row_max(groups)[:, None]
-    e = groups - m
-    lse = m[:, 0] + np.log(row_sum(np.exp(e, out=e)))
-    diff = lse - groups[rows, idx]
+    # flat position of each group's positive in the C-contiguous logits
+    pos = np.arange(0, groups.size, width) + idx
+    m = row_max(groups)
+    e = _minus_per_row(groups, m)
+    lse = m + np.log(row_sum(np.exp(e, out=e)))
+    diff = lse - logits.ravel().take(pos)
     n = diff.size
 
     def grad_fn(g: Array):
         gd = g / n  # the same for every group
-        per_group = groups - lse[:, None]
+        per_group = _minus_per_row(groups, lse)
         np.exp(per_group, out=per_group)
         per_group *= gd
-        per_group[rows, idx] -= gd
+        per_group.ravel()[pos] -= gd
         return (per_group.reshape(logits.shape) @ keys,)
 
     return _emit(np.add.reduce(diff) / n, (q,), grad_fn)

@@ -159,6 +159,7 @@ def shift_domain(x: np.ndarray, y: np.ndarray, angle: float) -> tuple[np.ndarray
 
 def sample_query_batch(pair: DomainPair, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform without-replacement draw of row indices into pair.target_x."""
+    check_integers({"n": n}, at_least=0)
     total = pair.target_x.shape[0]
     if n > total:
         raise ContractError(f"requested {n} queries from {total} target samples")
@@ -182,6 +183,7 @@ def key_batch_rows(n: int, variant: str) -> tuple[int, int]:
     """Source and target rows of an n-key batch per variant; ParameterError for an odd full batch."""
     if variant not in KEY_VARIANTS:
         raise ContractError(f"variant must be one of {KEY_VARIANTS}, got {variant!r}")
+    check_integers({"n": n}, at_least=0)
     if variant == "full" and n % 2:
         raise ParameterError(f"the full variant splits each key batch evenly between the "
                              f"domains; got an odd key batch of {n}")

@@ -116,10 +116,13 @@ class CategoricalDictionary:
         dictionary.
         """
         self._require_slots(self.capacity)
-        slots = (np.array(self._head) - np.arange(1, self.capacity + 1)[:, None]) % self.capacity
-        cats = np.arange(self.num_categories)
-        block = self._vectors[cats, slots] / self._temperatures[cats, slots][:, :, None]
-        return block.reshape(self.capacity * self.num_categories, -1)
+        cats, cap = self.num_categories, self.capacity
+        slots = (np.array(self._head) - np.arange(1, cap + 1)[:, None]) % cap  # (M, C)
+        # flat rows (c-1)*M + slot of the (C*M, d) keys and of the C*M temperatures
+        rows = (slots + np.arange(0, cats * cap, cap)).ravel()
+        block = self._vectors.reshape(cats * cap, -1).take(rows, axis=0)
+        block /= self._temperatures.ravel().take(rows)[:, None]
+        return block
 
     def is_warm(self) -> bool:
         return min(self._fill) == self.capacity

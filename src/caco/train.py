@@ -462,9 +462,9 @@ def train_caco(
                     )
                     key_emb = embed(run.model.encoders.key,
                                     np.concatenate([pair.source_x[src], pair.target_x[tgt]]))
-                    labels = key_label(pair.source_y[src], run.row_labels[tgt], num_cat)
+                    labels = key_label(pair.source_y[src], run.row_labels[tgt], num_cat).tolist()
                     entropies = prediction_entropy(classify(run.model.classifier, key_emb))
-                    taus = key_temperature(config.tau_base, entropies, num_cat)
+                    taus = key_temperature(config.tau_base, entropies, num_cat).tolist()
                     domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
                     for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
                         run.dictionary.enqueue(vec, label, tau, domain)

@@ -659,17 +659,26 @@ def test_grouped_nll_bit_equal_to_matmul_reshape_take_row_logsumexp():
     # widths on both sides of 8, where grouped_nll's sum turns from a column
     # fold into numpy's row sum, which adds pairwise from 8 terms on
     rng = np.random.default_rng(33)
+    cases = []
     for trial in range(120):
         batch, dim = int(rng.integers(1, 6)), int(rng.integers(2, 9))
         width, groups = int(rng.integers(1, 10)), int(rng.integers(1, 7))
         q = rng.normal(size=(batch, dim))
         keys = rng.normal(size=(groups * width, dim)) / float(rng.uniform(0.07, 0.14))
-        idx = rng.integers(0, width, size=batch * groups)
+        cases.append((q, keys, width, rng.integers(0, width, size=batch * groups)))
+    # the edges of the flat positive positions: width 1, groups whose logits all
+    # tie, and every positive in the first or in the last column
+    q = rng.normal(size=(3, 4))
+    for width in (1, 4, 9):
+        keys = rng.normal(size=(5 * width, 4)) / 0.1
+        for block in (keys, np.repeat(keys[::width], width, axis=0)):  # second: tied groups
+            cases += [(q, block, width, np.full(15, col)) for col in (0, width - 1)]
+    for q, keys, width, idx in cases:
         pin = float(rng.uniform(0.1, 2.0))
 
         def primitive(q):
             logits = ref.matmul(q, ad.Tensor(keys.T))
-            per_group = ref.reshape(logits, (batch * groups, width))
+            per_group = ref.reshape(logits, (idx.size, width))
             positives = ref.take_per_row(per_group, idx)
             return ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
 

@@ -129,6 +129,9 @@ def test_query_batch_too_large_rejected():
     pair = small_pair()
     with pytest.raises(ContractError):
         sample_query_batch(pair, pair.target_x.shape[0] + 1, np.random.default_rng(2))
+    for n in (2.5, True, -2):  # a count that is no non-negative integer is named
+        with pytest.raises(ParameterError, match=r"^n must"):
+            sample_query_batch(pair, n, np.random.default_rng(2))
 
 
 def test_query_batch_frequencies_uniform():
@@ -161,6 +164,9 @@ def test_key_batch_variant_contracts():
         sample_key_batch(pair, 7, "full", rng)
     with pytest.raises(ContractError):
         sample_key_batch(pair, 4, "bogus", rng)
+    for n, variant in ((3.0, "T"), (-2, "S"), (True, "S")):
+        with pytest.raises(ParameterError, match=r"^n must"):
+            sample_key_batch(pair, n, variant, rng)
 
 
 def test_target_labels_live_only_behind_evaluation_accessors():

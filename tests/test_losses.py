@@ -290,13 +290,25 @@ def test_cat_nce_bit_equal_to_slot_loop_reference():
     # random temperatures, and extra enqueues in random category order so the
     # queues have wrapped past their capacity a different number of times
     rng = np.random.default_rng(11)
+    cases = []
     for _ in range(25):
         C, M = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        dim, B = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        dim = int(rng.integers(2, 9))
         d = random_warm_dictionary(rng, C, M, dim)
         for _ in range(int(rng.integers(0, 3 * C * M))):
             d.enqueue(unit_rows(rng, 1, dim)[0], int(rng.integers(1, C + 1)),
                       float(rng.uniform(0.07, 0.14)), SOURCE)
+        cases.append((d, C, dim))
+    # wrapped queues whose heads sit at the ends of the ring: after M more keys
+    # queue 1's head is back at slot 0, after M - 1 more queue 2's is at slot M - 1
+    for M in (1, 2, 5):
+        d = random_warm_dictionary(rng, 3, M, 4)
+        for c, extra in ((1, M), (2, M - 1), (3, 1)):
+            for _ in range(extra):
+                d.enqueue(unit_rows(rng, 1, 4)[0], c, float(rng.uniform(0.07, 0.14)), SOURCE)
+        cases.append((d, 3, 4))
+    for d, C, dim in cases:
+        B = int(rng.integers(1, 6))
         assert d.scaled_block().flags.c_contiguous  # the operand layout matmul saw before
         q0 = unit_rows(rng, B, dim)
         labels = random_labels(rng, B, C)
