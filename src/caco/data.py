@@ -35,6 +35,31 @@ def check_integers(fields: dict, at_least: int | None = None) -> None:
             raise ParameterError(f"{name} must be {bound}, got {value}")
 
 
+def is_real(value) -> bool:
+    """True for a finite int, float, numpy integer or numpy float; a bool is an int, but no real."""
+    if not isinstance(value, (float, np.floating)) and not is_integer(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def check_reals(fields: dict, above: float | None = None, at_least: float | None = None,
+                at_most: float | None = None) -> None:
+    """ParameterError, naming the field, for the first value that is not a real (is_real)
+    or is at most `above`, below at_least or above at_most."""
+    for name, value in fields.items():
+        if not is_real(value):
+            raise ParameterError(f"{name} must be finite and real, got {value!r}")
+        if above is not None and value <= above:
+            raise ParameterError(f"{name} must be above {above}, got {value}")
+        if at_least is not None and value < at_least:
+            raise ParameterError(f"{name} must be at least {at_least}, got {value}")
+        if at_most is not None and value > at_most:
+            raise ParameterError(f"{name} must be at most {at_most}, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class DomainPair:
     """Labeled source rows plus unlabeled target rows, as read-only arrays.
@@ -59,6 +84,8 @@ class DomainPair:
             array = np.array(given, dtype=np.float64) if name.endswith("_x") else np.array(given)
             array.flags.writeable = False  # a private copy, so no caller can change it either
             object.__setattr__(self, name, array)
+            if name.endswith("_x") and not np.isfinite(array).all():
+                raise ContractError(f"{name} holds a NaN or infinite value")
         sx, sy, tx, ty = self.source_x, self.source_y, self.target_x, self._eval_labels
         if sx.ndim != 2 or tx.ndim != 2 or sx.shape[1] != tx.shape[1] \
                 or sy.shape != sx.shape[:1] or ty.shape != tx.shape[:1]:
@@ -92,10 +119,8 @@ class DataConfig:
     def validate(self) -> None:
         check_integers({"num_categories": self.num_categories, "dim": self.dim}, at_least=2)
         check_integers({"n_per_class": self.n_per_class}, at_least=1)
-        if not 0.0 < self.separation < math.inf:  # false for NaN too
-            raise ParameterError(f"separation must be finite and positive, got {self.separation}")
-        if not math.isfinite(self.angle):
-            raise ParameterError(f"angle must be finite, got {self.angle}")
+        check_reals({"separation": self.separation}, above=0)
+        check_reals({"angle": self.angle})
 
 
 def build_domain_pair(config: DataConfig, root_seed: int) -> DomainPair:
@@ -130,6 +155,7 @@ def make_gaussian_mixture(
     """Unit-variance Gaussian blobs as (x, 1-based y), class-major order, deterministic per seed."""
     check_integers({"num_categories": num_categories, "dim": dim}, at_least=2)
     check_integers({"n_per_class": n_per_class}, at_least=1)
+    check_reals({"separation": separation})
     rng = np.random.default_rng(seed)
     centers = mixture_centers(num_categories, dim, separation)
     x = np.concatenate([
@@ -145,6 +171,7 @@ def shift_domain(x: np.ndarray, y: np.ndarray, angle: float) -> tuple[np.ndarray
     labels come back as given, so the caller can park them on the
     evaluation side of a pair.
     """
+    check_reals({"angle": angle})
     dim = x.shape[1]
     rot = np.eye(dim)
     rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]

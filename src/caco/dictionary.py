@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .data import check_integers, is_integer
+from .data import check_integers, is_integer, is_real
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import SOURCE, TARGET
 
@@ -64,8 +64,10 @@ class CategoricalDictionary:
             )
         if domain not in _DOMAINS:
             raise ContractError(f"unknown domain {domain!r}")
-        if not 0.0 < temperature < math.inf:  # NaN fails both comparisons
-            raise ParameterError(f"key temperature must be finite and positive, got {temperature}")
+        if not is_real(temperature) or temperature <= 0.0:
+            raise ParameterError(
+                f"key temperature must be finite, real and positive, got {temperature!r}"
+            )
         vec = np.asarray(vector, dtype=np.float64)
         if vec.ndim != 1 or (self._next_age and vec.shape[0] != self._vectors.shape[2]):
             raise DimensionError(

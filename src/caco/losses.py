@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_integers
+from .data import check_integers, check_reals
 from .dictionary import CategoricalDictionary
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import as_label_array, as_probability_rows
@@ -37,8 +37,7 @@ def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> Tensor:
     positive_mask is a 0/1 vector flagging the positive key(s);
     loss = -log( sum_pos exp(q.k_i/tau) / sum_all exp(q.k_i/tau) ).
     """
-    if float(tau) <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    check_reals({"tau": tau}, above=0)
     mask = np.asarray(positive_mask)
     if not (mask != 0).any():
         raise ContractError("info_nce needs at least one positive key")
@@ -58,8 +57,7 @@ def key_temperature(tau_base: float, entropies, num_categories: int) -> np.ndarr
     Confident keys keep the base temperature; maximally uncertain ones get
     twice it: tau * (1 + H / log C), for each entropy H of the vector.
     """
-    if not 0.0 < tau_base < math.inf:  # NaN fails both comparisons
-        raise ParameterError(f"base temperature must be finite and positive, got {tau_base}")
+    check_reals({"tau_base": tau_base}, above=0)
     check_integers({"num_categories": num_categories}, at_least=2)
     h_max = math.log(num_categories)
     h = np.asarray(entropies, dtype=np.float64)

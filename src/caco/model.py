@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_integers, is_integer
+from .data import check_integers, check_reals, is_integer, is_real
 from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
@@ -32,7 +32,7 @@ _HEADER_TYPES = {
     "layer_widths": _is_int_list,
     "num_categories": is_integer,
     "seed": is_integer,
-    "encoder_momentum": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "encoder_momentum": is_real,
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"))
         for e in v),
@@ -169,8 +169,8 @@ class EncoderPair:
     momentum: float
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ParameterError(f"momentum must lie in [0, 1], got {self.momentum}")
+        check_reals({"momentum": self.momentum}, at_least=0, at_most=1)
+        self.momentum = float(self.momentum)  # the EMA's arithmetic and the header's JSON type
 
 
 def new_encoder_pair(spec: MlpSpec, seed: int, momentum: float) -> EncoderPair:
@@ -185,8 +185,7 @@ def momentum_update(pair: EncoderPair) -> EncoderPair:
     Updates each key array in place, with the bits of the out-of-place
     expression.
     """
-    if not 0.0 <= pair.momentum <= 1.0:
-        raise ParameterError(f"momentum must lie in [0, 1], got {pair.momentum}")
+    check_reals({"momentum": pair.momentum}, at_least=0, at_most=1)
     m = pair.momentum
     for tq, tk in zip(pair.query.tensors(), pair.key.tensors()):
         tk.data *= m
@@ -241,7 +240,7 @@ def save_checkpoint(path: str | Path, model: CacoModel) -> None:
         "version": _INIT_VERSION,
         "layer_widths": list(model.mlp_spec.layer_widths),
         "num_categories": model.num_categories,
-        "seed": model.seed,
+        "seed": int(model.seed),
         "encoder_momentum": model.encoders.momentum,
         "arrays": [{"name": name, "shape": list(t.shape)} for name, t in zip(names, tensors)],
     }
@@ -306,7 +305,7 @@ def load_checkpoint(path: str | Path) -> CacoModel:
     encoders = EncoderPair(
         params_for("query", True),
         params_for("key", False),
-        float(header["encoder_momentum"]),
+        header["encoder_momentum"],
     )
     classifier = Classifier(
         Tensor(arrays["classifier.weight"], True),

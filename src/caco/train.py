@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import IO, Sequence
@@ -35,6 +34,7 @@ from .data import (
     KEY_VARIANTS,
     DomainPair,
     check_integers,
+    check_reals,
     key_batch_rows,
     sample_key_batch,
     sample_query_batch,
@@ -87,24 +87,17 @@ class TrainConfig:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not isinstance(self.hidden, tuple):
             raise ParameterError(f"hidden must be a tuple of widths, got {self.hidden!r}")
-        check_integers({f"hidden[{i}]": width for i, width in enumerate(self.hidden)})
+        if not self.hidden:
+            raise ParameterError("hidden must list one or more positive widths, got ()")
+        check_integers({f"hidden[{i}]": width for i, width in enumerate(self.hidden)}, at_least=1)
         for least, names in ((0, ("epochs", "seed", "warmup_epochs")),
                              (1, ("batch_size", "queue_size", "key_batch_size")),
                              (2, ("embed_dim",))):
             check_integers({name: getattr(self, name) for name in names}, at_least=least)
-        for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base",
-                     "catnce_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0 or self.tau_base <= 0:
-            raise ParameterError("rates and temperatures must be positive")
-        for name in ("weight_decay", "lr_decay_power", "catnce_weight"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative")
-        if not 0.0 <= self.encoder_momentum <= 1.0:
-            raise ParameterError("encoder_momentum must lie in [0, 1]")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ParameterError(f"hidden must list one or more positive widths, got {self.hidden}")
+        check_reals({name: getattr(self, name) for name in ("learning_rate", "tau_base")}, above=0)
+        check_reals({name: getattr(self, name)
+                     for name in ("weight_decay", "lr_decay_power", "catnce_weight")}, at_least=0)
+        check_reals({"encoder_momentum": self.encoder_momentum}, at_least=0, at_most=1)
         if self.variant in KEY_VARIANTS:
             key_batch_rows(self.key_batch_size, self.variant)
 

@@ -278,7 +278,7 @@ def test_bad_seed_lists_exit_before_any_run(tmp_path, capsys, command, seeds, me
     # an odd key batch is invalid for the full variant only, which ablate runs last
     ("--set=train.key_batch_size=7", "odd key batch of 7"),
     ("--set=train.hidden=", "hidden must list one or more positive widths, got ()"),
-    ("--set=train.hidden=0", "hidden must list one or more positive widths, got (0,)"),
+    ("--set=train.hidden=0", "hidden[0] must be at least 1, got 0"),
     ("--set=train.embed_dim=1", "embed_dim must be at least 2, got 1"),
 ])
 def test_invalid_configs_exit_before_any_run_directory(tmp_path, capsys, command, item, message):

@@ -236,6 +236,9 @@ def test_build_domain_pair_bytes_are_pinned(name, seed):
     ("separation", 0.0),
     ("separation", float("inf")),
     ("angle", float("inf")),
+    ("separation", True),  # a bool is an int, but no real
+    ("angle", True),
+    ("angle", "x"),
 ])
 def test_data_config_rejects_each_invalid_field_before_drawing(field, value, monkeypatch):
     import caco.data as data_mod
@@ -269,6 +272,31 @@ def test_build_domain_pair_rejects_a_non_integer_root_seed(root_seed):
 def test_make_gaussian_mixture_rejects_bad_sizes_by_name(sizes, name):
     with pytest.raises(ParameterError, match=name):
         make_gaussian_mixture(*sizes, 2.0, 1)
+
+
+@pytest.mark.parametrize("separation, angle", [
+    (math.nan, 0.3), (math.inf, 0.3), (True, 0.3), ("3", 0.3),
+    (3.0, math.inf), (3.0, math.nan), (3.0, False),
+])
+def test_generators_reject_a_non_real_separation_or_angle(separation, angle):
+    # NaN and inf once drew NaN rows with no error
+    name = "separation" if separation != 3.0 else "angle"
+    with pytest.raises(ParameterError, match=name):
+        shift_domain(*make_gaussian_mixture(3, 4, 5, separation, 1), angle)
+
+
+@pytest.mark.parametrize("row", [0, 7, 14])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_domain_pair_rejects_non_finite_rows_by_name(row, bad):
+    # a NaN target row once trained and was named as a divergence at step 3
+    x, y = make_gaussian_mixture(3, 4, 5, 2.0, 1)
+    broken = x.copy()
+    broken[row, row % 4] = bad
+    with pytest.raises(ContractError, match="source_x"):
+        DomainPair(broken, y, x, 3, y)
+    with pytest.raises(ContractError, match="target_x"):
+        DomainPair(x, y, broken, 3, y)
+    DomainPair(x, y, np.full_like(x, 1e300), 3, y)  # finite, however large
 
 
 def test_domain_pair_rejects_mismatched_shapes():

@@ -70,7 +70,7 @@ def test_out_of_range_category_rejected():
     assert len(d) == 0
 
 
-@pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan"), float("inf")])
+@pytest.mark.parametrize("temperature", [0.0, -0.07, float("nan"), float("inf"), True])
 def test_non_finite_or_non_positive_temperature_rejected(temperature):
     d = CategoricalDictionary(2, 2)
     with pytest.raises(ParameterError):

@@ -143,8 +143,9 @@ def test_info_nce_rejects_empty_mask_and_bad_tau():
     keys = Tensor(np.eye(2))
     with pytest.raises(ContractError):
         info_nce(q, keys, np.zeros(2), 0.07)
-    with pytest.raises(ParameterError):
-        info_nce(q, keys, np.array([1, 0]), -1.0)
+    for tau in (-1.0, math.nan, math.inf, "0.07"):  # NaN gave NaN, inf log 2, "0.07" 0.07's loss
+        with pytest.raises(ParameterError, match="tau"):
+            info_nce(q, keys, np.array([1, 0]), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,8 @@ def test_key_temperature_validation():
     for num_categories in (1, 4.0, True):
         with pytest.raises(ParameterError, match="num_categories"):
             key_temperature(0.07, np.array([1.0]), num_categories)
-    for tau_base in (0.0, math.nan, math.inf):
-        with pytest.raises(ParameterError):
+    for tau_base in (0.0, math.nan, math.inf, True):
+        with pytest.raises(ParameterError, match="tau_base"):
             key_temperature(tau_base, np.array([0.1]), 2)
     # above log C, negative or not a number, among valid ones
     for bad in (math.log(2.0) + 1e-3, -1e-3, math.nan, math.inf, -math.inf):

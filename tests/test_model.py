@@ -309,8 +309,13 @@ def test_momentum_update_scalar_case():
 
 
 def test_momentum_validation():
-    with pytest.raises(ParameterError):
-        EncoderPair(init_params(SPEC, 0), init_params(SPEC, 0).copy(), 1.5)
+    for momentum in (1.5, True, float("nan")):
+        with pytest.raises(ParameterError, match="momentum"):
+            EncoderPair(init_params(SPEC, 0), init_params(SPEC, 0).copy(), momentum)
+    pair = new_encoder_pair(SPEC, 0, 0.9)
+    pair.momentum = True  # EncoderPair is mutable, so the EMA checks it again
+    with pytest.raises(ParameterError, match="momentum"):
+        momentum_update(pair)
 
 
 def test_momentum_closed_form():
@@ -442,6 +447,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
     ("seed", "42"),
     ("seed", True),
     ("encoder_momentum", "0.999"),
+    ("encoder_momentum", True),
+    ("encoder_momentum", float("nan")),
     ("arrays", [{}]),
     ("arrays", None),
     ("arrays", [{"name": "query.w0", "shape": "4,6"}]),

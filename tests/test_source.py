@@ -30,16 +30,28 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"imported but never used: {unused}"
 
 
-def test_np_integer_appears_only_inside_is_integer():
-    # the one integer predicate: every other check calls is_integer or check_integers
+def _attributes_outside(function, module, attrs):
+    """module.attr nodes of src/caco/*.py, for each attr in attrs, outside every def of function."""
     stray = []
     for path in SOURCES:
         tree = _tree(path)
         allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "is_integer"
+                   if isinstance(fn, ast.FunctionDef) and fn.name == function
                    for node in ast.walk(fn)}
-        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "integer"
-                  and isinstance(node.value, ast.Name) and node.value.id == "np"
+        stray += [f"{path.name}:{node.lineno} {module}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in attrs
+                  and isinstance(node.value, ast.Name) and node.value.id == module
                   and id(node) not in allowed]
+    return stray
+
+
+def test_np_integer_appears_only_inside_is_integer():
+    # the one integer predicate: every other check calls is_integer or check_integers
+    stray = _attributes_outside("is_integer", "np", ("integer",))
     assert not stray, f"np.integer outside is_integer: {stray}"
+
+
+def test_math_isfinite_and_inf_appear_only_inside_is_real():
+    # the one real predicate: every other scalar check calls is_real or check_reals
+    stray = _attributes_outside("is_real", "math", ("isfinite", "inf"))
+    assert not stray, f"math.isfinite or math.inf outside is_real: {stray}"

@@ -15,7 +15,10 @@ from caco.data import DataConfig, DomainPair, build_domain_pair, shift_domain
 from caco.errors import (
     ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError,
 )
-from caco.model import EMBED_BLOCK, CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams
+from caco.model import (
+    EMBED_BLOCK, CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams, load_checkpoint,
+    save_checkpoint,
+)
 from caco.autodiff import Tensor
 from caco.train import (
     VARIANTS,
@@ -78,9 +81,11 @@ def test_config_validation():
         TrainConfig(variant="T", key_batch_size=0).validate()
     TrainConfig(variant="T", key_batch_size=7).validate()
     TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
-    # a non-finite rate, temperature or weight fails here, not mid-run as a divergence
-    for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base", "catnce_weight"):
-        for value in (float("nan"), float("inf"), float("-inf")):
+    # a non-finite rate, temperature or weight fails here, not mid-run as a divergence;
+    # a bool or a string is no real either, and would train as 1.0 or fail mid-run
+    for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base", "catnce_weight",
+                 "encoder_momentum"):
+        for value in (float("nan"), float("inf"), float("-inf"), True, "0.1"):
             with pytest.raises(ParameterError, match=name):
                 TrainConfig(**{name: value}).validate()
     with pytest.raises(ParameterError, match="catnce_weight"):
@@ -116,6 +121,19 @@ def test_config_rejects_a_non_integer_in_an_integer_field(field, value):
 
 def test_config_takes_numpy_integers():
     tiny_config(epochs=np.int64(2), queue_size=np.int32(5), hidden=(np.int64(16), 8)).validate()
+
+
+@pytest.mark.parametrize("momentum, seed", [(0.995, 3), (1, 3), (np.float32(0.9), np.int64(4))])
+def test_a_validated_config_saves_a_checkpoint_that_loads(tiny_pair, tmp_path, momentum, seed):
+    # encoder_momentum=True once passed validate and wrote a header that load_checkpoint
+    # rejected; a numpy float momentum or numpy integer seed failed in json.dumps
+    config = tiny_config(epochs=1, encoder_momentum=momentum, seed=seed)
+    config.validate()
+    model, _ = train_caco(config, tiny_pair)
+    save_checkpoint(tmp_path / "model.ckpt", model)
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    assert (loaded.encoders.momentum, loaded.seed) == (float(momentum), seed)
+    assert params_bytes(loaded) == params_bytes(model)
 
 
 @pytest.mark.parametrize("variant, source_rows, target_rows, n_keys", [
