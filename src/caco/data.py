@@ -84,7 +84,10 @@ class DomainPair:
             array = np.array(given, dtype=np.float64) if name.endswith("_x") else np.array(given)
             array.flags.writeable = False  # a private copy, so no caller can change it either
             object.__setattr__(self, name, array)
-            if name.endswith("_x") and not np.isfinite(array).all():
+            # min and max propagate a NaN, and unlike np.isfinite(array) they make no (n, d)
+            # temporary; initial=0.0 lets a block of 0 rows through
+            if name.endswith("_x") and not np.isfinite(
+                    (array.min(initial=0.0), array.max(initial=0.0))).all():
                 raise ContractError(f"{name} holds a NaN or infinite value")
         sx, sy, tx, ty = self.source_x, self.source_y, self.target_x, self._eval_labels
         if sx.ndim != 2 or tx.ndim != 2 or sx.shape[1] != tx.shape[1] \
