@@ -239,7 +239,7 @@ def unit_normalize(a: Array) -> tuple[Array, Array]:
 
     Raises NonFiniteError if a norm is not finite (a NaN or an overflow
     upstream) and, failing that, DegenerateEmbeddingError if one is (near)
-    zero. The norms are np.linalg.norm's expression for real input.
+    zero. The package's one row normaliser: its norms are linalg.norm's expression.
     """
     norms = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
     if norms.size:

@@ -60,6 +60,20 @@ def check_reals(fields: dict, above: float | None = None, at_least: float | None
             raise ParameterError(f"{name} must be at most {at_most}, got {value}")
 
 
+def is_label(value, num_categories: int) -> bool:
+    """True for a 1-based category: an integer (is_integer) in [1..num_categories]."""
+    return is_integer(value) and 1 <= value <= num_categories
+
+
+def as_label_array(labels, num_categories: int) -> np.ndarray:
+    """A 1-D int64 array of 1-based labels in [1..num_categories]; an int64 one is not copied."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or (arr.size and (
+            np.minimum.reduce(arr) < 1 or np.maximum.reduce(arr) > num_categories)):
+        raise ContractError(f"expected a vector of integer labels in [1..{num_categories}]")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class DomainPair:
     """Labeled source rows plus unlabeled target rows, as read-only arrays.
@@ -94,10 +108,8 @@ class DomainPair:
                 or sy.shape != sx.shape[:1] or ty.shape != tx.shape[:1]:
             raise DimensionError(f"need (n, d) rows with n labels per domain; got source "
                                  f"{sx.shape} with {sy.shape}, target {tx.shape} with {ty.shape}")
-        c = self.num_categories
         for labels in (sy, ty):
-            if labels.dtype.kind not in "iu" or ((labels < 1) | (labels > c)).any():
-                raise ContractError(f"labels must be integer categories in [1..{c}]")
+            as_label_array(labels, self.num_categories)
 
     @property
     def source(self) -> np.ndarray:

@@ -3,8 +3,8 @@
 Keys are unit-norm embeddings frozen at enqueue time together with their
 category, per-key temperature and domain of origin. They live in a
 (C, M, d) vector array with (C, M) temperature, age and domain arrays;
-each category writes its next key at its head slot and overwrites the
-oldest once full. When every queue is full ("warm"), slot m of each queue
+a category's n-th key goes to slot (n - 1) % M, overwriting the oldest
+once full. When every queue is full ("warm"), slot m of each queue
 lines up into a group of C keys, one per category, which is the
 comparison unit of the category contrastive loss. Single writer;
 snapshots are safe to read from anywhere.
@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .data import check_integers, is_integer, is_real
+from .data import check_integers, is_label, is_real
 from .errors import ContractError, DimensionError, NotWarmError, ParameterError
 from .labels import SOURCE, TARGET
 
@@ -50,15 +50,13 @@ class CategoricalDictionary:
         self._temperatures = np.zeros(shape)
         self._ages = np.zeros(shape, dtype=np.int64)
         self._domains = np.zeros(shape, dtype=np.int8)
-        # per category: the next slot to write, and how many slots hold keys
-        self._head = [0] * self.num_categories
-        self._fill = [0] * self.num_categories
+        self._written = [0] * self.num_categories  # keys ever written, per category
         self._next_age = 0
         self.enqueued_by_domain = {SOURCE: 0, TARGET: 0}
 
     def enqueue(self, vector, category: int, temperature: float, domain: str) -> None:
-        """Write a key at its category's head, overwriting the oldest when full."""
-        if not is_integer(category) or not 1 <= category <= self.num_categories:
+        """Write a key at its category's next slot, overwriting the oldest when full."""
+        if not is_label(category, self.num_categories):
             raise ContractError(
                 f"category {category!r} is not an integer in [1..{self.num_categories}]"
             )
@@ -73,20 +71,19 @@ class CategoricalDictionary:
             raise DimensionError(
                 f"keys are 1-d and as long as the first one; got shape {vec.shape}"
             )
-        # np.linalg.norm of a 1-d array, without its overhead; written so
+        # the Euclidean norm of a 1-d array, without linalg.norm's overhead; written so
         # that a NaN or infinite norm fails the check too
         if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= _UNIT_TOL:
             raise ContractError("key vectors must be finite and unit-norm")
         if not self._next_age:
             self._vectors = np.zeros((self.num_categories, self.capacity, vec.shape[0]))
         c = category - 1
-        slot = self._head[c]
+        slot = self._written[c] % self.capacity
         self._vectors[c, slot] = vec  # a copy: the caller's array stays theirs
         self._temperatures[c, slot] = temperature
         self._ages[c, slot] = self._next_age
         self._domains[c, slot] = _DOMAINS.index(domain)
-        self._head[c] = (slot + 1) % self.capacity
-        self._fill[c] = min(self._fill[c] + 1, self.capacity)
+        self._written[c] += 1
         self._next_age += 1
         self.enqueued_by_domain[domain] += 1
 
@@ -100,14 +97,15 @@ class CategoricalDictionary:
 
     def _require_slots(self, m: int) -> None:
         check_integers({"slot index": m}, at_least=1)
-        for c, n in enumerate(self._fill):
-            if n < m:
-                raise NotWarmError(f"queue {c + 1} holds {n} keys, slot {m} requested")
+        for c, n in enumerate(self._written):
+            held = min(n, self.capacity)
+            if held < m:
+                raise NotWarmError(f"queue {c + 1} holds {held} keys, slot {m} requested")
 
     def group(self, m: int) -> list[CategoricalKey]:
         """The m-th newest key of every category, in category order (m >= 1)."""
         self._require_slots(m)
-        return [self._key(c, (self._head[c] - m) % self.capacity)
+        return [self._key(c, (self._written[c] - m) % self.capacity)
                 for c in range(self.num_categories)]
 
     def scaled_block(self) -> np.ndarray:
@@ -119,7 +117,7 @@ class CategoricalDictionary:
         """
         self._require_slots(self.capacity)
         cats, cap = self.num_categories, self.capacity
-        slots = (np.array(self._head) - np.arange(1, cap + 1)[:, None]) % cap  # (M, C)
+        slots = (np.array(self._written) - np.arange(1, cap + 1)[:, None]) % cap  # (M, C)
         # flat rows (c-1)*M + slot of the (C*M, d) keys and of the C*M temperatures
         rows = (slots + np.arange(0, cats * cap, cap)).ravel()
         block = self._vectors.reshape(cats * cap, -1).take(rows, axis=0)
@@ -127,21 +125,21 @@ class CategoricalDictionary:
         return block
 
     def is_warm(self) -> bool:
-        return min(self._fill) == self.capacity
+        return min(self._written) >= self.capacity
 
     def _held_slots(self, c: int) -> np.ndarray:
         """The slots of category index c that hold keys, oldest to newest."""
-        return (self._head[c] - self._fill[c] + np.arange(self._fill[c])) % self.capacity
+        return np.arange(max(0, self._written[c] - self.capacity), self._written[c]) % self.capacity
 
     def __len__(self) -> int:
-        return sum(self._fill)
+        return sum(min(n, self.capacity) for n in self._written)
 
     def snapshot(self) -> "CategoricalDictionary":
         """A copy, independent both ways, safe to read while the original keeps being updated."""
         # a bare instance: __init__'s checks and empty arrays would all be overwritten
         snap = object.__new__(CategoricalDictionary)
         snap.__dict__.update(self.__dict__)
-        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_head", "_fill",
+        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_written",
                      "enqueued_by_domain"):
             setattr(snap, name, getattr(self, name).copy())
         return snap

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, finite_diff_grad
+from .autodiff import Tape, Tensor, backward, finite_diff_grad, unit_normalize
 from .dictionary import CategoricalDictionary
 from .data import check_integers
 from .errors import DegenerateEmbeddingError
@@ -47,8 +47,7 @@ def gradient_error(loss_of: Callable[..., Tensor], *arrays) -> float:
 
 
 def _unit_rows(rng, n: int, d: int) -> np.ndarray:
-    rows = rng.normal(size=(n, d))
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return unit_normalize(rng.normal(size=(n, d)))[0]
 
 
 def check_supervised_loss(instances: int, rng) -> float:

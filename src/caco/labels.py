@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import is_integer
+from .autodiff import unit_normalize
+from .data import as_label_array, is_label
 from .errors import ContractError
 
 SOURCE = "source"
@@ -27,18 +28,9 @@ class CategoryLabel(int):
 
     @classmethod
     def of(cls, index: int, num_categories: int) -> "CategoryLabel":
-        if not is_integer(index) or not 1 <= index <= num_categories:
+        if not is_label(index, num_categories):
             raise ContractError(f"label index {index} is not an integer in [1..{num_categories}]")
         return cls(index)
-
-
-def as_label_array(labels, num_categories: int) -> np.ndarray:
-    """A 1-D int64 array of 1-based labels, each in [1..num_categories]."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or (arr.size and (arr.dtype.kind not in "iu" or np.minimum.reduce(arr) < 1
-                                       or np.maximum.reduce(arr) > num_categories)):
-        raise ContractError(f"expected a vector of integer labels in [1..{num_categories}]")
-    return arr.astype(np.int64)
 
 
 def as_probability_rows(probs) -> np.ndarray:
@@ -71,15 +63,12 @@ def key_label(source_labels, target_labels, num_categories: int) -> np.ndarray:
 
 
 def check_source_categories(source_labels, num_categories: int) -> None:
-    """ContractError naming every category in [1..num_categories] that no source label holds."""
-    counts = np.bincount(np.asarray(source_labels) - 1, minlength=num_categories)[:num_categories]
+    """ContractError if the labels fail as_label_array, or naming each category that none holds."""
+    labels = as_label_array(source_labels, num_categories)
+    counts = np.bincount(labels - 1, minlength=num_categories)
     if (counts == 0).any():
         missing = (np.flatnonzero(counts == 0) + 1).tolist()
         raise ContractError(f"no source rows to seed the prototypes of categories {missing}")
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
 def prototype_memberships(
@@ -97,21 +86,22 @@ def prototype_memberships(
     prototype to the normalised mean of its rows; a prototype that wins
     no row stays put. Row i of the result is
     the simplex vertex of target row i's final assignment, so
-    assign_pseudo_label reads it back as the row's label.
+    assign_pseudo_label reads it back as the row's label. A prototype of
+    (near-)zero norm raises DegenerateEmbeddingError (unit_normalize).
     """
-    source_labels = np.asarray(source_labels)
+    source_labels = as_label_array(source_labels, num_categories)
     if source_emb.shape[0] != source_labels.shape[0]:
         raise ContractError(
             f"{source_emb.shape[0]} source embeddings for {source_labels.shape[0]} labels"
         )
     check_source_categories(source_labels, num_categories)
     hot = np.eye(num_categories)
-    prototypes = _unit_rows(hot[source_labels - 1].T @ source_emb)
-    target = _unit_rows(np.asarray(target_emb, dtype=np.float64))
+    prototypes = unit_normalize(hot[source_labels - 1].T @ source_emb)[0]
+    target = unit_normalize(np.asarray(target_emb, dtype=np.float64))[0]
     assigned = np.argmax(target @ prototypes.T, axis=1)
     for _ in range(PROTOTYPE_STEPS):
         sums = hot[assigned].T @ target
         won = np.bincount(assigned, minlength=num_categories) > 0
-        prototypes[won] = _unit_rows(sums[won])
+        prototypes[won] = unit_normalize(sums[won])[0]
         assigned = np.argmax(target @ prototypes.T, axis=1)
     return hot[assigned]

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_integers, check_reals
+from .data import as_label_array, check_integers, check_reals
 from .dictionary import CategoricalDictionary
-from .errors import ContractError, DimensionError, NotWarmError, ParameterError
-from .labels import as_label_array, as_probability_rows
+from .errors import ContractError, DimensionError, ParameterError
+from .labels import as_probability_rows
 
 
 def supervised_loss(logits: Tensor, labels) -> Tensor:
@@ -76,10 +76,8 @@ def cat_nce(
 
     ``query_labels`` holds one 1-based category per query: an integer array,
     or a sequence of ints such as CategoryLabel. Callers must pass unit-norm,
-    grad-enabled queries.
+    grad-enabled queries. A cold dictionary raises scaled_block's NotWarmError.
     """
-    if not dictionary.is_warm():
-        raise NotWarmError("category contrast needs every queue at full capacity")
     if queries.data.ndim != 2:
         raise DimensionError("cat_nce expects (batch, d) queries")
     batch, dim = queries.shape

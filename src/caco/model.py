@@ -267,9 +267,11 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         malformed = [name for name in _HEADER_FIELDS if not _HEADER_TYPES[name](header[name])]
         if malformed:
             raise ContractError(f"checkpoint header fields {malformed} have the wrong type: {path}")
-        for name, least in (("num_categories", 2), ("seed", 0)):  # what training accepts
-            if header[name] < least:
-                raise ContractError(f"checkpoint header field {name} must be at least {least}, "
+        for name, least, most in (("num_categories", 2, None), ("seed", 0, None),
+                                  ("encoder_momentum", 0, 1)):  # what training accepts
+            if header[name] < least or most is not None and header[name] > most:
+                bound = f"at least {least}" if header[name] < least else f"at most {most}"
+                raise ContractError(f"checkpoint header field {name} must be {bound}, "
                                     f"got {header[name]}: {path}")
         blob = fh.read()
 

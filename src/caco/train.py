@@ -195,8 +195,8 @@ class _Sgd:
 
     The parameters live in one flat buffer: each p.data is rebound to a
     view of it, so a step is three whole-buffer expressions, the same
-    element-wise ones a per-parameter loop would run. A parameter
-    without a gradient counts as one of zeros.
+    element-wise ones a per-parameter loop would run. Every parameter
+    feeds the step's encoder or classifier record, so it has a gradient.
     """
 
     def __init__(self, params: list[Tensor], config: "TrainConfig", total_steps: int):
@@ -204,7 +204,7 @@ class _Sgd:
         self.base_lr = config.learning_rate
         self.weight_decay = config.weight_decay
         self.decay_power = config.lr_decay_power
-        self.total_steps = max(1, total_steps)
+        self.total_steps = total_steps
         self.steps_done = 0
         self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
         self.bind()
@@ -226,8 +226,7 @@ class _Sgd:
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         lr = self._lr()
-        v = np.concatenate([grads[p].ravel() if p in grads else np.zeros(p.data.size)
-                            for p in self.params] or [np.zeros(0)])
+        v = np.concatenate([grads[p].ravel() for p in self.params] or [np.zeros(0)])
         if self.weight_decay:
             v += self.weight_decay * self.flat
         self.flat -= lr * v

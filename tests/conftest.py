@@ -32,7 +32,7 @@ def tape_length(tape):
 
 def queue_lengths(d):
     """How many keys each category's queue holds, in category order."""
-    return list(d._fill)
+    return [min(n, d.capacity) for n in d._written]
 
 
 def held_keys(d):

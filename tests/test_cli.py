@@ -149,6 +149,8 @@ def test_shipped_default_spec_sets_every_field_once():
     expected = ["seed", *(f"data.{f.name}" for f in dataclasses.fields(DataConfig)),
                 *(f"train.{f.name}" for f in dataclasses.fields(TrainConfig) if f.name != "seed")]
     assert sorted(filter(None, keys)) == sorted(expected)
+    # with the config classes' defaults: a default changed in one place only fails here
+    assert parse_spec_text(text) == ExperimentSpec(DataConfig(), TrainConfig())
 
 
 def test_unknown_override_key_exits_nonzero(tmp_path, capsys):

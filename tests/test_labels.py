@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from caco.errors import ContractError
+from caco.errors import ContractError, DegenerateEmbeddingError
 from caco.labels import (
     CategoryLabel,
     assign_pseudo_label,
+    check_source_categories,
     key_label,
     prototype_memberships,
 )
@@ -155,3 +156,25 @@ def test_category_without_source_rows_rejected():
         prototype_memberships(np.eye(2), np.array([1, 1]), np.eye(2), 2)
     with pytest.raises(ContractError):
         prototype_memberships(np.eye(2), np.array([1]), np.eye(2), 2)
+
+
+def test_a_prototype_of_zero_norm_is_a_degenerate_embedding():
+    # category 2's source rows cancel, so its mean has no direction to seed from
+    source = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(DegenerateEmbeddingError):
+        prototype_memberships(source, np.array([1, 2, 2]), np.eye(2), 2)
+
+
+@pytest.mark.parametrize("source_labels", [
+    np.array([0, 1, 2, 3]),
+    np.array([1, 2, 3, 4]),
+    np.array([1.0, 2.0, 3.0, 3.0]),
+    np.array([True, True, False, True]),
+], ids=["zero", "past-C", "float", "bool"])
+def test_source_labels_outside_the_categories_are_named(source_labels):
+    # these once failed in numpy (ValueError, IndexError, TypeError), or, as bools, passed
+    emb = np.random.default_rng(2).normal(size=(4, 3))
+    with pytest.raises(ContractError, match=r"integer labels in \[1\.\.3\]"):
+        check_source_categories(source_labels, 3)
+    with pytest.raises(ContractError, match=r"integer labels in \[1\.\.3\]"):
+        prototype_memberships(emb, source_labels, emb, 3)

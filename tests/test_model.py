@@ -282,6 +282,13 @@ def test_classify_hand_set_two_by_two():
     np.testing.assert_allclose(classify(clf, e)[0], expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (3,)])
+def test_classify_rejects_embeddings_of_the_wrong_shape(shape):
+    # a block one column too wide, and a single row of the right length
+    with pytest.raises(DimensionError, match="classify expects"):
+        classify(init_classifier(3, 2, 0), np.zeros(shape))
+
+
 def test_momentum_update_endpoints():
     spec = MlpSpec((2, 3, 2))
     pair = new_encoder_pair(spec, 0, 1.0)
@@ -312,10 +319,11 @@ def test_momentum_validation():
     for momentum in (1.5, True, float("nan")):
         with pytest.raises(ParameterError, match="momentum"):
             EncoderPair(init_params(SPEC, 0), init_params(SPEC, 0).copy(), momentum)
-    pair = new_encoder_pair(SPEC, 0, 0.9)
-    pair.momentum = True  # EncoderPair is mutable, so the EMA checks it again
-    with pytest.raises(ParameterError, match="momentum"):
-        momentum_update(pair)
+    for momentum in (True, 1.5):
+        pair = new_encoder_pair(SPEC, 0, 0.9)
+        pair.momentum = momentum  # EncoderPair is mutable, so the EMA checks it again
+        with pytest.raises(ParameterError, match="momentum"):
+            momentum_update(pair)
 
 
 def test_momentum_closed_form():
@@ -389,22 +397,26 @@ def test_gradients_flow_through_encode():
 
 def test_checkpoint_round_trip_is_byte_exact(tmp_path):
     spec = MlpSpec((4, 6, 3))
-    model = CacoModel(spec, 3, 42, new_encoder_pair(spec, 42, 0.999), init_classifier(3, 3, 9))
-    # move key away from query so both sides are exercised
-    momentum_update(model.encoders)
-    path1 = tmp_path / "a.ckpt"
-    path2 = tmp_path / "b.ckpt"
-    save_checkpoint(path1, model)
-    loaded = load_checkpoint(path1)
-    save_checkpoint(path2, loaded)
-    assert path1.read_bytes() == path2.read_bytes()
+    # the least number of categories and seed that training accepts load too
+    for num_categories, seed in ((3, 42), (2, 0)):
+        model = CacoModel(spec, num_categories, seed, new_encoder_pair(spec, 42, 0.999),
+                          init_classifier(3, num_categories, 9))
+        # move key away from query so both sides are exercised
+        momentum_update(model.encoders)
+        path1 = tmp_path / "a.ckpt"
+        path2 = tmp_path / "b.ckpt"
+        save_checkpoint(path1, model)
+        loaded = load_checkpoint(path1)
+        save_checkpoint(path2, loaded)
+        assert path1.read_bytes() == path2.read_bytes()
+        assert (loaded.num_categories, loaded.seed) == (num_categories, seed)
 
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(4, 4))
-    np.testing.assert_array_equal(model.predict_probs(x), loaded.predict_probs(x))
-    np.testing.assert_array_equal(
-        embed(model.encoders.key, x), embed(loaded.encoders.key, x)
-    )
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 4))
+        np.testing.assert_array_equal(model.predict_probs(x), loaded.predict_probs(x))
+        np.testing.assert_array_equal(
+            embed(model.encoders.key, x), embed(loaded.encoders.key, x)
+        )
 
 
 def _saved_checkpoint(tmp_path):
@@ -431,8 +443,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b'{"format":"caco-checkpoint","version":1}\n')
     with pytest.raises(ContractError, match="lacks"):
         load_checkpoint(path)
-    # a truncated or overlong payload is named, not left to numpy
+    # the right format with a version this reader does not know
     path, header, payload = _saved_checkpoint(tmp_path)
+    _write(path, dict(header, version=2), payload)
+    with pytest.raises(ContractError, match="not a recognizable checkpoint"):
+        load_checkpoint(path)
+    # a truncated or overlong payload is named, not left to numpy
     for bad in (payload[:-100], payload + bytes(8)):
         _write(path, header, bad)
         with pytest.raises(ContractError, match="payload"):
@@ -466,12 +482,14 @@ def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, valu
     ("num_categories", 0),
     ("num_categories", 1),
     ("seed", -5),
+    ("encoder_momentum", 1.5),
+    ("encoder_momentum", -0.5),
 ])
 def test_checkpoint_names_a_header_field_out_of_range(tmp_path, field, value):
-    # well-typed values that no training run writes
+    # well-typed values that no training run writes, named with the file
     path, header, payload = _saved_checkpoint(tmp_path)
     _write(path, dict(header, **{field: value}), payload)
-    with pytest.raises(ContractError, match=f"{field} must be at least"):
+    with pytest.raises(ContractError, match=f"{field} must be at (least|most) .*: {path}$"):
         load_checkpoint(path)
 
 

@@ -31,16 +31,18 @@ def test_every_imported_name_is_used(path):
 
 
 def _attributes_outside(function, module, attrs):
-    """module.attr nodes of src/caco/*.py, for each attr in attrs, outside every def of function."""
+    """Attribute nodes of src/caco/*.py, for each attr in attrs, outside every def of function
+    (None: anywhere); only attributes of the name `module`, unless module is None."""
     stray = []
     for path in SOURCES:
         tree = _tree(path)
         allowed = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef) and fn.name == function
                    for node in ast.walk(fn)}
-        stray += [f"{path.name}:{node.lineno} {module}.{node.attr}" for node in ast.walk(tree)
+        stray += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in attrs
-                  and isinstance(node.value, ast.Name) and node.value.id == module
+                  and (module is None
+                       or isinstance(node.value, ast.Name) and node.value.id == module)
                   and id(node) not in allowed]
     return stray
 
@@ -55,3 +57,15 @@ def test_math_isfinite_and_inf_appear_only_inside_is_real():
     # the one real predicate: every other scalar check calls is_real or check_reals
     stray = _attributes_outside("is_real", "math", ("isfinite", "inf"))
     assert not stray, f"math.isfinite or math.inf outside is_real: {stray}"
+
+
+def test_np_linalg_appears_nowhere():
+    # the one row normaliser: every unit row comes from autodiff.unit_normalize
+    stray = _attributes_outside(None, "np", ("linalg",))
+    assert not stray, f"np.linalg in src/caco: {stray}"
+
+
+def test_a_dtype_kind_test_appears_only_inside_as_label_array():
+    # the one label-block check: every other label check calls as_label_array or is_label
+    stray = _attributes_outside("as_label_array", None, ("kind",))
+    assert not stray, f".kind outside as_label_array: {stray}"

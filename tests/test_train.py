@@ -22,7 +22,9 @@ from caco.model import (
 from caco.autodiff import Tensor
 from caco.train import (
     VARIANTS,
+    EpochRecord,
     EvalResult,
+    RunMetrics,
     TrainConfig,
     evaluate,
     pseudo_label_churn,
@@ -81,6 +83,7 @@ def test_config_validation():
         TrainConfig(variant="T", key_batch_size=0).validate()
     TrainConfig(variant="T", key_batch_size=7).validate()
     TrainConfig(variant="full", key_batch_size=8, batch_size=33).validate()
+    TrainConfig(variant="T", batch_size=1, queue_size=1, key_batch_size=1).validate()
     # a non-finite rate, temperature or weight fails here, not mid-run as a divergence;
     # a bool or a string is no real either, and would train as 1.0 or fail mid-run
     for name in ("learning_rate", "weight_decay", "lr_decay_power", "tau_base", "catnce_weight",
@@ -889,6 +892,10 @@ def test_epoch_zero_runs_produce_empty_metrics(tiny_pair):
     assert metrics.records == []
     assert metrics.final_accuracy is None
     assert isinstance(model, CacoModel)
+    # with records, it is the last record's accuracy
+    records = [EpochRecord(epoch, 0.5, None, accuracy, accuracy, None, False)
+               for epoch, accuracy in ((1, 0.25), (2, 0.75), (3, 0.5))]
+    assert RunMetrics("baseline", 1, records).final_accuracy == 0.5
 
 
 def test_baseline_zero_shift_matches_source_accuracy():
