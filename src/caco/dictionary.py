@@ -97,10 +97,9 @@ class CategoricalDictionary:
 
     def _require_slots(self, m: int) -> None:
         check_integers({"slot index": m}, at_least=1)
-        for c, n in enumerate(self._written):
-            held = min(n, self.capacity)
-            if held < m:
-                raise NotWarmError(f"queue {c + 1} holds {held} keys, slot {m} requested")
+        for c in range(self.num_categories):
+            if self._held(c) < m:
+                raise NotWarmError(f"queue {c + 1} holds {self._held(c)} keys, slot {m} requested")
 
     def group(self, m: int) -> list[CategoricalKey]:
         """The m-th newest key of every category, in category order (m >= 1)."""
@@ -125,14 +124,18 @@ class CategoricalDictionary:
         return block
 
     def is_warm(self) -> bool:
-        return min(self._written) >= self.capacity
+        return all(self._held(c) == self.capacity for c in range(self.num_categories))
+
+    def _held(self, c: int) -> int:
+        """How many keys the queue of category index c holds."""
+        return min(self._written[c], self.capacity)
 
     def _held_slots(self, c: int) -> np.ndarray:
         """The slots of category index c that hold keys, oldest to newest."""
-        return np.arange(max(0, self._written[c] - self.capacity), self._written[c]) % self.capacity
+        return np.arange(self._written[c] - self._held(c), self._written[c]) % self.capacity
 
     def __len__(self) -> int:
-        return sum(min(n, self.capacity) for n in self._written)
+        return sum(self._held(c) for c in range(self.num_categories))
 
     def snapshot(self) -> "CategoricalDictionary":
         """A copy, independent both ways, safe to read while the original keeps being updated."""

@@ -62,13 +62,13 @@ def key_label(source_labels, target_labels, num_categories: int) -> np.ndarray:
                            as_label_array(target_labels, num_categories)])
 
 
-def check_source_categories(source_labels, num_categories: int) -> None:
-    """ContractError if the labels fail as_label_array, or naming each category that none holds."""
+def check_source_categories(source_labels, num_categories: int) -> np.ndarray:
+    """The labels as as_label_array returns them; ContractError naming each category none holds."""
     labels = as_label_array(source_labels, num_categories)
-    counts = np.bincount(labels - 1, minlength=num_categories)
-    if (counts == 0).any():
-        missing = (np.flatnonzero(counts == 0) + 1).tolist()
+    missing = (np.flatnonzero(np.bincount(labels - 1, minlength=num_categories) == 0) + 1).tolist()
+    if missing:
         raise ContractError(f"no source rows to seed the prototypes of categories {missing}")
+    return labels
 
 
 def prototype_memberships(
@@ -89,12 +89,10 @@ def prototype_memberships(
     assign_pseudo_label reads it back as the row's label. A prototype of
     (near-)zero norm raises DegenerateEmbeddingError (unit_normalize).
     """
-    source_labels = as_label_array(source_labels, num_categories)
+    source_labels = check_source_categories(source_labels, num_categories)
     if source_emb.shape[0] != source_labels.shape[0]:
-        raise ContractError(
-            f"{source_emb.shape[0]} source embeddings for {source_labels.shape[0]} labels"
-        )
-    check_source_categories(source_labels, num_categories)
+        raise ContractError(f"{source_emb.shape[0]} source embeddings for "
+                            f"{source_labels.shape[0]} labels")
     hot = np.eye(num_categories)
     prototypes = unit_normalize(hot[source_labels - 1].T @ source_emb)[0]
     target = unit_normalize(np.asarray(target_emb, dtype=np.float64))[0]

@@ -32,7 +32,7 @@ def tape_length(tape):
 
 def queue_lengths(d):
     """How many keys each category's queue holds, in category order."""
-    return [min(n, d.capacity) for n in d._written]
+    return [d._held(c) for c in range(d.num_categories)]
 
 
 def held_keys(d):

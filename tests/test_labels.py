@@ -156,6 +156,8 @@ def test_category_without_source_rows_rejected():
         prototype_memberships(np.eye(2), np.array([1, 1]), np.eye(2), 2)
     with pytest.raises(ContractError):
         prototype_memberships(np.eye(2), np.array([1]), np.eye(2), 2)
+    with pytest.raises(ContractError, match="2 source embeddings for 3 labels"):
+        prototype_memberships(np.eye(2), np.array([1, 2, 1]), np.eye(2), 2)
 
 
 def test_a_prototype_of_zero_norm_is_a_degenerate_embedding():
