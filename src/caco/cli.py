@@ -54,8 +54,8 @@ from .train import (
 
 @dataclasses.dataclass
 class ExperimentSpec:
-    data: DataConfig
-    train: TrainConfig
+    data: DataConfig = dataclasses.field(default_factory=DataConfig)
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     seed: int = 1
     out: str = ""  # empty: the command's own default directory
 
@@ -92,8 +92,8 @@ def _apply_item(spec: ExperimentSpec, item: str, where: str) -> None:
         raise ContractError(f"{where}: bad value for {key}: {raw!r}") from exc
 
 
-def parse_spec_text(text: str, spec: ExperimentSpec | None = None) -> ExperimentSpec:
-    spec = spec or ExperimentSpec(DataConfig(), TrainConfig())
+def parse_spec_text(text: str) -> ExperimentSpec:
+    spec = ExperimentSpec()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
@@ -102,9 +102,7 @@ def parse_spec_text(text: str, spec: ExperimentSpec | None = None) -> Experiment
 
 
 def load_spec(path: str | None, overrides: list[str]) -> ExperimentSpec:
-    spec = ExperimentSpec(DataConfig(), TrainConfig())
-    if path is not None:
-        spec = parse_spec_text(Path(path).read_text(), spec)
+    spec = parse_spec_text("" if path is None else Path(path).read_text())
     for item in overrides:
         _apply_item(spec, item, "--set")
     return spec
@@ -120,7 +118,6 @@ SUMMARY_FIELDS = ("variant", "seed", "epochs", "warm_epoch", "target_accuracy",
 
 def _write_summary(path: Path, runs: list[RunMetrics], every_run: bool = False) -> None:
     """Header plus one row per run: finished runs only, or every run (zero-epoch ones too)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)

@@ -203,13 +203,9 @@ class CacoModel:
     encoders: EncoderPair
     classifier: Classifier
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Category probabilities for a (batch, D) block."""
-        return classify(self.classifier, embed(self.encoders.query, x))
-
     def predict_indices(self, x: np.ndarray) -> np.ndarray:
         """1-based argmax categories for a (batch, D) block."""
-        return np.argmax(self.predict_probs(x), axis=1) + 1
+        return np.argmax(classify(self.classifier, embed(self.encoders.query, x)), axis=1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def _end_epoch(run: _Run, pair: DomainPair) -> None:
     result = evaluate(run.model, pair.target_x, pair.evaluation_labels())
     run.records.append(EpochRecord(
         epoch=run.epoch,
-        loss_sup=float(np.mean(run.sup_losses)) if run.sup_losses else 0.0,
+        loss_sup=float(np.mean(run.sup_losses)),
         loss_catnce=float(np.mean(run.cat_losses)) if run.cat_losses else None,
         target_accuracy=result.accuracy,
         target_mean_class_accuracy=result.mean_class_accuracy,
@@ -333,12 +333,15 @@ def _end_epoch(run: _Run, pair: DomainPair) -> None:
 
 
 def check_pair_fits(config: TrainConfig, pair: DomainPair) -> None:
-    """Reject, before it starts, a contrastive run that the pair cannot feed.
+    """Reject, before it starts, a run that the pair cannot feed.
 
-    ParameterError if its key batch draws more rows than the pair holds;
-    ContractError if a category has no source row, since every epoch's
-    labelling seeds one prototype per category from the source rows.
+    ContractError for a domain without rows, and for S, T and full a category
+    without source rows, which every epoch's labelling seeds a prototype from;
+    ParameterError if a contrastive key batch draws more rows than the pair holds.
     """
+    for name, rows in (("source_x", pair.source_x), ("target_x", pair.target_x)):
+        if rows.shape[0] == 0:
+            raise ContractError(f"the pair's {name} block has no rows")
     if config.variant == "baseline":
         return
     check_source_categories(pair.source_y, pair.num_categories)
@@ -384,9 +387,9 @@ def train_caco(
     DivergenceError before its backward pass; so does an encoder output
     whose norm is not finite (NonFiniteError), with the step in which it
     showed: step 1 for the epoch labelling, the last step for the epoch's
-    evaluation. Before epoch 1, S, T and full raise ParameterError for a key
-    batch larger than a pool it draws from, and ContractError for a
-    category without source rows.
+    evaluation. Before epoch 1, a domain without rows raises ContractError; for
+    S, T and full, so does a category without source rows, and a key batch
+    larger than a pool it draws from raises ParameterError.
 
     ``warmups`` is a dict the caller owns, shared by the runs it passes to.
     Runs on the same pair whose configs differ in nothing but the variant

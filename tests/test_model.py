@@ -414,7 +414,8 @@ def test_checkpoint_round_trip_is_byte_exact(tmp_path):
 
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(model.predict_probs(x), loaded.predict_probs(x))
+        np.testing.assert_array_equal(classify(model.classifier, embed(model.encoders.query, x)),
+                                      classify(loaded.classifier, embed(loaded.encoders.query, x)))
         np.testing.assert_array_equal(
             embed(model.encoders.key, x), embed(loaded.encoders.key, x)
         )

@@ -12,10 +12,8 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    # __init__.py imports to re-export, so it is left out
     tree = _tree(path)
     imported = {}
     for node in ast.walk(tree):
@@ -69,3 +67,17 @@ def test_a_dtype_kind_test_appears_only_inside_as_label_array():
     # the one label-block check: every other label check calls as_label_array or is_label
     stray = _attributes_outside("as_label_array", None, ("kind",))
     assert not stray, f".kind outside as_label_array: {stray}"
+
+
+def test_package_init_is_only_its_docstring():
+    # one import path per name: each is imported from its own module, never through caco
+    tree = _tree(SOURCES[0].parent / "__init__.py")
+    assert ast.get_docstring(tree)
+    stray = [f"__init__.py:{node.lineno} {type(node).__name__}" for node in tree.body[1:]]
+    assert not stray, f"statements besides the docstring: {stray}"
+
+
+def test_version_string_appears_nowhere():
+    # pyproject.toml's version is the one version string
+    stray = [path.name for path in SOURCES if "__version__" in path.read_text()]
+    assert not stray, f"__version__ in src/caco: {stray}"

@@ -174,6 +174,17 @@ def test_category_without_source_rows_raises_before_training(tiny_pair, monkeypa
     monkeypatch.setattr(train_mod, "evaluate", lambda *a: evaluated.append(a))
     with pytest.raises(ContractError, match=r"no source rows .* categories \[3\]"):
         train_caco(tiny_config(variant="S", warmup_epochs=2), pair)
+    # a domain without rows fails every variant: the baseline would train 0 steps an epoch,
+    # and no epoch could be evaluated on an empty target
+    p = tiny_pair
+    empty = {"source_x": DomainPair(p.source_x[:0], p.source_y[:0], p.target_x,
+                                    p.num_categories, p.evaluation_labels()),
+             "target_x": DomainPair(p.source_x, p.source_y, p.target_x[:0],
+                                    p.num_categories, p.evaluation_labels()[:0])}
+    for name, bad in empty.items():
+        for variant in VARIANTS:
+            with pytest.raises(ContractError, match=rf"the pair's {name} block has no rows"):
+                train_caco(tiny_config(variant=variant), bad)
     assert evaluated == []
     monkeypatch.undo()
     _, metrics = train_caco(tiny_config(variant="baseline", warmup_epochs=2), pair)
