@@ -34,7 +34,6 @@ from .errors import (
 Array = np.ndarray
 
 _NORM_FLOOR = 1e-12
-FD_STEP = 1e-5  # the step of finite_diff_grad's central differences
 
 
 class Tensor:
@@ -401,28 +400,3 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
         return (per_group.reshape(logits.shape) @ keys,)
 
     return _emit(np.add.reduce(diff) / n, (q,), grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# Gradient oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_grad(f: Callable[[Array], float], x: Array) -> Array:
-    """Central finite differences of a scalar function of a flat vector.
-
-    ``f`` is evaluated at x +/- FD_STEP along every coordinate; the result
-    has the same shape as ``x``.
-    """
-    base = np.asarray(x, dtype=np.float64)
-    flat = base.reshape(-1).copy()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + FD_STEP
-        hi = float(f(flat.reshape(base.shape).copy()))
-        flat[i] = orig - FD_STEP
-        lo = float(f(flat.reshape(base.shape).copy()))
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2.0 * FD_STEP)
-    return grad.reshape(base.shape)

@@ -7,7 +7,7 @@ Usage:
     caco export-embeddings --spec configs/default.spec --out runs/embed
 
 Spec files are flat key = value text with one dotted namespace level
-(data.* and train.*) plus top-level seed and out; '#' starts a comment.
+(data.* and train.*) plus a top-level seed; '#' starts a comment.
 Every value can be overridden on the command line with --set key=value;
 spec lines and --set items go through the same parser.
 
@@ -57,7 +57,6 @@ class ExperimentSpec:
     data: DataConfig = dataclasses.field(default_factory=DataConfig)
     train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     seed: int = 1
-    out: str = ""  # empty: the command's own default directory
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +64,11 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _coerce(raw: str, current):
-    """raw converted to the type of the field's current value: a tuple of its kind, or a scalar."""
-    if isinstance(current, tuple):
-        kind = type(current[0]) if current else float
-        return tuple(kind(p) for p in raw.split(",") if p.strip())
-    return type(current)(raw)
+def _coerce(raw: str, default):
+    """raw converted to the type of the field's default: a tuple of its kind, or a scalar."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p) for p in raw.split(",") if p.strip())
+    return type(default)(raw)
 
 
 def _apply_item(spec: ExperimentSpec, item: str, where: str) -> None:
@@ -78,7 +76,7 @@ def _apply_item(spec: ExperimentSpec, item: str, where: str) -> None:
     key, eq, raw = (part.strip() for part in item.partition("="))
     if not eq:
         raise ContractError(f"{where}: expected key = value, got {item!r}")
-    if key in ("seed", "out"):
+    if key == "seed":
         target, name = spec, key
     else:
         scope, _, name = key.partition(".")
@@ -87,7 +85,7 @@ def _apply_item(spec: ExperimentSpec, item: str, where: str) -> None:
         if name not in names:  # seed is a top-level key only
             raise ContractError(f"{where}: unknown spec key {key!r}")
     try:
-        setattr(target, name, _coerce(raw, getattr(target, name)))
+        setattr(target, name, _coerce(raw, getattr(type(target)(), name)))
     except ValueError as exc:
         raise ContractError(f"{where}: bad value for {key}: {raw!r}") from exc
 
@@ -179,7 +177,7 @@ def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     output directory and every run's metrics.
     """
     spec = load_spec(args.spec, args.set or [])
-    out = Path(args.out or spec.out or default_out)
+    out = Path(args.out or default_out)
     seeds = [spec.seed] if args.seeds is None else _seed_list(args.seeds)
     spec.data.validate()
     configs = [dataclasses.replace(spec.train, variant=variant, seed=seed)

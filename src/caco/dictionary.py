@@ -4,10 +4,11 @@ Keys are unit-norm embeddings frozen at enqueue time together with their
 category, per-key temperature and domain of origin. They live in a
 (C, M, d) vector array with (C, M) temperature, age and domain arrays;
 a category's n-th key goes to slot (n - 1) % M, overwriting the oldest
-once full. When every queue is full ("warm"), slot m of each queue
-lines up into a group of C keys, one per category, which is the
-comparison unit of the category contrastive loss. Single writer;
-snapshots are safe to read from anywhere.
+once full; a key's age is the number of keys written before it. When
+every queue is full ("warm"), slot m of each queue lines up into a group
+of C keys, one per category, which is the comparison unit of the
+category contrastive loss. Single writer; snapshots are safe to read
+from anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .labels import SOURCE, TARGET
 
 _UNIT_TOL = 1e-9
 _DOMAINS = (SOURCE, TARGET)  # domain codes stored in the domain array
-_KEY_LINE = '{"category": %d, "domain": "%s", "age": %d, "temperature": %r, "vector": [%s]}\n'
+_KEY_LINE = '{{"category": {}, "domain": "{}", "age": {}, "temperature": {!r}, "vector": [{}]}}\n'
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ class CategoricalDictionary:
         self._ages = np.zeros(shape, dtype=np.int64)
         self._domains = np.zeros(shape, dtype=np.int8)
         self._written = [0] * self.num_categories  # keys ever written, per category
-        self._next_age = 0
-        self.enqueued_by_domain = {SOURCE: 0, TARGET: 0}
 
     def enqueue(self, vector, category: int, temperature: float, domain: str) -> None:
         """Write a key at its category's next slot, overwriting the oldest when full."""
@@ -67,7 +66,8 @@ class CategoricalDictionary:
                 f"key temperature must be finite, real and positive, got {temperature!r}"
             )
         vec = np.asarray(vector, dtype=np.float64)
-        if vec.ndim != 1 or (self._next_age and vec.shape[0] != self._vectors.shape[2]):
+        dim = self._vectors.shape[2]  # 0 until the first key
+        if vec.ndim != 1 or (dim and vec.shape[0] != dim):
             raise DimensionError(
                 f"keys are 1-d and as long as the first one; got shape {vec.shape}"
             )
@@ -75,17 +75,15 @@ class CategoricalDictionary:
         # that a NaN or infinite norm fails the check too
         if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= _UNIT_TOL:
             raise ContractError("key vectors must be finite and unit-norm")
-        if not self._next_age:
+        if not dim:
             self._vectors = np.zeros((self.num_categories, self.capacity, vec.shape[0]))
         c = category - 1
         slot = self._written[c] % self.capacity
         self._vectors[c, slot] = vec  # a copy: the caller's array stays theirs
         self._temperatures[c, slot] = temperature
-        self._ages[c, slot] = self._next_age
+        self._ages[c, slot] = sum(self._written)
         self._domains[c, slot] = _DOMAINS.index(domain)
         self._written[c] += 1
-        self._next_age += 1
-        self.enqueued_by_domain[domain] += 1
 
     def _key(self, c: int, slot: int) -> CategoricalKey:
         vec = self._vectors[c, slot].copy()
@@ -104,8 +102,7 @@ class CategoricalDictionary:
     def group(self, m: int) -> list[CategoricalKey]:
         """The m-th newest key of every category, in category order (m >= 1)."""
         self._require_slots(m)
-        return [self._key(c, (self._written[c] - m) % self.capacity)
-                for c in range(self.num_categories)]
+        return [self._key(c, slot) for c, slot in enumerate(self._newest(m).tolist())]
 
     def scaled_block(self) -> np.ndarray:
         """Every key divided by its temperature, one C-contiguous (M*C, d) array.
@@ -116,12 +113,16 @@ class CategoricalDictionary:
         """
         self._require_slots(self.capacity)
         cats, cap = self.num_categories, self.capacity
-        slots = (np.array(self._written) - np.arange(1, cap + 1)[:, None]) % cap  # (M, C)
+        slots = self._newest(np.arange(1, cap + 1)[:, None])  # (M, C)
         # flat rows (c-1)*M + slot of the (C*M, d) keys and of the C*M temperatures
         rows = (slots + np.arange(0, cats * cap, cap)).ravel()
         block = self._vectors.reshape(cats * cap, -1).take(rows, axis=0)
         block /= self._temperatures.ravel().take(rows)[:, None]
         return block
+
+    def _newest(self, k) -> np.ndarray:
+        """Per category, the slot of its k-th newest key; a column of k gives a row per k."""
+        return (np.array(self._written) - k) % self.capacity
 
     def is_warm(self) -> bool:
         return all(self._held(c) == self.capacity for c in range(self.num_categories))
@@ -132,7 +133,7 @@ class CategoricalDictionary:
 
     def _held_slots(self, c: int) -> np.ndarray:
         """The slots of category index c that hold keys, oldest to newest."""
-        return np.arange(self._written[c] - self._held(c), self._written[c]) % self.capacity
+        return self._newest(np.arange(self._held(c), 0, -1)[:, None])[:, c]
 
     def __len__(self) -> int:
         return sum(self._held(c) for c in range(self.num_categories))
@@ -142,8 +143,7 @@ class CategoricalDictionary:
         # a bare instance: __init__'s checks and empty arrays would all be overwritten
         snap = object.__new__(CategoricalDictionary)
         snap.__dict__.update(self.__dict__)
-        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_written",
-                     "enqueued_by_domain"):
+        for name in ("_vectors", "_temperatures", "_ages", "_domains", "_written"):
             setattr(snap, name, getattr(self, name).copy())
         return snap
 
@@ -160,5 +160,5 @@ class CategoricalDictionary:
                 self._domains[c, slots].tolist(), self._ages[c, slots].tolist(),
                 self._temperatures[c, slots].tolist(), self._vectors[c, slots].tolist(),
             ):
-                fp.write(_KEY_LINE % (c + 1, _DOMAINS[domain], age, tau,
-                                      ", ".join(map(float.__repr__, vec))))
+                fp.write(_KEY_LINE.format(c + 1, _DOMAINS[domain], age, tau,
+                                          ", ".join(map(float.__repr__, vec))))

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, finite_diff_grad, unit_normalize
+from .autodiff import Tape, Tensor, backward, unit_normalize
 from .dictionary import CategoricalDictionary
 from .data import check_integers
 from .errors import DegenerateEmbeddingError
@@ -20,6 +20,7 @@ from .losses import cat_nce, info_nce, supervised_loss
 from .model import Classifier, MlpParams, MlpSpec, classifier_logits, encode, init_classifier, init_params
 
 DEFAULT_TOLERANCE = 1e-4
+FD_STEP = 1e-5  # the step of gradient_error's central differences
 
 
 def gradient_error(loss_of: Callable[..., Tensor], *arrays) -> float:
@@ -27,21 +28,26 @@ def gradient_error(loss_of: Callable[..., Tensor], *arrays) -> float:
 
     Each array becomes a grad-enabled leaf and loss_of runs on a tape; the
     leaf gradients, concatenated in argument order, are compared with
-    finite_diff_grad over the concatenated arrays, which loss_of then
-    receives split back into constant tensors of the original shapes.
+    central differences at step FD_STEP along every coordinate of the
+    concatenated arrays, which loss_of then receives split back into
+    constant tensors of the original shapes.
     """
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape() as tape:
         loss = loss_of(*leaves)
     grads = backward(loss, tape)
     analytic = np.concatenate([grads[t].ravel() for t in leaves])
+    flat = np.concatenate([t.data.ravel() for t in leaves])
     cuts = np.cumsum([t.data.size for t in leaves])[:-1]
 
-    def f(flat):
-        parts = np.split(flat, cuts)
+    def loss_at(i: int, step: float) -> float:
+        x = flat.copy()
+        x[i] += step
+        parts = np.split(x, cuts)
         return loss_of(*(Tensor(v.reshape(t.shape)) for v, t in zip(parts, leaves))).item()
 
-    numeric = finite_diff_grad(f, np.concatenate([t.data.ravel() for t in leaves]))
+    numeric = np.array([(loss_at(i, FD_STEP) - loss_at(i, -FD_STEP)) / (2.0 * FD_STEP)
+                        for i in range(flat.size)])
     denom = max(1.0, np.abs(analytic).max(), np.abs(numeric).max())
     return float(np.abs(analytic - numeric).max() / denom)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_integers, check_reals, is_integer, is_real
+from .data import check_integers, check_reals, is_integer
 from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
@@ -27,17 +27,14 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(map(is_integer, value))
 
 
-# the JSON type each header field must have
+_HEADER_FIELDS = ("layer_widths", "num_categories", "seed", "encoder_momentum", "arrays")
+# the JSON structure of the two list fields; the rules training applies judge every value
 _HEADER_TYPES = {
-    "layer_widths": _is_int_list,
-    "num_categories": is_integer,
-    "seed": is_integer,
-    "encoder_momentum": is_real,
+    "layer_widths": lambda v: isinstance(v, list),
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"))
         for e in v),
 }
-_HEADER_FIELDS = tuple(_HEADER_TYPES)
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class MlpSpec:
 
     def __post_init__(self):
         if len(self.layer_widths) < 3:
-            raise ParameterError("need at least one hidden layer")
+            raise ParameterError(f"layer_widths must list a hidden layer, got {self.layer_widths}")
         check_integers({f"layer_widths[{i}]": w for i, w in enumerate(self.layer_widths)},
                        at_least=1)
         check_integers({"layer_widths[-1]": self.layer_widths[-1]}, at_least=2)
@@ -80,15 +77,19 @@ class MlpParams:
         )
 
 
+def _init_layer(rng, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
+    """Uniform +/- sqrt(6/fan_in) weights and zero biases, both grad-enabled."""
+    limit = np.sqrt(6.0 / fan_in)
+    return (Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)), True),
+            Tensor(np.zeros(fan_out), True))
+
+
 def init_params(spec: MlpSpec, seed: int) -> MlpParams:
-    """Uniform +/- sqrt(6/fan_in) weights, zero biases; deterministic per seed."""
+    """Every layer by _init_layer, in order, from one stream; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)), True))
-        biases.append(Tensor(np.zeros(fan_out), True))
-    return MlpParams(weights, biases)
+    weights, biases = zip(*(_init_layer(rng, fan_in, fan_out) for fan_in, fan_out
+                            in zip(spec.layer_widths, spec.layer_widths[1:])))
+    return MlpParams(list(weights), list(biases))
 
 
 def encode(params: MlpParams, x) -> Tensor:
@@ -132,12 +133,7 @@ class Classifier:
 
 def init_classifier(embed_dim: int, num_categories: int, seed: int) -> Classifier:
     check_integers({"embed_dim": embed_dim, "num_categories": num_categories}, at_least=2)
-    rng = np.random.default_rng(seed)
-    limit = np.sqrt(6.0 / embed_dim)
-    return Classifier(
-        Tensor(rng.uniform(-limit, limit, (embed_dim, num_categories)), True),
-        Tensor(np.zeros(num_categories), True),
-    )
+    return Classifier(*_init_layer(np.random.default_rng(seed), embed_dim, num_categories))
 
 
 def classifier_logits(clf: Classifier, embeddings: Tensor) -> Tensor:
@@ -255,35 +251,36 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ContractError(f"not a recognizable checkpoint: {path}") from exc
         if not isinstance(header, dict) or header.get("format") != _INIT_NAME \
-                or header.get("version") != _INIT_VERSION:
+                or header.get("version") != _INIT_VERSION or not is_integer(header["version"]):
             raise ContractError(f"not a recognizable checkpoint: {path}")
         missing = [name for name in _HEADER_FIELDS if name not in header]
         if missing:
             raise ContractError(f"checkpoint header lacks {missing}: {path}")
-        malformed = [name for name in _HEADER_FIELDS if not _HEADER_TYPES[name](header[name])]
+        malformed = [name for name, ok in _HEADER_TYPES.items() if not ok(header[name])]
         if malformed:
             raise ContractError(f"checkpoint header fields {malformed} have the wrong type: {path}")
-        for name, least, most in (("num_categories", 2, None), ("seed", 0, None),
-                                  ("encoder_momentum", 0, 1)):  # what training accepts
-            if header[name] < least or most is not None and header[name] > most:
-                bound = f"at least {least}" if header[name] < least else f"at most {most}"
-                raise ContractError(f"checkpoint header field {name} must be {bound}, "
-                                    f"got {header[name]}: {path}")
+        try:  # the rules training applies
+            spec = MlpSpec(tuple(header["layer_widths"]))
+            check_integers({"num_categories": header["num_categories"]}, at_least=2)
+            check_integers({"seed": header["seed"]}, at_least=0)
+            check_reals({"encoder_momentum": header["encoder_momentum"]}, at_least=0, at_most=1)
+        except ParameterError as exc:
+            raise ContractError(f"checkpoint header field {exc}: {path}") from exc
         blob = fh.read()
 
-    spec = MlpSpec(tuple(header["layer_widths"]))
     num_categories = header["num_categories"]
     layout = _array_layout(spec, num_categories)
     declared = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
     if declared != layout:
         raise ContractError(
             f"checkpoint array names or shapes do not match layer_widths "
-            f"{list(spec.layer_widths)} and num_categories {num_categories}"
+            f"{list(spec.layer_widths)} and num_categories {num_categories}: {path}"
         )
     counts = [int(np.prod(shape)) for _, shape in layout]
     if 8 * sum(counts) != len(blob):
         raise ContractError(
-            f"checkpoint payload holds {len(blob)} bytes, its header declares {8 * sum(counts)}"
+            f"checkpoint payload holds {len(blob)} bytes, its header declares "
+            f"{8 * sum(counts)}: {path}"
         )
     arrays: dict[str, np.ndarray] = {}
     offset = 0

@@ -40,7 +40,8 @@ from .data import (
     sample_query_batch,
 )
 from .dictionary import CategoricalDictionary
-from .errors import ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError
+from .errors import (ContractError, DegenerateEmbeddingError, DimensionError, DivergenceError,
+                     NonFiniteError, ParameterError)
 from .labels import (
     SOURCE, TARGET, assign_pseudo_label, check_source_categories, key_label, prototype_memberships,
 )
@@ -125,8 +126,13 @@ class RunMetrics:
     variant: str
     seed: int
     records: list[EpochRecord] = field(default_factory=list)
-    warm_epoch: int | None = None
     wall_clock_s: float = 0.0
+
+    @property
+    def warm_epoch(self) -> int | None:
+        """The first epoch that ended with every queue full; queues only grow, so None
+        means the dictionary never warmed."""
+        return next((r.epoch for r in self.records if r.dictionary_warm), None)
 
     @property
     def final_accuracy(self) -> float | None:
@@ -206,7 +212,7 @@ class _Sgd:
         self.decay_power = config.lr_decay_power
         self.total_steps = total_steps
         self.steps_done = 0
-        self.flat = np.concatenate([p.data.ravel() for p in params] or [np.zeros(0)])
+        self.flat = np.concatenate([p.data.ravel() for p in params])
         self.bind()
 
     def __setstate__(self, state: dict) -> None:
@@ -226,7 +232,7 @@ class _Sgd:
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         lr = self._lr()
-        v = np.concatenate([grads[p].ravel() for p in self.params] or [np.zeros(0)])
+        v = np.concatenate([grads[p].ravel() for p in self.params])
         if self.weight_decay:
             v += self.weight_decay * self.flat
         self.flat -= lr * v
@@ -287,7 +293,6 @@ class _Run:
     rng_keys: np.random.Generator
     queries: _QueryCycler  # it holds the query stream
     records: list[EpochRecord] = field(default_factory=list)
-    warm_epoch: int | None = None
     epoch: int = 1
     step: int = 0
     batches: list[np.ndarray] = field(default_factory=list)
@@ -378,18 +383,20 @@ def train_caco(
     variants add, per contrastive epoch: label every target row once from
     the key encoder (assign_pseudo_label over prototype_memberships, one
     1-based array); a target row keeps that label as a query and as a key
-    until the next epoch. And per step, before the
-    supervised loss: encode a key batch with the key encoder and enqueue it
-    (keys drawn from source with true labels until the dictionary warms,
-    then per variant); once warm, add the weighted category contrastive
-    loss on a target query batch; after the SGD step, an EMA step on the
-    key encoder. Warm-up leaves the key encoder at its init. A step whose loss is not finite raises
-    DivergenceError before its backward pass; so does an encoder output
-    whose norm is not finite (NonFiniteError), with the step in which it
-    showed: step 1 for the epoch labelling, the last step for the epoch's
-    evaluation. Before epoch 1, a domain without rows raises ContractError; for
-    S, T and full, so does a category without source rows, and a key batch
-    larger than a pool it draws from raises ParameterError.
+    until the next epoch. And per step, before the supervised loss: encode a
+    key batch with the key encoder and enqueue it (keys drawn from source
+    with true labels until the dictionary warms, then per variant); once
+    warm, add the weighted category contrastive loss on a target query
+    batch; after the SGD step, an EMA step on the key encoder. Warm-up
+    leaves the key encoder at its init. A step whose loss is not finite
+    raises DivergenceError before its backward pass; so does an encoder
+    output whose norm is not finite (NonFiniteError), with the step in which
+    it showed: step 1 for the epoch labelling, the last step for the epoch's
+    evaluation. An embedding or prototype of zero norm raises
+    DegenerateEmbeddingError, named with the same step. Before epoch 1, a
+    domain without rows raises ContractError; for S, T and full, so does a
+    category without source rows, and a key batch larger than a pool it
+    draws from raises ParameterError.
 
     ``warmups`` is a dict the caller owns, shared by the runs it passes to.
     Runs on the same pair whose configs differ in nothing but the variant
@@ -464,8 +471,6 @@ def train_caco(
                     for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
                         run.dictionary.enqueue(vec, label, tau, domain)
                     warms = filling and run.dictionary.is_warm()
-                    if warms:
-                        run.warm_epoch = run.epoch
 
                 with Tape() as tape:
                     emb = encode(run.model.encoders.query, pair.source_x[idx])
@@ -495,9 +500,12 @@ def train_caco(
         # an encoder whose outputs overflowed: the run diverged, wherever it
         # showed first; at step 0, in the epoch labelling that readies step 1
         raise DivergenceError(run.epoch, run.step or 1, str(exc)) from exc
+    except DegenerateEmbeddingError as exc:
+        raise DegenerateEmbeddingError(
+            f"an encoder embedded a row, or the labelling a prototype, as zero "
+            f"at epoch {run.epoch}, step {run.step or 1}") from exc
 
-    metrics = RunMetrics(config.variant, config.seed, run.records, run.warm_epoch,
-                         time.monotonic() - started)
+    metrics = RunMetrics(config.variant, config.seed, run.records, time.monotonic() - started)
     if keys_dump_fp is not None:
         run.dictionary.dump_jsonl(keys_dump_fp)
     return run.model, metrics

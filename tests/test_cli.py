@@ -108,7 +108,7 @@ def test_parse_spec_rejects_unknown_keys():
 
 @pytest.mark.parametrize("item", [
     "just a line", "data.bogus = 1", "bogus = 1", "train.seed = 4", "train.epochs = many",
-    "train.hidden = 8,wide", "seed = 1.5",
+    "train.hidden = 8,wide", "seed = 1.5", "out = somewhere",
 ])
 def test_malformed_items_fail_alike_from_spec_file_and_set(tmp_path, item):
     path = tmp_path / "bad.spec"
@@ -120,6 +120,17 @@ def test_malformed_items_fail_alike_from_spec_file_and_set(tmp_path, item):
     assert type(from_file.value) is type(from_set.value)
     assert main(["train", "--set", item.replace(" ", ""), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_value_takes_its_fields_declared_type_after_an_empty_tuple(tmp_path):
+    # the type comes from the field's default, not from the value set before
+    path = tmp_path / "emptied.spec"
+    path.write_text("train.hidden =\n")
+    assert load_spec(str(path), []).train.hidden == ()
+    for spec, widths in ((load_spec(str(path), ["train.hidden=64"]), [64]),
+                         (parse_spec_text("train.hidden =\ntrain.hidden = 8,4"), [8, 4])):
+        spec.train.validate()
+        assert [(type(w), w) for w in spec.train.hidden] == [(int, w) for w in widths]
 
 
 def test_load_spec_applies_overrides(tmp_path):

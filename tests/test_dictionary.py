@@ -219,8 +219,8 @@ def test_snapshot_is_isolated_both_ways():
     d.enqueue(unit(3, 2), 1, 0.07, TARGET)
     assert queue_lengths(d) == [2, 0] and queue_lengths(copy) == [1, 1]
     assert [k.age for k in held_keys(d)] == [0, 1] and [k.age for k in held_keys(copy)] == [0, 1]
-    assert d.enqueued_by_domain == {SOURCE: 1, TARGET: 1}
-    assert copy.enqueued_by_domain == {SOURCE: 2, TARGET: 0}
+    assert [k.domain for k in held_keys(d)] == [SOURCE, TARGET]
+    assert [k.domain for k in held_keys(copy)] == [SOURCE, SOURCE]
 
 
 def test_jsonl_dump_round_trips_fields():

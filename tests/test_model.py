@@ -445,15 +445,17 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b'{"format":"caco-checkpoint","version":1}\n')
     with pytest.raises(ContractError, match="lacks"):
         load_checkpoint(path)
-    # the right format with a version this reader does not know
+    # the right format with a version this reader does not know; true and 1.0
+    # equal 1 in Python, but they are no integer
     path, header, payload = _saved_checkpoint(tmp_path)
-    _write(path, dict(header, version=2), payload)
-    with pytest.raises(ContractError, match="not a recognizable checkpoint"):
-        load_checkpoint(path)
-    # a truncated or overlong payload is named, not left to numpy
+    for version in (2, True, 1.0):
+        _write(path, dict(header, version=version), payload)
+        with pytest.raises(ContractError, match="not a recognizable checkpoint"):
+            load_checkpoint(path)
+    # a truncated or overlong payload is named with the file, not left to numpy
     for bad in (payload[:-100], payload + bytes(8)):
         _write(path, header, bad)
-        with pytest.raises(ContractError, match="payload"):
+        with pytest.raises(ContractError, match=f"payload.*: {re.escape(str(path))}$"):
             load_checkpoint(path)
 
 
@@ -473,17 +475,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
 ])
 def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, value):
     # the right format and version, but a field that would fail as a bare
-    # ValueError, TypeError or KeyError somewhere in the reading
+    # ValueError, TypeError or KeyError somewhere in the reading. A list field
+    # of another structure has the wrong type; any other value fails the rule
+    # training applies to the field
+    rule = {"num_categories": "must be an integer", "seed": "must be an integer",
+            "encoder_momentum": "must be finite and real"}.get(field, "wrong type")
+    if field == "layer_widths" and isinstance(value, list):
+        rule = r"\[1\] must be an integer"
     path, header, payload = _saved_checkpoint(tmp_path)
     _write(path, dict(header, **{field: value}), payload)
-    with pytest.raises(ContractError, match=f"{field}.*wrong type"):
+    with pytest.raises(ContractError, match=f"{field}.*{rule}.*: {re.escape(str(path))}$"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field, value, bound", [
     ("num_categories", 0, "at least 2"),
     ("num_categories", 1, "at least 2"),
-    ("seed", -5, "at least 0"),
+    ("seed", -5, "non-negative"),
     ("encoder_momentum", 1.5, "at most 1"),
     ("encoder_momentum", -0.5, "at least 0"),
 ])
@@ -496,18 +504,33 @@ def test_checkpoint_names_a_header_field_out_of_range(tmp_path, field, value, bo
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("widths, rule", [
+    ([3, 0, 2], r"layer_widths\[1\] must be at least 1, got 0"),
+    ([3, 2], r"layer_widths must list a hidden layer, got \(3, 2\)"),
+    ([3, 5, 1], r"layer_widths\[-1\] must be at least 2, got 1"),
+], ids=["zero-width", "no-hidden-layer", "one-wide-embedding"])
+def test_checkpoint_names_layer_widths_that_no_encoder_has(tmp_path, widths, rule):
+    # MlpSpec's rule, as a ContractError named with the file
+    path, header, payload = _saved_checkpoint(tmp_path)
+    _write(path, dict(header, layer_widths=widths), payload)
+    with pytest.raises(ContractError, match=f"{rule}: {re.escape(str(path))}$") as info:
+        load_checkpoint(path)
+    assert type(info.value) is ContractError
+
+
 def test_checkpoint_rejects_shapes_that_disagree_with_its_header(tmp_path):
     path, header, payload = _saved_checkpoint(tmp_path)
+    named = f": {re.escape(str(path))}$"
     # same element count, so only the shape check can catch it
     reshaped = json.loads(json.dumps(header))
     reshaped["arrays"][0]["shape"] = [6, 4]
     _write(path, reshaped, payload)
-    with pytest.raises(ContractError, match="layer_widths"):
+    with pytest.raises(ContractError, match=f"layer_widths.*{named}"):
         load_checkpoint(path)
     # the classifier no longer fits the declared number of categories
     recounted = dict(header, num_categories=4)
     _write(path, recounted, payload)
-    with pytest.raises(ContractError, match="num_categories"):
+    with pytest.raises(ContractError, match=f"num_categories.*{named}"):
         load_checkpoint(path)
     _write(path, header, payload)
     load_checkpoint(path)

@@ -81,3 +81,17 @@ def test_version_string_appears_nowhere():
     # pyproject.toml's version is the one version string
     stray = [path.name for path in SOURCES if "__version__" in path.read_text()]
     assert not stray, f"__version__ in src/caco: {stray}"
+
+
+def test_modulo_appears_in_dictionary_only_inside_enqueue_and_newest():
+    # the one slot formula: a read's slots come from _newest, and enqueue keeps its write slot
+    tree = _tree(SOURCES[0].parent / "dictionary.py")
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name in ("enqueue", "_newest")
+               for node in ast.walk(fn)}
+    stray = [f"dictionary.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+                 or isinstance(node, ast.Attribute) and node.attr in ("mod", "remainder", "fmod")
+                 or isinstance(node, ast.Name) and node.id == "divmod")
+             and id(node) not in allowed]
+    assert not stray, f"a modulo outside enqueue and _newest: {stray}"

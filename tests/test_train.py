@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caco.data import DataConfig, DomainPair, build_domain_pair, shift_domain
+from caco.dictionary import CategoricalDictionary
 from caco.errors import (
-    ContractError, DimensionError, DivergenceError, NonFiniteError, ParameterError,
+    ContractError, DegenerateEmbeddingError, DimensionError, DivergenceError, NonFiniteError,
+    ParameterError,
 )
+from caco.labels import SOURCE, TARGET
 from caco.model import (
     EMBED_BLOCK, CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams, load_checkpoint,
     save_checkpoint,
@@ -285,24 +288,18 @@ def test_warmup_epochs_delay_enqueueing(tiny_pair):
     assert [r.loss_catnce is None for r in metrics.records] == [True, True, False, False]
 
 
-def test_source_domain_fraction_of_enqueued_keys():
+def test_source_domain_fraction_of_enqueued_keys(monkeypatch):
     # law of large numbers over the even per-batch split of the full variant
     pair = build_domain_pair(TINY_DATA, 5)
-    captured = {}
-    import caco.train as train_mod
-    orig = train_mod.CategoricalDictionary
+    counts = {SOURCE: 0, TARGET: 0}
+    real_enqueue = CategoricalDictionary.enqueue
 
-    class Spy(orig):
-        def __init__(self, *a, **k):
-            super().__init__(*a, **k)
-            captured["dict"] = self
+    def enqueue(self, vector, category, temperature, domain):
+        counts[domain] += 1
+        return real_enqueue(self, vector, category, temperature, domain)
 
-    train_mod.CategoricalDictionary = Spy
-    try:
-        train_caco(tiny_config(epochs=6, queue_size=4, seed=6), pair)
-    finally:
-        train_mod.CategoricalDictionary = orig
-    counts = captured["dict"].enqueued_by_domain
+    monkeypatch.setattr(CategoricalDictionary, "enqueue", enqueue)
+    train_caco(tiny_config(epochs=6, queue_size=4, seed=6), pair)
     frac = counts["source"] / (counts["source"] + counts["target"])
     assert abs(frac - 0.5) <= 0.05
 
@@ -521,6 +518,21 @@ def test_nan_query_weight_raises_divergence(tiny_pair, monkeypatch, variant):
     assert isinstance(info.value.__cause__, NonFiniteError)
 
 
+def test_collapsed_embedding_names_its_epoch_and_step(tiny_pair, monkeypatch):
+    # a one-unit hidden layer rectifies some row to all zeros in the first step
+    config = TrainConfig(hidden=(1,), embed_dim=2, epochs=3, warmup_epochs=1)
+    with pytest.raises(DegenerateEmbeddingError,
+                       match="^an encoder embedded a row.* as zero at epoch 1, step 1$") as info:
+        train_caco(config, build_domain_pair(DataConfig(n_per_class=20), 1))
+    assert isinstance(info.value.__cause__, DegenerateEmbeddingError)
+    # in the epoch labelling, before step 1, the step named is 1, as for a divergence
+    import caco.train as train_mod
+
+    monkeypatch.setattr(train_mod, "embed", lambda params, x: np.zeros((len(x), 4)))
+    with pytest.raises(DegenerateEmbeddingError, match="as zero at epoch 2, step 1$"):
+        train_caco(tiny_config(warmup_epochs=1), tiny_pair)
+
+
 def test_tape_records_per_step(tiny_pair, monkeypatch):
     # one record per encoder pass and per loss. A step holds the encoder, the
     # classifier and the mean NLL (3); a warm full step adds the target encode,
@@ -560,11 +572,12 @@ def test_lr_decay_power_schedule():
     from caco.train import _Sgd
 
     def rates(power, total=20):
-        sgd = _Sgd([], tiny_config(learning_rate=0.03, lr_decay_power=power), total)
+        param = Tensor(np.zeros(1), True)
+        sgd = _Sgd([param], tiny_config(learning_rate=0.03, lr_decay_power=power), total)
         out = []
         for _ in range(total + 1):
             out.append(sgd._lr())
-            sgd.step({})
+            sgd.step({param: np.zeros(1)})
         return out
 
     assert rates(0.0) == [0.03] * 21  # power 0 keeps the rate constant, bit for bit
@@ -806,7 +819,8 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     # S the 24 after warm-up, T and full the 11 after the warm step
     assert counts == [(0, 32), (24, 24), (11, 11), (11, 11), (11, 11)]
     cold = share_point(warmups, "cold_fill")
-    assert (cold.epoch, cold.step, cold.optimizer.steps_done, cold.warm_epoch) == (3, 5, 21, 3)
+    assert (cold.epoch, cold.step, cold.optimizer.steps_done, cold.dictionary.is_warm()) == \
+        (3, 5, 21, True)
     # three restores later, the stored state is what S stored; the restored
     # runs drew their query batches from the caller's pair, not from a copy
     assert pickle.dumps(cold) == stored_bytes
