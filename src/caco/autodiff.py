@@ -11,10 +11,11 @@ One recording thread per process: the active tapes form one module-global
 stack, so a second recording thread would write to the first one's tapes.
 Tensors may move between threads; parallel runs use processes.
 
-Only the ops that training and ``caco gradcheck`` record live here. The
+Only the ops that training and ``caco gradcheck`` record live here: ``add``
+and ``scale`` (the step's total loss) and four fused records. The
 primitives that the fused records stand for (``matmul``, ``relu``,
-``l2_normalize`` and the rest) live beside the tests that compare against
-them, in ``tests/reference_ops.py``.
+``l2_normalize``, ``sub`` and the rest) live beside the tests that compare
+against them, in ``tests/reference_ops.py``.
 """
 
 from __future__ import annotations
@@ -119,31 +120,11 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
 # ---------------------------------------------------------------------------
 
 
-def matvec(a: Tensor, v: Tensor) -> Tensor:
-    """Matrix-vector product of a (m,k) and v (k,)."""
-    a, v = as_tensor(a), as_tensor(v)
-    if a.data.ndim != 2 or v.data.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec shape mismatch: {a.shape} @ {v.shape}")
-    ad, vd = a.data, v.data
-
-    def grad_fn(g: Array):
-        return np.outer(g, vd), ad.T @ g
-
-    return _emit(ad @ vd, (a, v), grad_fn)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -175,32 +156,6 @@ def _row_index(op: str, shape: tuple[int, ...], idx) -> Array:
     if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= shape[1]):
         raise ContractError(f"{op} index out of range")
     return idx
-
-
-def logsumexp(v: Tensor, mask=None) -> Tensor:
-    """log sum exp over a vector, optionally restricted to a 0/1 mask."""
-    v = as_tensor(v)
-    if v.data.ndim != 1:
-        raise DimensionError("logsumexp expects a 1-d tensor")
-    if mask is None:
-        sel = np.ones(v.shape[0], dtype=bool)
-    else:
-        sel = np.asarray(mask) != 0
-        if sel.shape != v.shape:
-            raise DimensionError(f"mask shape {sel.shape} does not match {v.shape}")
-        if not sel.any():
-            raise ContractError("logsumexp mask selects no entries")
-    vals = v.data[sel]
-    m = vals.max()
-    out = m + np.log(np.exp(vals - m).sum())
-    vd, n = v.data, v.shape[0]
-
-    def grad_fn(g: Array):
-        gv = np.zeros(n)
-        gv[sel] = np.exp(vd[sel] - out) * g
-        return (gv,)
-
-    return _emit(out, (v,), grad_fn)
 
 
 def row_max(a: Array) -> Array:
@@ -368,19 +323,21 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
 
     Each row of the (m, n) logits splits into n / width consecutive groups
     of ``width``; group r (row-major over the whole block) is one softmax
-    whose positive sits at idx[r]. Stands for, as one record,
+    whose positive sits at idx[r]; one (d,) query is one row, and its
+    gradient has the query's shape. Stands for, as one record,
     reduce_mean(sub(row_logsumexp(G), take_per_row(G, idx))) with
-    G = reshape(matmul(q, Tensor(keys.T)), (-1, width)); all but sub are
+    G = reshape(matmul(q, Tensor(keys.T)), (-1, width)); all of them are
     in tests/reference_ops.py. The keys are constants: their gradient is
     never formed.
     """
     q = as_tensor(q)
     keys = np.asarray(keys, dtype=np.float64)
-    if q.data.ndim != 2 or keys.ndim != 2 or q.shape[1] != keys.shape[1]:
+    rows = q.data[None] if q.data.ndim == 1 else q.data
+    if rows.ndim != 2 or keys.ndim != 2 or rows.shape[1] != keys.shape[1]:
         raise DimensionError(f"grouped_nll shape mismatch: {q.shape} against keys {keys.shape}")
     if width < 1 or keys.shape[0] % width:
         raise DimensionError(f"{keys.shape[0]} keys do not split into groups of {width}")
-    logits = q.data @ keys.T
+    logits = rows @ keys.T
     groups = logits.reshape((-1, width))
     idx = _row_index("grouped_nll", groups.shape, idx)
     # flat position of each group's positive in the C-contiguous logits
@@ -397,6 +354,6 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
         np.exp(per_group, out=per_group)
         per_group *= gd
         per_group.ravel()[pos] -= gd
-        return (per_group.reshape(logits.shape) @ keys,)
+        return ((per_group.reshape(logits.shape) @ keys).reshape(q.shape),)
 
     return _emit(np.add.reduce(diff) / n, (q,), grad_fn)

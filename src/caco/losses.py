@@ -31,18 +31,26 @@ def supervised_loss(logits: Tensor, labels) -> Tensor:
     return ad.mean_nll(logits, as_label_array(labels, logits.data.shape[1]) - 1)
 
 
-def info_nce(q: Tensor, keys: Tensor, positive_mask, tau: float) -> Tensor:
-    """Instance contrastive loss of one query against N+1 keys.
+def info_nce(q: Tensor, keys, positive_mask, tau: float) -> Tensor:
+    """Instance contrastive loss of one (d,) query against N constant (N, d) keys.
 
-    positive_mask is a 0/1 vector flagging the positive key(s);
-    loss = -log( sum_pos exp(q.k_i/tau) / sum_all exp(q.k_i/tau) ).
+    positive_mask is an (N,) vector whose one nonzero entry flags the
+    positive key p; loss = -log( exp(q.k_p/tau) / sum_i exp(q.k_i/tau) ).
+    That is cat_nce on a one-slot dictionary of N categories whose keys
+    share tau, and it runs on the same record, bit for bit.
     """
     check_reals({"tau": tau}, above=0)
+    q, keys = ad.as_tensor(q), ad.as_tensor(keys)
+    if keys.requires_grad:
+        raise ContractError("info_nce keys are constants: pass them without gradients")
     mask = np.asarray(positive_mask)
-    if not (mask != 0).any():
-        raise ContractError("info_nce needs at least one positive key")
-    logits = ad.scale(ad.matvec(keys, q), 1.0 / float(tau))
-    return ad.sub(ad.logsumexp(logits), ad.logsumexp(logits, mask))
+    if q.data.ndim != 1 or keys.data.ndim != 2 or mask.shape != keys.shape[:1]:
+        raise DimensionError(f"info_nce needs a (d,) query, (N, d) keys and an (N,) mask; "
+                             f"got {q.shape}, {keys.shape} and {mask.shape}")
+    positive = np.flatnonzero(mask)
+    if positive.size != 1:
+        raise ContractError(f"info_nce needs exactly one positive key, got {positive.size}")
+    return ad.grouped_nll(q, keys.data / tau, positive, keys.shape[0])
 
 
 def prediction_entropy(probs) -> np.ndarray:

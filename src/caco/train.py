@@ -33,6 +33,7 @@ from .autodiff import Tape, Tensor, backward
 from .data import (
     KEY_VARIANTS,
     DomainPair,
+    as_label_array,
     check_integers,
     check_reals,
     key_batch_rows,
@@ -165,6 +166,7 @@ def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
         raise DimensionError(f"{np.shape(x)[0]} rows for labels of shape {truth.shape}")
     if truth.shape[0] == 0:
         raise ContractError("evaluate needs at least one row")
+    truth = as_label_array(truth, model.num_categories)
     predicted = model.predict_indices(x)
     accuracy = float((predicted == truth).mean())
     per_class: dict[int, float] = {}
@@ -172,7 +174,7 @@ def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
         mask = truth == c
         if mask.any():
             per_class[c] = float((predicted[mask] == c).mean())
-    mean_acc = float(np.mean(list(per_class.values()))) if per_class else 0.0
+    mean_acc = float(np.mean(list(per_class.values())))
     return EvalResult(accuracy, per_class, mean_acc, predicted)
 
 

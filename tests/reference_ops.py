@@ -1,12 +1,13 @@
 """Primitive tape ops that serve as references for the fused records.
 
-Training and ``caco gradcheck`` record only the ops of ``caco.autodiff``.
-The ops below are the compositions its fused records stand for:
-``linear``, ``normalized_mlp``, ``mean_nll`` and ``grouped_nll`` compute the
-expressions of these primitives in the same order, so forward values and
-leaf gradients are bit-equal to theirs. ``tests/test_autodiff.py`` and
-``tests/test_losses.py`` compare them bit for bit and check each against
-finite differences. They record on the same tape as the library's ops.
+Training and ``caco gradcheck`` record only ``add``, ``scale`` and the fused
+records of ``caco.autodiff``. The ops below are the primitives those records
+stand for: ``linear``, ``normalized_mlp``, ``mean_nll`` and ``grouped_nll``
+(under both ``cat_nce`` and ``info_nce``) compute the expressions of these
+primitives in the same order, so forward values and leaf gradients are
+bit-equal to theirs. ``tests/test_autodiff.py`` and ``tests/test_losses.py``
+compare them bit for bit and check each against finite differences. They
+record on the same tape as the library's ops.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return _emit(ad @ bd, (a, b), grad_fn)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
+    return _emit(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def neg(x: Tensor) -> Tensor:

@@ -121,14 +121,6 @@ def test_info_nce_symmetric_pair_is_log2():
     assert abs(loss.item() - math.log(2.0)) <= 1e-12
 
 
-def test_info_nce_all_positive_is_zero():
-    rng = np.random.default_rng(0)
-    keys = unit_rows(rng, 5, 3)
-    q = unit_rows(rng, 1, 3)[0]
-    loss = info_nce(Tensor(q), Tensor(keys), np.ones(5), 0.07)
-    assert loss.item() == 0.0
-
-
 def test_info_nce_frozen_scalar_value():
     # frozen from -log(exp(1/0.07) / (exp(1/0.07) + 1)) at 50-digit precision;
     # the tolerance covers absorption of the tiny loss into logits of size ~14
@@ -146,6 +138,30 @@ def test_info_nce_rejects_empty_mask_and_bad_tau():
     for tau in (-1.0, math.nan, math.inf, "0.07"):  # NaN gave NaN, inf log 2, "0.07" 0.07's loss
         with pytest.raises(ParameterError, match="tau"):
             info_nce(q, keys, np.array([1, 0]), tau)
+
+
+def test_info_nce_takes_exactly_one_positive():
+    q, keys = Tensor([1.0, 0.0, 0.0]), Tensor(np.eye(3))
+    for mask in (np.zeros(3), np.array([1, 0, 1])):  # two positives were summed
+        with pytest.raises(ContractError, match="one positive"):
+            info_nce(q, keys, mask, 0.07)
+
+
+def test_info_nce_keys_are_constants():
+    # a gradient for grad-enabled keys was formed, and no caller read it
+    keys = Tensor(np.eye(2), requires_grad=True)
+    with pytest.raises(ContractError, match="constants"):
+        info_nce(Tensor([1.0, 0.0], requires_grad=True), keys, np.array([1, 0]), 0.07)
+
+
+def test_info_nce_rejects_malformed_shapes():
+    q, keys, mask = Tensor([1.0, 0.0]), Tensor(np.eye(2)), np.array([1, 0])
+    for bad in ((Tensor([[1.0, 0.0]]), keys, mask),  # a (1, d) query
+                (q, keys, np.array([[1, 0]])),  # a (1, N) mask
+                (q, keys, np.array([1, 0, 0])),  # 3 flags for 2 keys
+                (q, Tensor([1.0, 0.0]), mask)):  # (d,) keys
+        with pytest.raises(DimensionError):
+            info_nce(*bad, 0.07)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def catnce_slot_loop_reference(queries, labels, dictionary):
     per_group = ref.reshape(logits, (batch * capacity, num_cat))
     idx = np.repeat([int(lab) - 1 for lab in labels], capacity)
     positives = ref.take_per_row(per_group, idx)
-    return ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
+    return ref.reduce_mean(ref.sub(ref.row_logsumexp(per_group), positives))
 
 
 def test_cat_nce_bit_equal_to_slot_loop_reference():
@@ -353,7 +369,7 @@ def test_training_step_bit_equal_to_primitive_step():
             sup = ref.neg(ref.reduce_mean(ref.take_per_row(ref.log_softmax(logits, 1.0), src_y - 1)))
             per_group = ref.reshape(ref.matmul(primitive_encode(tgt), Tensor(scaled.T)), (6 * 4, 3))
             positives = ref.take_per_row(per_group, idx)
-            cat = ref.reduce_mean(ad.sub(ref.row_logsumexp(per_group), positives))
+            cat = ref.reduce_mean(ref.sub(ref.row_logsumexp(per_group), positives))
             return ad.add(sup, ad.scale(cat, 0.5))
 
         def fused_step():
@@ -431,7 +447,7 @@ def test_cat_nce_reduces_to_info_nce():
         mask = np.zeros(n_keys)
         mask[pos] = 1.0
         instanced = info_nce(Tensor(q), Tensor(keys), mask, tau).item()
-        assert abs(catted - instanced) <= 1e-10
+        assert catted == instanced
 
 
 def test_cat_nce_permutation_invariance():

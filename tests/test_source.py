@@ -28,14 +28,15 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"imported but never used: {unused}"
 
 
-def _attributes_outside(function, module, attrs):
-    """Attribute nodes of src/caco/*.py, for each attr in attrs, outside every def of function
-    (None: anywhere); only attributes of the name `module`, unless module is None."""
+def _attributes_outside(functions, module, attrs):
+    """Attribute nodes of src/caco/*.py, for each attr in attrs, outside every def named in
+    the tuple functions (empty: anywhere); only attributes of the name `module`, unless
+    module is None."""
     stray = []
     for path in SOURCES:
         tree = _tree(path)
         allowed = {id(node) for fn in ast.walk(tree)
-                   if isinstance(fn, ast.FunctionDef) and fn.name == function
+                   if isinstance(fn, ast.FunctionDef) and fn.name in functions
                    for node in ast.walk(fn)}
         stray += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in attrs
@@ -47,26 +48,32 @@ def _attributes_outside(function, module, attrs):
 
 def test_np_integer_appears_only_inside_is_integer():
     # the one integer predicate: every other check calls is_integer or check_integers
-    stray = _attributes_outside("is_integer", "np", ("integer",))
+    stray = _attributes_outside(("is_integer",), "np", ("integer",))
     assert not stray, f"np.integer outside is_integer: {stray}"
 
 
 def test_math_isfinite_and_inf_appear_only_inside_is_real():
     # the one real predicate: every other scalar check calls is_real or check_reals
-    stray = _attributes_outside("is_real", "math", ("isfinite", "inf"))
+    stray = _attributes_outside(("is_real",), "math", ("isfinite", "inf"))
     assert not stray, f"math.isfinite or math.inf outside is_real: {stray}"
 
 
 def test_np_linalg_appears_nowhere():
     # the one row normaliser: every unit row comes from autodiff.unit_normalize
-    stray = _attributes_outside(None, "np", ("linalg",))
+    stray = _attributes_outside((), "np", ("linalg",))
     assert not stray, f"np.linalg in src/caco: {stray}"
 
 
 def test_a_dtype_kind_test_appears_only_inside_as_label_array():
     # the one label-block check: every other label check calls as_label_array or is_label
-    stray = _attributes_outside("as_label_array", None, ("kind",))
+    stray = _attributes_outside(("as_label_array",), None, ("kind",))
     assert not stray, f".kind outside as_label_array: {stray}"
+
+
+def test_np_log_appears_only_inside_the_three_log_losses():
+    # no third log-sum-exp: a new softmax loss is a group of grouped_nll or a mean_nll
+    stray = _attributes_outside(("mean_nll", "grouped_nll", "prediction_entropy"), "np", ("log",))
+    assert not stray, f"np.log outside mean_nll, grouped_nll and prediction_entropy: {stray}"
 
 
 def test_package_init_is_only_its_docstring():

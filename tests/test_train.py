@@ -1025,6 +1025,17 @@ def test_evaluate_empty_rejected(tiny_pair):
             evaluate(model, x, np.array([1]))
 
 
+def test_evaluate_rejects_labels_outside_the_label_rule():
+    # out-of-range, bool, float and str labels each scored as if they were labels
+    rows = [((float(i), 0.0), 1) for i in range(4)]
+    model = _stub_model({(float(i), 0.0): 1 for i in range(4)}, 5)
+    x, _ = _rows(rows)
+    for bad in ([0, 9, -1, 5], [True, True, False, True], [1.5, 2.0, 3.0, 4.0],
+                ["1", "2", "3", "4"]):
+        with pytest.raises(ContractError, match="integer labels"):
+            evaluate(model, x, np.array(bad))
+
+
 def test_churn_identities():
     assert pseudo_label_churn([1, 2, 3], [1, 2, 3]) == 0.0
     assert pseudo_label_churn([1, 2, 1, 2], [2, 1, 2, 1]) == 1.0
