@@ -85,9 +85,15 @@ class Tape:
         return False
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """An op is recorded when a tape is active and one of its inputs requires a gradient."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
 def _emit(data: Array, inputs: tuple[Tensor, ...], grad_fn: GradFn) -> Tensor:
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad and _TAPE_STACK:
+    records = _records(inputs)
+    out = Tensor(data, requires_grad=records or any(t.requires_grad for t in inputs))
+    if records:
         _TAPE_STACK[-1]._records.append((out, inputs, grad_fn))
     return out
 
@@ -238,11 +244,8 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> list[Array]:
-    """``x`` and each layer's output of a ReLU MLP over an (m,k) block.
-
-    Layer i computes h @ w + b into a new array, with a ReLU after every
-    layer but the last.
-    """
+    """``x`` and each layer's output, h @ w + b in a new array, of a ReLU MLP (no ReLU after
+    the last layer) over one block of rows: normalized_mlp's blocks."""
     if not weights or len(weights) != len(biases):
         raise DimensionError(f"need one bias per weight, at least one layer; "
                              f"got {len(weights)} and {len(biases)}")
@@ -258,37 +261,52 @@ def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor]) ->
     return hs
 
 
-def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
-    """A ReLU MLP over an (m,k) block, each output row scaled to unit norm, as one record.
+# a block's 64-wide hidden layer stays under glibc's 128 KiB mmap threshold
+ROW_BLOCK = 128
 
-    Stands for linear(h, w, b) per layer with relu() after every layer but
-    the last, then l2_normalize(); relu and l2_normalize are in
-    tests/reference_ops.py. The gradient for x is not formed when x
-    requires none (input rows).
+
+def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A ReLU MLP over a (batch, D) block, each output row scaled to unit norm, as one record.
+
+    The one encoder forward: mlp_layers over k = ceil(n / ROW_BLOCK) near-equal
+    blocks of the n rows, block i being rows n*i//k to n*(i+1)//k (a training
+    batch is one block), then one unit_normalize over all rows; unrecorded, it
+    keeps one block's hidden layers at a time. Stands for linear(h, w, b) per
+    layer with relu() after all but the last, then l2_normalize() (both in
+    tests/reference_ops.py). x's gradient is not formed unless x requires one.
     """
     x = as_tensor(x)
-    weights = [as_tensor(w) for w in weights]
-    biases = [as_tensor(b) for b in biases]
-    hs = mlp_layers(x.data, weights, biases)
-    last = len(weights) - 1
-    out, norms = unit_normalize(hs[-1])
+    if x.data.ndim != 2:
+        raise DimensionError(f"the encoder expects a (batch, D) block, got shape {x.shape}")
+    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    inputs = (x, *(t for layer in zip(weights, biases) for t in layer))
+    kept = 0 if _records(inputs) else -1  # a backward reads all layers but the last, popped below
+    n = x.shape[0]
+    k = -(-n // ROW_BLOCK) or 1  # a block of 0 rows still checks the shapes
+    spans = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    blocks = [mlp_layers(x.data[lo:hi], weights, biases)[kept:] for lo, hi in spans]
+    out, norms = unit_normalize(blocks[0].pop() if k == 1 else
+                                np.concatenate([hs.pop() for hs in blocks]))
 
     def grad_fn(g: Array):
         # g may be shared with other records; every array written below is new
-        proj = np.add.reduce(g * out, axis=-1, keepdims=True)
-        pulled = proj * out
+        pulled = np.add.reduce(g * out, axis=-1, keepdims=True) * out
         g = np.subtract(g, pulled, out=pulled)
         g /= norms
-        grads = []
-        for i in range(last, -1, -1):
-            if i < last:
-                g *= hs[i + 1] > 0  # a ReLU output is positive exactly where its input was
-            grads[:0] = (hs[i].T @ g, np.add.reduce(g, axis=0))
-            if i or x.requires_grad:
-                g = g @ weights[i].data.T
-        return (g if x.requires_grad else None, *grads)
+        gxs, total = [], None
+        for (lo, hi), hs in zip(spans, blocks):
+            gb, grads = g[lo:hi], []
+            for i in reversed(range(len(weights))):
+                grads[:0] = (hs[i].T @ gb, np.add.reduce(gb, axis=0))
+                if i or x.requires_grad:
+                    gb = gb @ weights[i].data.T
+                if i:
+                    gb *= hs[i] > 0  # a ReLU output is positive exactly where its input was
+            gxs.append(gb)
+            total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return (np.concatenate(gxs) if x.requires_grad else None, *total)
 
-    return _emit(out, (x, *(t for layer in zip(weights, biases) for t in layer)), grad_fn)
+    return _emit(out, inputs, grad_fn)
 
 
 def mean_nll(x: Tensor, idx) -> Tensor:

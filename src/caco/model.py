@@ -97,30 +97,10 @@ def encode(params: MlpParams, x) -> Tensor:
     return ad.normalized_mlp(x, params.weights, params.biases)
 
 
-# a block's 64-wide hidden layer stays under glibc's 128 KiB mmap threshold
-EMBED_BLOCK = 128
-
-
 def embed(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """encode(params, x).data bit for bit, as plain numpy: no Tensor, no tape record.
-
-    autodiff.mlp_layers over near-equal blocks of at most EMBED_BLOCK rows,
-    so a pass reuses heap pages (a 1-row block would run as a matrix-vector
-    product, whose last bit can differ); then one unit_normalize over all
-    rows, which raises what encode's would.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"embed expects a (batch, D) block, got shape {x.shape}")
-    n = x.shape[0]
-    k = max(1, -(-n // EMBED_BLOCK))  # a block of 0 rows still checks the shapes
-    out = ad.mlp_layers(x[:n // k], params.weights, params.biases)[-1]
-    if k > 1:  # the first block's rows, then room for the others
-        out = np.concatenate([out, np.empty((n - n // k, out.shape[1]))])
-        for i in range(1, k):
-            lo, hi = n * i // k, n * (i + 1) // k
-            out[lo:hi] = ad.mlp_layers(x[lo:hi], params.weights, params.biases)[-1]
-    return ad.unit_normalize(out)[0]
+    """encode(params, x).data, a new array: normalized_mlp on constants, so no tape record."""
+    return ad.normalized_mlp(x, [w.data for w in params.weights],
+                             [b.data for b in params.biases]).data
 
 
 @dataclass

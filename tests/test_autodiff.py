@@ -632,6 +632,27 @@ def test_normalized_mlp_bit_equal_to_linear_relu_l2_normalize():
         assert fused[2] == 3 and layered[2] == 2 * depth + 2
 
 
+def test_normalized_mlp_records_its_blocks_and_sums_their_gradients():
+    # over three blocks of rows the record keeps every block's layers; its
+    # gradients are the layered encoder's over all rows, up to the order of the sum
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(3 * ad.ROW_BLOCK - 7, 4))
+    params = [rng.normal(size=(4, 6)), rng.normal(size=6) * 0.1,
+              rng.normal(size=(6, 3)), rng.normal(size=3) + 2.0]
+    pin = _pin((3, 2), 37)
+
+    def loss_of(encoder):
+        return lambda x, *p: ref.reduce_sum(ref.matmul(encoder(x, p[0::2], p[1::2]), ad.Tensor(pin)))
+
+    fused = _run(loss_of(ad.normalized_mlp), (x, *params), (True,) * 5)
+    layered = _run(loss_of(_layered_encoder), (x, *params), (True,) * 5)
+    np.testing.assert_allclose(fused[0], layered[0], rtol=1e-13)
+    for gf, gl in zip(fused[1], layered[1]):
+        assert gf.shape == gl.shape
+        np.testing.assert_allclose(gf, gl, rtol=1e-11, atol=1e-13)
+    assert fused[2] == 3
+
+
 def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
     rng = np.random.default_rng(32)
     for trial in range(60):

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caco.autodiff import Tensor
+from caco.autodiff import ROW_BLOCK, Tape, Tensor
 from caco.errors import (
     ContractError, DegenerateEmbeddingError, DimensionError, NonFiniteError, ParameterError,
 )
 from caco.gradcheck import gradient_error
 from caco.losses import supervised_loss
 from caco.model import (
-    EMBED_BLOCK,
     CacoModel,
     Classifier,
     EncoderPair,
@@ -35,6 +34,7 @@ from caco.model import (
     save_checkpoint,
 )
 from caco.train import evaluate
+from conftest import tape_length
 
 SPEC = MlpSpec((4, 8, 3))
 
@@ -127,16 +127,19 @@ def test_encode_dimension_check():
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 12), min_size=3, max_size=5),
-    st.integers(0, 3 * EMBED_BLOCK + 40),
+    st.integers(0, 3 * ROW_BLOCK + 40),
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.01, 1.0, 30.0]),
     st.booleans(),
 )
 # one past a block and one past two: a split into full blocks would leave a
 # 1-row block, which numpy runs as a matrix-vector product; and no rows at all
-@example([8, 12, 12, 5], EMBED_BLOCK + 1, 1, 1.0, False)
-@example([8, 12, 12, 5], 2 * EMBED_BLOCK + 1, 2, 1.0, False)
+@example([8, 12, 12, 5], ROW_BLOCK + 1, 1, 1.0, False)
+@example([8, 12, 12, 5], 2 * ROW_BLOCK + 1, 2, 1.0, False)
 @example([8, 12, 12, 5], 0, 3, 1.0, False)
+# a 1-wide layer over 278 rows: a 278-row block and a 92- or 93-row one sum its
+# matrix-vector product in different orders
+@example([1, 10, 1, 1], 278, 1573151, 0.01, False)
 def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
     spec = MlpSpec((*widths[:-1], max(widths[-1], 2)))
     params = init_params(spec, seed % 1000)
@@ -157,7 +160,7 @@ def test_embed_bit_equal_to_encode(widths, batch, seed, spread, zero_rows):
 
 def test_embed_returns_a_new_array_per_call():
     params = init_params(MlpSpec((4, 8, 8, 3)), 7)
-    x = np.random.default_rng(8).normal(size=(3 * EMBED_BLOCK, 4))
+    x = np.random.default_rng(8).normal(size=(3 * ROW_BLOCK, 4))
     outs = [embed(params, rows) for rows in (x[:20], x[20:], x[:20], x, x)]
     want = [out.tobytes() for out in outs]
     for a, b in itertools.combinations(outs, 2):
@@ -167,6 +170,18 @@ def test_embed_returns_a_new_array_per_call():
         out[...] = 7.0  # writing one result changes no other
     assert outs[-1].tobytes() == want[-1] == want[-2]
     assert want[0] == want[2] == embed(params, x[:20]).tobytes()
+
+
+def test_embed_makes_no_tape_record():
+    # embed runs encode's record on the parameter arrays as constants: under an
+    # active tape it records nothing, even over several blocks, and returns an array
+    params = init_params(MlpSpec((4, 8, 8, 3)), 7)
+    x = np.random.default_rng(9).normal(size=(3 * ROW_BLOCK - 5, 4))
+    with Tape() as tape:
+        out = embed(params, x)
+    assert tape_length(tape) == 0
+    assert type(out) is np.ndarray and out.shape == (x.shape[0], 3)
+    assert out.tobytes() == encode(params, Tensor(x)).data.tobytes()
 
 
 def test_embed_dimension_check():
@@ -183,7 +198,7 @@ def test_embed_raises_what_encode_raises_across_blocks():
     # a zero row in the first block and an overflowing row in the last: normalized
     # block by block, the zero row would raise first, as a degenerate embedding
     params = init_params(SPEC, 3)
-    x = np.random.default_rng(4).normal(size=(2 * EMBED_BLOCK + 10, 4))
+    x = np.random.default_rng(4).normal(size=(2 * ROW_BLOCK + 10, 4))
     x[0], x[-1] = 0.0, 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
@@ -191,7 +206,7 @@ def test_embed_raises_what_encode_raises_across_blocks():
         with pytest.raises(NonFiniteError):
             embed(params, x)
         with pytest.raises(DegenerateEmbeddingError):
-            embed(params, x[:EMBED_BLOCK])
+            embed(params, x[:ROW_BLOCK])
 
 
 @pytest.mark.parametrize("pass_", ["embed", "evaluate"])

@@ -28,22 +28,24 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"imported but never used: {unused}"
 
 
-def _attributes_outside(functions, module, attrs):
-    """Attribute nodes of src/caco/*.py, for each attr in attrs, outside every def named in
-    the tuple functions (empty: anywhere); only attributes of the name `module`, unless
-    module is None."""
-    stray = []
+def _nodes_outside(functions):
+    """(file name, node) for every node of src/caco/*.py outside every def named in the
+    tuple functions (empty: anywhere)."""
     for path in SOURCES:
         tree = _tree(path)
         allowed = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef) and fn.name in functions
                    for node in ast.walk(fn)}
-        stray += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in attrs
-                  and (module is None
-                       or isinstance(node.value, ast.Name) and node.value.id == module)
-                  and id(node) not in allowed]
-    return stray
+        yield from ((path.name, node) for node in ast.walk(tree) if id(node) not in allowed)
+
+
+def _attributes_outside(functions, module, attrs):
+    """Attribute nodes of src/caco/*.py, for each attr in attrs, outside every def named in
+    the tuple functions (empty: anywhere); only attributes of the name `module`, unless
+    module is None."""
+    return [f"{name}:{node.lineno} .{node.attr}" for name, node in _nodes_outside(functions)
+            if isinstance(node, ast.Attribute) and node.attr in attrs
+            and (module is None or isinstance(node.value, ast.Name) and node.value.id == module)]
 
 
 def test_np_integer_appears_only_inside_is_integer():
@@ -74,6 +76,18 @@ def test_np_log_appears_only_inside_the_three_log_losses():
     # no third log-sum-exp: a new softmax loss is a group of grouped_nll or a mean_nll
     stray = _attributes_outside(("mean_nll", "grouped_nll", "prediction_entropy"), "np", ("log",))
     assert not stray, f"np.log outside mean_nll, grouped_nll and prediction_entropy: {stray}"
+
+
+def test_mlp_layers_and_row_block_appear_only_inside_normalized_mlp():
+    # one encoder forward: encode and embed both run normalized_mlp's blocks of rows
+    names = ("mlp_layers", "ROW_BLOCK")
+    stray = _attributes_outside(("normalized_mlp",), None, names)
+    for name, node in _nodes_outside(("normalized_mlp",)):
+        if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
+            stray.append(f"{name}:{node.lineno} {node.id}")
+        elif isinstance(node, ast.ImportFrom):
+            stray += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in names]
+    assert not stray, f"mlp_layers or ROW_BLOCK outside normalized_mlp: {stray}"
 
 
 def test_package_init_is_only_its_docstring():

@@ -19,10 +19,9 @@ from caco.errors import (
 )
 from caco.labels import SOURCE, TARGET
 from caco.model import (
-    EMBED_BLOCK, CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams, load_checkpoint,
-    save_checkpoint,
+    CacoModel, Classifier, MlpSpec, EncoderPair, MlpParams, load_checkpoint, save_checkpoint,
 )
-from caco.autodiff import Tensor
+from caco.autodiff import ROW_BLOCK, Tensor
 from caco.train import (
     VARIANTS,
     EpochRecord,
@@ -490,7 +489,7 @@ def test_overflow_in_a_later_block_of_the_labelling_pass_is_divergence():
     # an overflow of the whole pass, as encode would report it
     data = build_domain_pair(dataclasses.replace(TINY_DATA, n_per_class=100), 3)
     target = data.target_x.copy()
-    assert target.shape[0] > 2 * EMBED_BLOCK
+    assert target.shape[0] > 2 * ROW_BLOCK
     target[0], target[-1] = 0.0, 1e300
     pair = DomainPair(data.source_x, data.source_y, target, data.num_categories,
                       data.evaluation_labels())
