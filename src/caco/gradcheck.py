@@ -1,7 +1,8 @@
 """Finite-difference verification suites for every differentiable loss path.
 
-Each suite draws randomized instances, hands each to gradient_error and
-returns the worst relative error, defined as
+Each suite is a draw function, rng -> (loss_of, *arrays), of one randomized
+instance; _worst hands its draws to gradient_error and returns the worst
+relative error, defined as
 max|analytic - numeric| / max(1, |analytic|_inf, |numeric|_inf).
 """
 
@@ -56,73 +57,63 @@ def _unit_rows(rng, n: int, d: int) -> np.ndarray:
     return unit_normalize(rng.normal(size=(n, d)))[0]
 
 
-def check_supervised_loss(instances: int, rng) -> float:
-    worst = 0.0
-    for _ in range(instances):
-        batch = int(rng.integers(1, 5))
-        num_cat = int(rng.integers(2, 6))
-        logits = rng.normal(scale=2.0, size=(batch, num_cat))
-        labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
-        worst = max(worst, gradient_error(lambda x: supervised_loss(x, labels), logits))
-    return worst
+def draw_supervised_loss(rng):
+    batch = int(rng.integers(1, 5))
+    num_cat = int(rng.integers(2, 6))
+    logits = rng.normal(scale=2.0, size=(batch, num_cat))
+    labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
+    return lambda x: supervised_loss(x, labels), logits
 
 
-def check_info_nce(instances: int, rng) -> float:
-    worst = 0.0
-    for _ in range(instances):
-        n_keys = int(rng.integers(2, 8))
-        dim = int(rng.integers(2, 7))
-        keys = _unit_rows(rng, n_keys, dim)
-        mask = np.zeros(n_keys)
-        mask[rng.integers(0, n_keys)] = 1.0
-        tau = float(rng.uniform(0.05, 0.5))
-        q = _unit_rows(rng, 1, dim)[0]
-        worst = max(worst, gradient_error(lambda x: info_nce(x, keys, mask, tau), q))
-    return worst
+def draw_info_nce(rng):
+    n_keys = int(rng.integers(2, 8))
+    dim = int(rng.integers(2, 7))
+    keys = _unit_rows(rng, n_keys, dim)
+    mask = np.zeros(n_keys)
+    mask[rng.integers(0, n_keys)] = 1.0
+    tau = float(rng.uniform(0.05, 0.5))
+    q = _unit_rows(rng, 1, dim)[0]
+    return lambda x: info_nce(x, keys, mask, tau), q
 
 
-def check_cat_nce(instances: int, rng) -> float:
-    worst = 0.0
-    for _ in range(instances):
-        num_cat = int(rng.integers(2, 5))
-        capacity = int(rng.integers(1, 4))
-        dim = int(rng.integers(3, 7))
-        batch = int(rng.integers(1, 4))
-        d = CategoricalDictionary(num_cat, capacity)
-        for _ in range(capacity):
-            for c in range(1, num_cat + 1):
-                d.enqueue(
-                    _unit_rows(rng, 1, dim)[0], c, float(rng.uniform(0.07, 0.14)), SOURCE
-                )
-        labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
-        q = _unit_rows(rng, batch, dim)
-        worst = max(worst, gradient_error(lambda x: cat_nce(x, labels, d), q))
-    return worst
+def draw_cat_nce(rng):
+    num_cat = int(rng.integers(2, 5))
+    capacity = int(rng.integers(1, 4))
+    dim = int(rng.integers(3, 7))
+    batch = int(rng.integers(1, 4))
+    d = CategoricalDictionary(num_cat, capacity)
+    for _ in range(capacity):
+        for c in range(1, num_cat + 1):
+            d.enqueue(_unit_rows(rng, 1, dim)[0], c, float(rng.uniform(0.07, 0.14)), SOURCE)
+    labels = np.array([rng.integers(1, num_cat + 1) for _ in range(batch)])
+    q = _unit_rows(rng, batch, dim)
+    return lambda x: cat_nce(x, labels, d), q
 
 
-def check_encoder_path(instances: int, rng) -> float:
-    """Supervised loss through encoder and classifier, gradients for all parameters.
+def draw_encoder_path(rng):
+    """Supervised loss through encoder and classifier, over all six parameter arrays."""
+    params = init_params(MlpSpec((3, 8, 2)), int(rng.integers(0, 2**31)))
+    clf = init_classifier(2, 2, int(rng.integers(0, 2**31)))
+    x = rng.normal(size=(2, 3))
+    labels = np.array([rng.integers(1, 3) for _ in range(2)])
 
-    Instances whose rectifier silences a whole sample (degenerate embedding)
-    are redrawn, like staying away from ReLU kinks in any finite-difference
-    check.
+    def loss_of(w0, b0, w1, b1, weight, bias):
+        emb = encode(MlpParams([w0, w1], [b0, b1]), x)
+        return supervised_loss(classifier_logits(Classifier(weight, bias), emb), labels)
+
+    return (loss_of, *(t.data for t in params.tensors() + [clf.weight, clf.bias]))
+
+
+def _worst(draw, instances: int, rng) -> float:
+    """Largest gradient_error over instances draws of draw(rng) -> (loss_of, *arrays).
+
+    A draw whose rectifier silences a whole sample (degenerate embedding) is
+    redrawn, like staying away from ReLU kinks in any finite-difference check.
     """
-    worst = 0.0
-    spec = MlpSpec((3, 8, 2))
-    done = 0
+    worst, done = 0.0, 0
     while done < instances:
-        params = init_params(spec, int(rng.integers(0, 2**31)))
-        clf = init_classifier(2, 2, int(rng.integers(0, 2**31)))
-        x = rng.normal(size=(2, 3))
-        labels = np.array([rng.integers(1, 3) for _ in range(2)])
-
-        def loss_of(w0, b0, w1, b1, weight, bias):
-            emb = encode(MlpParams([w0, w1], [b0, b1]), x)
-            return supervised_loss(classifier_logits(Classifier(weight, bias), emb), labels)
-
-        arrays = [t.data for t in params.tensors() + [clf.weight, clf.bias]]
         try:
-            worst = max(worst, gradient_error(loss_of, *arrays))
+            worst = max(worst, gradient_error(*draw(rng)))
         except DegenerateEmbeddingError:
             continue
         done += 1
@@ -134,8 +125,9 @@ def run_all(instances: int = 50, seed: int = 0) -> dict[str, float]:
     check_integers({"instances": instances}, at_least=1)
     check_integers({"seed": seed}, at_least=0)
     return {
-        "supervised_loss": check_supervised_loss(instances, np.random.default_rng([seed, 101])),
-        "info_nce": check_info_nce(instances, np.random.default_rng([seed, 102])),
-        "cat_nce": check_cat_nce(instances, np.random.default_rng([seed, 103])),
-        "encoder_path": check_encoder_path(max(5, instances // 5), np.random.default_rng([seed, 104])),
+        "supervised_loss": _worst(draw_supervised_loss, instances, np.random.default_rng([seed, 101])),
+        "info_nce": _worst(draw_info_nce, instances, np.random.default_rng([seed, 102])),
+        "cat_nce": _worst(draw_cat_nce, instances, np.random.default_rng([seed, 103])),
+        "encoder_path": _worst(draw_encoder_path, max(5, instances // 5),
+                               np.random.default_rng([seed, 104])),
     }

@@ -9,6 +9,7 @@ low temperatures (0.07) make sense for dot-product similarities.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,20 +22,6 @@ from .errors import ContractError, DimensionError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
 _INIT_VERSION = 1
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(is_integer, value))
-
-
-_HEADER_FIELDS = ("layer_widths", "num_categories", "seed", "encoder_momentum", "arrays")
-# the JSON structure of the two list fields; the rules training applies judge every value
-_HEADER_TYPES = {
-    "layer_widths": lambda v: isinstance(v, list),
-    "arrays": lambda v: isinstance(v, list) and all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int_list(e.get("shape"))
-        for e in v),
-}
 
 
 @dataclass(frozen=True)
@@ -190,23 +177,24 @@ class CacoModel:
 # ---------------------------------------------------------------------------
 
 
-def _array_layout(spec: MlpSpec, num_categories: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every checkpoint array, in payload order."""
+def _array_layout(spec: MlpSpec, num_categories: int) -> list[dict]:
+    """Name and shape of every checkpoint array, in payload order: the header's arrays field."""
     layout = []
     for side in ("query", "key"):
         for i, (fan_in, fan_out) in enumerate(zip(spec.layer_widths, spec.layer_widths[1:])):
-            layout += [(f"{side}.w{i}", (fan_in, fan_out)), (f"{side}.b{i}", (fan_out,))]
-    layout += [
-        ("classifier.weight", (spec.embed_dim, num_categories)),
-        ("classifier.bias", (num_categories,)),
-    ]
-    return layout
+            layout += [{"name": f"{side}.w{i}", "shape": [fan_in, fan_out]},
+                       {"name": f"{side}.b{i}", "shape": [fan_out]}]
+    return layout + [{"name": "classifier.weight", "shape": [spec.embed_dim, num_categories]},
+                     {"name": "classifier.bias", "shape": [num_categories]}]
+
+
+def _tensors(model: CacoModel) -> list[Tensor]:
+    """Every checkpoint tensor of the model, in _array_layout's order."""
+    return (model.encoders.query.tensors() + model.encoders.key.tensors()
+            + [model.classifier.weight, model.classifier.bias])
 
 
 def save_checkpoint(path: str | Path, model: CacoModel) -> None:
-    names = [name for name, _ in _array_layout(model.mlp_spec, model.num_categories)]
-    tensors = model.encoders.query.tensors() + model.encoders.key.tensors()
-    tensors += [model.classifier.weight, model.classifier.bias]
     header = {
         "format": _INIT_NAME,
         "version": _INIT_VERSION,
@@ -214,17 +202,22 @@ def save_checkpoint(path: str | Path, model: CacoModel) -> None:
         "num_categories": model.num_categories,
         "seed": int(model.seed),
         "encoder_momentum": model.encoders.momentum,
-        "arrays": [{"name": name, "shape": list(t.shape)} for name, t in zip(names, tensors)],
+        "arrays": _array_layout(model.mlp_spec, model.num_categories),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for t in tensors:
+        for t in _tensors(model):
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> CacoModel:
-    """Read a checkpoint; ContractError unless its header and payload agree with each other."""
+    """Read a checkpoint that save_checkpoint wrote; ContractError, ending in the path, if not.
+
+    Every header check passes, the arrays field against _array_layout and the
+    payload size included, before anything of the header's size is allocated;
+    then each payload array is read into a new model's _tensors, in order.
+    """
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -233,12 +226,12 @@ def load_checkpoint(path: str | Path) -> CacoModel:
         if not isinstance(header, dict) or header.get("format") != _INIT_NAME \
                 or header.get("version") != _INIT_VERSION or not is_integer(header["version"]):
             raise ContractError(f"not a recognizable checkpoint: {path}")
-        missing = [name for name in _HEADER_FIELDS if name not in header]
+        missing = [name for name in ("layer_widths", "num_categories", "seed",
+                                     "encoder_momentum", "arrays") if name not in header]
         if missing:
             raise ContractError(f"checkpoint header lacks {missing}: {path}")
-        malformed = [name for name, ok in _HEADER_TYPES.items() if not ok(header[name])]
-        if malformed:
-            raise ContractError(f"checkpoint header fields {malformed} have the wrong type: {path}")
+        if not isinstance(header["layer_widths"], list):
+            raise ContractError(f"checkpoint header field layer_widths has the wrong type: {path}")
         try:  # the rules training applies
             spec = MlpSpec(tuple(header["layer_widths"]))
             check_integers({"num_categories": header["num_categories"]}, at_least=2)
@@ -246,44 +239,24 @@ def load_checkpoint(path: str | Path) -> CacoModel:
             check_reals({"encoder_momentum": header["encoder_momentum"]}, at_least=0, at_most=1)
         except ParameterError as exc:
             raise ContractError(f"checkpoint header field {exc}: {path}") from exc
+        num_categories, seed = header["num_categories"], header["seed"]
+        layout = _array_layout(spec, num_categories)
+        if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
+            raise ContractError(
+                f"checkpoint header field arrays has the wrong type or layout for layer_widths "
+                f"{list(spec.layer_widths)} and num_categories {num_categories}: {path}"
+            )
         blob = fh.read()
-
-    num_categories = header["num_categories"]
-    layout = _array_layout(spec, num_categories)
-    declared = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-    if declared != layout:
+    size = 8 * sum(math.prod(entry["shape"]) for entry in layout)
+    if size != len(blob):
         raise ContractError(
-            f"checkpoint array names or shapes do not match layer_widths "
-            f"{list(spec.layer_widths)} and num_categories {num_categories}: {path}"
+            f"checkpoint payload holds {len(blob)} bytes, its header declares {size}: {path}"
         )
-    counts = [int(np.prod(shape)) for _, shape in layout]
-    if 8 * sum(counts) != len(blob):
-        raise ContractError(
-            f"checkpoint payload holds {len(blob)} bytes, its header declares "
-            f"{8 * sum(counts)}: {path}"
-        )
-    arrays: dict[str, np.ndarray] = {}
+    model = CacoModel(spec, num_categories, seed,
+                      new_encoder_pair(spec, seed, header["encoder_momentum"]),
+                      init_classifier(spec.embed_dim, num_categories, seed))
     offset = 0
-    for (name, shape), count in zip(layout, counts):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-
-    n_layers = len(spec.layer_widths) - 1
-
-    def params_for(side: str, requires_grad: bool) -> MlpParams:
-        return MlpParams(
-            [Tensor(arrays[f"{side}.w{i}"], requires_grad) for i in range(n_layers)],
-            [Tensor(arrays[f"{side}.b{i}"], requires_grad) for i in range(n_layers)],
-        )
-
-    encoders = EncoderPair(
-        params_for("query", True),
-        params_for("key", False),
-        header["encoder_momentum"],
-    )
-    classifier = Classifier(
-        Tensor(arrays["classifier.weight"], True),
-        Tensor(arrays["classifier.bias"], True),
-    )
-    return CacoModel(spec, num_categories, header["seed"], encoders, classifier)
+    for t in _tensors(model):
+        t.data[...] = np.frombuffer(blob, "<f8", t.data.size, offset).reshape(t.shape)
+        offset += 8 * t.data.size
+    return model

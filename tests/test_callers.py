@@ -25,7 +25,6 @@ ALLOWED = {
                                                 "snapshot() copies and cat_nce reads",
     "data.DomainPair.source": "perfbench/workloads.py reads len(pair.source)",
     "model.load_checkpoint": "tests/test_cli.py and tests/test_model.py",
-    "model._is_int_list": "model.load_checkpoint's header check",
     "errors.DivergenceError.__init__": "tests/test_train.py: only a diverging run raises it",
 }
 

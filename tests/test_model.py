@@ -22,6 +22,7 @@ from caco.model import (
     EncoderPair,
     MlpParams,
     MlpSpec,
+    _tensors,
     classifier_logits,
     classify,
     embed,
@@ -436,6 +437,45 @@ def test_checkpoint_round_trip_is_byte_exact(tmp_path):
         )
 
 
+def test_checkpoint_loads_grad_flags_and_arrays_of_its_own(tmp_path):
+    # training a loaded model needs the query and classifier as grad-enabled
+    # leaves and the key as constants, each on a writeable block no other
+    # array (nor the file's bytes) shares
+    spec = MlpSpec((4, 6, 3))
+    model = CacoModel(spec, 3, 42, new_encoder_pair(spec, 42, 0.999), init_classifier(3, 3, 9))
+    save_checkpoint(tmp_path / "a.ckpt", model)
+    loaded = load_checkpoint(tmp_path / "a.ckpt")
+    assert all(t.requires_grad for t in loaded.encoders.query.tensors())
+    assert not any(t.requires_grad for t in loaded.encoders.key.tensors())
+    assert loaded.classifier.weight.requires_grad and loaded.classifier.bias.requires_grad
+    arrays = [t.data for t in _tensors(loaded)]
+    assert len(arrays) == 10
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+        assert a.base is None and a.flags.owndata  # not a view on the payload bytes
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("layer_widths", [4, 200000, 3]),
+    ("num_categories", 100000),
+], ids=["wide-hidden-layer", "many-categories"])
+def test_checkpoint_allocates_nothing_for_an_unchecked_header(tmp_path, field, value):
+    # a header that declares a large model over a small payload is rejected
+    # before any array of the declared size exists
+    path, header, payload = _saved_checkpoint(tmp_path)
+    _write(path, dict(header, **{field: value}), payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError, match=re.escape(str(path))):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def _saved_checkpoint(tmp_path):
     spec = MlpSpec((4, 6, 3))
     model = CacoModel(spec, 3, 42, new_encoder_pair(spec, 42, 0.999), init_classifier(3, 3, 9))
@@ -487,6 +527,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
     ("arrays", [{}]),
     ("arrays", None),
     ("arrays", [{"name": "query.w0", "shape": "4,6"}]),
+    # the written layout but for one entry with a key that no writer puts there
+    ("arrays", lambda arrays: [dict(arrays[0], dtype="<f8"), *arrays[1:]]),
 ])
 def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, value):
     # the right format and version, but a field that would fail as a bare
@@ -498,9 +540,25 @@ def test_checkpoint_names_a_header_field_of_the_wrong_type(tmp_path, field, valu
     if field == "layer_widths" and isinstance(value, list):
         rule = r"\[1\] must be an integer"
     path, header, payload = _saved_checkpoint(tmp_path)
+    if callable(value):
+        value = value(header[field])
     _write(path, dict(header, **{field: value}), payload)
     with pytest.raises(ContractError, match=f"{field}.*{rule}.*: {re.escape(str(path))}$"):
         load_checkpoint(path)
+
+
+def test_checkpoint_reads_array_entries_with_their_keys_in_either_order(tmp_path):
+    # JSON objects are unordered: shape before name is the same entry
+    path, header, payload = _saved_checkpoint(tmp_path)
+    swapped = [{"shape": e["shape"], "name": e["name"]} for e in header["arrays"]]
+    _write(path, dict(header, arrays=swapped), payload)
+    written = json.loads(path.read_bytes().split(b"\n", 1)[0])["arrays"]
+    assert all(list(entry) == ["shape", "name"] for entry in written)
+    loaded = load_checkpoint(path)
+    _write(path, header, payload)
+    reference = load_checkpoint(path)
+    for a, b in zip(_tensors(loaded), _tensors(reference)):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("field, value, bound", [

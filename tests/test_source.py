@@ -1,6 +1,7 @@
 """Static checks over the source of src/caco/*.py."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,21 @@ def test_mlp_layers_and_row_block_appear_only_inside_normalized_mlp():
         elif isinstance(node, ast.ImportFrom):
             stray += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in names]
     assert not stray, f"mlp_layers or ROW_BLOCK outside normalized_mlp: {stray}"
+
+
+def test_checkpoint_array_names_are_spelled_only_inside_array_layout():
+    # one checkpoint layout: save_checkpoint and load_checkpoint take every array
+    # name from _array_layout and every tensor from _tensors, in the same order
+    stray = []
+    for name, node in _nodes_outside(("_array_layout",)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"(query|key)\.[wb]\d+|classifier\.(weight|bias)", node.value):
+            stray.append(f"{name}:{node.lineno} {node.value!r}")
+        elif isinstance(node, ast.JoinedStr) and any(
+                isinstance(part, ast.Constant) and re.search(r"\.[wb](\d|$)", part.value)
+                for part in node.values):
+            stray.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not stray, f"checkpoint array names outside _array_layout: {stray}"
 
 
 def test_package_init_is_only_its_docstring():
