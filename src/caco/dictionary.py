@@ -125,7 +125,7 @@ class CategoricalDictionary:
         return (np.array(self._written) - k) % self.capacity
 
     def is_warm(self) -> bool:
-        return all(self._held(c) == self.capacity for c in range(self.num_categories))
+        return min(self._written) >= self.capacity
 
     def _held(self, c: int) -> int:
         """How many keys the queue of category index c holds."""

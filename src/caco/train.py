@@ -24,7 +24,7 @@ import copy
 import json
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -96,7 +96,9 @@ class TrainConfig:
                              (1, ("batch_size", "queue_size", "key_batch_size")),
                              (2, ("embed_dim",))):
             check_integers({name: getattr(self, name) for name in names}, at_least=least)
-        check_reals({name: getattr(self, name) for name in ("learning_rate", "tau_base")}, above=0)
+        check_reals({"learning_rate": self.learning_rate}, above=0)
+        # key temperatures reach twice tau_base, and must stay finite
+        check_reals({"tau_base": self.tau_base}, above=0, at_most=np.finfo(float).max / 2)
         check_reals({name: getattr(self, name)
                      for name in ("weight_decay", "lr_decay_power", "catnce_weight")}, at_least=0)
         check_reals({"encoder_momentum": self.encoder_momentum}, at_least=0, at_most=1)
@@ -106,11 +108,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One line of metrics.jsonl.
+    """One line of metrics.jsonl, from the epoch's one evaluate() of the target rows.
 
     ``pseudo_label_churn`` is the fraction of target rows whose classifier
-    argmax changed since the previous epoch (None in the first epoch). It is
-    not the churn of the epoch labels that contrastive training uses.
+    argmax (evaluate's ``predicted``) changed since the previous epoch, None
+    in the first; not the churn of the epoch labels that training uses.
     """
 
     epoch: int
@@ -152,13 +154,12 @@ class RunMetrics:
 @dataclass
 class EvalResult:
     accuracy: float
-    per_class: dict[int, float]
     mean_class_accuracy: float
     predicted: np.ndarray  # 1-based argmax category per sample, in sample order
 
 
 def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
-    """Accuracy and unweighted mean per-class accuracy of (n, D) rows against 1-based labels."""
+    """Accuracy, mean accuracy over the categories with rows, and the argmax of (n, D) rows."""
     if np.ndim(x) != 2:
         raise DimensionError(f"evaluate needs (n, D) rows, got shape {np.shape(x)}")
     truth = np.asarray(y)
@@ -169,28 +170,12 @@ def evaluate(model: CacoModel, x: np.ndarray, y) -> EvalResult:
     truth = as_label_array(truth, model.num_categories)
     predicted = model.predict_indices(x)
     accuracy = float((predicted == truth).mean())
-    per_class: dict[int, float] = {}
-    for c in range(1, model.num_categories + 1):
-        mask = truth == c
-        if mask.any():
-            per_class[c] = float((predicted[mask] == c).mean())
-    mean_acc = float(np.mean(list(per_class.values())))
-    return EvalResult(accuracy, per_class, mean_acc, predicted)
-
-
-def pseudo_label_churn(labels_t: Sequence[int], labels_prev: Sequence[int]) -> float:
-    """Fraction of rows whose 1-based category index changed between two passes.
-
-    Training records it for the classifier's argmax over the target rows in
-    consecutive epochs, not for the epoch labels that training uses.
-    """
-    if len(labels_t) != len(labels_prev):
-        raise ContractError(
-            f"label lists differ in length: {len(labels_t)} vs {len(labels_prev)}"
-        )
-    if not len(labels_t):
-        raise ContractError("pseudo_label_churn needs at least one row")
-    return float(np.mean(np.asarray(labels_t) != np.asarray(labels_prev)))
+    rows = np.bincount(truth)
+    present = rows > 0
+    hits = np.bincount(truth[predicted == truth], minlength=rows.shape[0])
+    # per category, hits / rows has the bits of the mean of its rows' hit mask
+    mean_acc = float(np.mean(hits[present] / rows[present]))
+    return EvalResult(accuracy, mean_acc, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -241,45 +226,9 @@ class _Sgd:
         self.steps_done += 1
 
 
-def _init_model(config: TrainConfig, pair: DomainPair) -> CacoModel:
-    dim = pair.source_x.shape[1]
-    spec = MlpSpec((dim, *config.hidden, config.embed_dim))
-    encoders = new_encoder_pair(
-        spec, child_seed(config.seed, "encoder_init"), config.encoder_momentum
-    )
-    classifier = init_classifier(
-        config.embed_dim, pair.num_categories, child_seed(config.seed, "classifier_init")
-    )
-    return CacoModel(spec, pair.num_categories, config.seed, encoders, classifier)
-
-
-def _source_epoch_batches(pair: DomainPair, batch_size: int, rng) -> list[np.ndarray]:
-    perm = rng.permutation(pair.source_x.shape[0])
-    return [perm[i:i + batch_size] for i in range(0, len(perm), batch_size)]
-
-
-class _QueryCycler:
-    """Without-replacement batches of target row indices, re-permuting whenever exhausted."""
-
-    def __init__(self, pair: DomainPair, batch_size: int, rng):
-        self.batch_size = min(batch_size, pair.target_x.shape[0])
-        self.rng = rng
-        self.buffer = np.zeros(0, dtype=np.intp)
-
-    def next(self, pair: DomainPair) -> np.ndarray:
-        if self.buffer.shape[0] < self.batch_size:
-            fresh = sample_query_batch(pair, pair.target_x.shape[0], self.rng)
-            self.buffer = np.concatenate([self.buffer, fresh])
-        batch, self.buffer = (
-            self.buffer[: self.batch_size],
-            self.buffer[self.batch_size:],
-        )
-        return batch
-
-
-@dataclass
+@dataclass(slots=True)
 class _Run:
-    """Everything train_caco's loop changes. A share point is a deep copy of a run.
+    """Everything train_caco's loop changes, in slots. A share point is a deep copy of a run.
 
     The position is ``step`` steps into ``epoch``. At step 0 the epoch has
     not started, and the loop bootstraps, labels and draws batches for it;
@@ -293,7 +242,8 @@ class _Run:
     dictionary: CategoricalDictionary
     rng_source: np.random.Generator
     rng_keys: np.random.Generator
-    queries: _QueryCycler  # it holds the query stream
+    rng_queries: np.random.Generator  # query_rows: the rows it drew that no step used yet
+    query_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     records: list[EpochRecord] = field(default_factory=list)
     epoch: int = 1
     step: int = 0
@@ -301,20 +251,34 @@ class _Run:
     row_labels: np.ndarray | None = None
     sup_losses: list[float] = field(default_factory=list)
     cat_losses: list[float] = field(default_factory=list)
-    prev_pseudo: np.ndarray | None = None
+    prev_predicted: np.ndarray | None = None  # the classifier's argmax at the last epoch's end
     elapsed_s: float = 0.0
 
 
 def _new_run(config: TrainConfig, pair: DomainPair) -> _Run:
-    model = _init_model(config, pair)
-    trainable = model.encoders.query.tensors() + [model.classifier.weight, model.classifier.bias]
+    spec = MlpSpec((pair.source_x.shape[1], *config.hidden, config.embed_dim))
+    encoders = new_encoder_pair(spec, child_seed(config.seed, "encoder_init"),
+                                config.encoder_momentum)
+    classifier = init_classifier(config.embed_dim, pair.num_categories,
+                                 child_seed(config.seed, "classifier_init"))
+    model = CacoModel(spec, pair.num_categories, config.seed, encoders, classifier)
+    trainable = encoders.query.tensors() + [classifier.weight, classifier.bias]
     steps_per_epoch = -(-pair.source_x.shape[0] // config.batch_size)
     return _Run(
         model, _Sgd(trainable, config, config.epochs * steps_per_epoch),
         CategoricalDictionary(pair.num_categories, config.queue_size),
         child_rng(config.seed, "source_batches"), child_rng(config.seed, "key_batches"),
-        _QueryCycler(pair, config.batch_size, child_rng(config.seed, "query_batches")),
+        child_rng(config.seed, "query_batches"),
     )
+
+
+def _next_queries(run: _Run, pair: DomainPair, n: int) -> np.ndarray:
+    """The next n target rows of the query stream, which appends a permutation when fewer remain."""
+    if run.query_rows.shape[0] < n:
+        fresh = sample_query_batch(pair, pair.target_x.shape[0], run.rng_queries)
+        run.query_rows = np.concatenate([run.query_rows, fresh])
+    batch, run.query_rows = run.query_rows[:n], run.query_rows[n:]
+    return batch
 
 
 def _end_epoch(run: _Run, pair: DomainPair) -> None:
@@ -326,11 +290,11 @@ def _end_epoch(run: _Run, pair: DomainPair) -> None:
         loss_catnce=float(np.mean(run.cat_losses)) if run.cat_losses else None,
         target_accuracy=result.accuracy,
         target_mean_class_accuracy=result.mean_class_accuracy,
-        pseudo_label_churn=None if run.prev_pseudo is None
-        else pseudo_label_churn(result.predicted, run.prev_pseudo),
+        pseudo_label_churn=None if run.prev_predicted is None
+        else float(np.mean(result.predicted != run.prev_predicted)),
         dictionary_warm=run.dictionary.is_warm(),
     ))
-    run.prev_pseudo = result.predicted
+    run.prev_predicted = result.predicted
     run.epoch, run.step, run.batches, run.sup_losses, run.cat_losses = run.epoch + 1, 0, [], [], []
 
 
@@ -416,6 +380,7 @@ def train_caco(
     check_pair_fits(config, pair)
     contrastive = config.variant != "baseline"
     num_cat = pair.num_categories
+    n_queries = min(config.batch_size, pair.target_x.shape[0])
     started = time.monotonic()
 
     share_key = stored = None
@@ -453,13 +418,14 @@ def train_caco(
                         embed(key_enc, pair.source_x), pair.source_y,
                         embed(key_enc, pair.target_x), num_cat,
                     ))
-                run.batches = _source_epoch_batches(pair, config.batch_size, run.rng_source)
+                perm, size = run.rng_source.permutation(pair.source_x.shape[0]), config.batch_size
+                run.batches = [perm[i:i + size] for i in range(0, perm.size, size)]
             for idx in run.batches[run.step:]:
                 run.step += 1
-                warms = False
+                warm = run.dictionary.is_warm()
+                # keys first: cold dictionaries fill from ground-truth source samples
+                filling = enqueueing and not warm
                 if enqueueing:
-                    # keys first: cold dictionaries fill from ground-truth source samples
-                    filling = not run.dictionary.is_warm()
                     src, tgt = sample_key_batch(
                         pair, config.key_batch_size, "S" if filling else config.variant,
                         run.rng_keys,
@@ -472,7 +438,7 @@ def train_caco(
                     domains = [SOURCE] * len(src) + [TARGET] * len(tgt)
                     for vec, label, tau, domain in zip(key_emb, labels, taus, domains):
                         run.dictionary.enqueue(vec, label, tau, domain)
-                    warms = filling and run.dictionary.is_warm()
+                    warm = run.dictionary.is_warm()
 
                 with Tape() as tape:
                     emb = encode(run.model.encoders.query, pair.source_x[idx])
@@ -480,8 +446,8 @@ def train_caco(
                         classifier_logits(run.model.classifier, emb), pair.source_y[idx]
                     )
                     total = sup
-                    if run.dictionary.is_warm() and config.catnce_weight != 0.0:
-                        q_idx = run.queries.next(pair)
+                    if warm and config.catnce_weight != 0.0:
+                        q_idx = _next_queries(run, pair, n_queries)
                         q_emb = encode(run.model.encoders.query, pair.target_x[q_idx])
                         cat = cat_nce(q_emb, run.row_labels[q_idx], run.dictionary.snapshot())
                         total = ad.add(total, ad.scale(cat, config.catnce_weight))
@@ -492,7 +458,7 @@ def train_caco(
                 if enqueueing:
                     momentum_update(run.model.encoders)
                 run.sup_losses.append(sup.item())
-                if warms:
+                if filling and warm:
                     share("cold_fill")
 
             _end_epoch(run, pair)

@@ -302,6 +302,54 @@ def test_invalid_configs_exit_before_any_run_directory(tmp_path, capsys, command
     assert not out.exists()
 
 
+HOSTILE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1", "2", "", "x", "3.5", "1,2", "2,2,2,2",
+                  "True", "0.5", "-0.0", "1e-320")
+HUGE_VALUES = ("9e307", "1e308")  # not tried on sizes, where a parse change could allocate them
+SIZE_KEYS = {"data.num_categories", "data.dim", "data.n_per_class", "train.epochs",
+             "train.batch_size", "train.queue_size", "train.key_batch_size", "train.hidden",
+             "train.embed_dim"}
+SPEC_KEYS = ["seed", *(f"data.{f.name}" for f in dataclasses.fields(DataConfig)),
+             *(f"train.{f.name}" for f in dataclasses.fields(TrainConfig) if f.name != "seed")]
+TINY = ("data.n_per_class=12", "data.dim=3", "train.epochs=2", "train.warmup_epochs=1",
+        "train.queue_size=2", "train.hidden=4", "train.embed_dim=2", "train.batch_size=8",
+        "train.key_batch_size=2")
+RUN_FILES = ["keys.jsonl", "metrics.jsonl", "model.ckpt", "summary.csv"]
+
+
+def _finite_metrics(run_dir) -> bool:
+    values = [v for line in (run_dir / "metrics.jsonl").read_text().splitlines()
+              for v in json.loads(line).values()]
+    return all(np.isfinite(v) for v in values if isinstance(v, float))
+
+
+@pytest.mark.parametrize("key", SPEC_KEYS)
+def test_a_hostile_value_trains_or_fails_by_name_before_any_partial_output(tmp_path, capsys, key):
+    # every run finishes with finite metrics, or the command exits 1 with one error
+    # line and no run directory; only a run that fails in training (a divergence or
+    # a zero embedding) may leave the directories of the runs that finished before it
+    wrong = []
+    for i, value in enumerate(HOSTILE_VALUES + (() if key in SIZE_KEYS else HUGE_VALUES)):
+        out = tmp_path / str(i)
+        argv = ["ablate", "--seeds", "1", "--out", str(out)]
+        for item in (*TINY, f"{key}={value}"):
+            argv += ["--set", item]
+        with np.errstate(all="ignore"):
+            code = main(argv)
+        err = capsys.readouterr().err
+        runs = sorted(out.glob("*/seed_1"))
+        complete = all(sorted(p.name for p in run.iterdir()) == RUN_FILES and _finite_metrics(run)
+                       for run in runs)
+        if code == 0:
+            ok = err == "" and len(runs) == len(VARIANTS) and complete
+        else:
+            in_training = "training diverged" in err or "as zero at epoch" in err
+            ok = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                  and complete and (in_training or not runs))
+        if not ok:
+            wrong.append((value, code, err.strip(), [str(run.relative_to(out)) for run in runs]))
+    assert wrong == []
+
+
 def test_ablate_comparison_csv_shape(tmp_path):
     out = tmp_path / "ablation"
     rc = main(["ablate", "--out", str(out), "--seeds", "1,2"] + fast_args())

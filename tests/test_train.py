@@ -29,7 +29,6 @@ from caco.train import (
     RunMetrics,
     TrainConfig,
     evaluate,
-    pseudo_label_churn,
     train_caco,
     train_source_only,
 )
@@ -103,6 +102,15 @@ def test_config_validation():
     with pytest.raises(ParameterError, match="embed_dim"):
         TrainConfig(embed_dim=1).validate()
     TrainConfig(hidden=(1,), embed_dim=2).validate()
+
+
+def test_tau_base_whose_key_temperatures_overflow_is_rejected():
+    # key temperatures reach twice tau_base: 9e307 would fail at the first key write
+    for value in (9e307, 1e308, float(np.finfo(float).max), 10**308):
+        with pytest.raises(ParameterError, match="tau_base"):
+            TrainConfig(tau_base=value).validate()
+    for value in (4e307, float(np.finfo(float).max) / 2):
+        TrainConfig(tau_base=value).validate()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -338,7 +346,7 @@ class _LabelLog:
         real = {name: getattr(train_mod, name) for name in (
             "prototype_memberships", "sample_key_batch", "key_label", "cat_nce", "evaluate",
         )}
-        real_next = train_mod._QueryCycler.next
+        real_next = train_mod._next_queries
 
         def memberships(*args, **kwargs):
             result = real["prototype_memberships"](*args, **kwargs)
@@ -358,8 +366,8 @@ class _LabelLog:
                 self.events.append(("key", (int(row), int(label))))
             return labels
 
-        def next_queries(cycler, pair):
-            rows = real_next(cycler, pair)
+        def next_queries(run, pair, n):
+            rows = real_next(run, pair, n)
             self._query_rows.extend(int(i) for i in rows)
             return rows
 
@@ -377,7 +385,7 @@ class _LabelLog:
         monkeypatch.setattr(train_mod, "key_label", key_label)
         monkeypatch.setattr(train_mod, "cat_nce", query_labels)
         monkeypatch.setattr(train_mod, "evaluate", evaluate)
-        monkeypatch.setattr(train_mod._QueryCycler, "next", next_queries)
+        monkeypatch.setattr(train_mod, "_next_queries", next_queries)
 
     def by_labelling(self) -> list[list[tuple[str, int, int]]]:
         """(kind, row, label) of the target labels made under each epoch labelling."""
@@ -504,14 +512,14 @@ def test_nan_query_weight_raises_divergence(tiny_pair, monkeypatch, variant):
     # a NaN hidden unit must not pass the rectifier as 0.0 and let the run go on
     import caco.train as train_mod
 
-    real_init = train_mod._init_model
+    real_new = train_mod.new_encoder_pair
 
-    def init_model(config, pair):
-        model = real_init(config, pair)
-        model.encoders.query.weights[0].data[:, 0] = np.nan
-        return model
+    def new_encoder_pair(*args):
+        encoders = real_new(*args)
+        encoders.query.weights[0].data[:, 0] = np.nan
+        return encoders
 
-    monkeypatch.setattr(train_mod, "_init_model", init_model)
+    monkeypatch.setattr(train_mod, "new_encoder_pair", new_encoder_pair)
     with pytest.raises(DivergenceError, match="epoch 1, step 1: .*not finite") as info:
         train_caco(tiny_config(variant=variant), tiny_pair)
     assert isinstance(info.value.__cause__, NonFiniteError)
@@ -675,6 +683,28 @@ def counting_calls(monkeypatch, *names):
     return calls
 
 
+def test_a_run_takes_no_undeclared_field(tiny_pair):
+    # a misspelt or stale field would otherwise ride along in every share point
+    import caco.train as train_mod
+
+    run = train_mod._new_run(tiny_config(), tiny_pair)
+    with pytest.raises(AttributeError):
+        run.prev_pseudo = None  # the old name of prev_predicted
+    run.prev_predicted = None
+
+
+@pytest.mark.parametrize("variant, calls", [("baseline", 24 + 3), ("full", 8 + 2 * 16 + 3)])
+def test_a_step_asks_warmness_once_before_and_once_after_its_key_write(
+        tiny_pair, monkeypatch, variant, calls):
+    # 3 epochs of 8 steps, 1 of them warm-up; each epoch's record asks once more
+    counted = []
+    real = CategoricalDictionary.is_warm
+    monkeypatch.setattr(CategoricalDictionary, "is_warm",
+                        lambda self: counted.append(None) or real(self))
+    train_caco(tiny_config(variant=variant, warmup_epochs=1), tiny_pair)
+    assert len(counted) == calls
+
+
 def share_point(warmups, point):
     """The one record stored in `warmups` at the named share point."""
     (record,) = [record for (*_, name), record in warmups.items() if name == point]
@@ -800,11 +830,11 @@ def test_t_and_full_skip_the_steps_they_share_with_s(tiny_pair, monkeypatch):
     configs = [tiny_config(variant=v, **settings) for v in (*VARIANTS, "T")]
     fresh = [run_outputs(c, tiny_pair) for c in configs]
     calls = counting_calls(monkeypatch, "sample_key_batch", "backward")
-    # the pair of every query cycler that draws a batch
+    # the pair of every query batch drawn
     cycler_pairs = []
-    real_next = train_mod._QueryCycler.next
-    monkeypatch.setattr(train_mod._QueryCycler, "next",
-                        lambda self, pair: cycler_pairs.append(pair) or real_next(self, pair))
+    real_next = train_mod._next_queries
+    monkeypatch.setattr(train_mod, "_next_queries",
+                        lambda run, pair, n: cycler_pairs.append(pair) or real_next(run, pair, n))
     warmups, counts = {}, []
     for config, outputs in zip(configs, fresh):
         # the second T restores the same record as the first, to the same bytes
@@ -976,7 +1006,6 @@ def test_evaluate_perfect_predictor():
     model = _stub_model({(0.0, 1.0): 1, (1.0, 0.0): 2, (2.0, 0.0): 2}, 2)
     result = evaluate(model, *_rows(rows))
     assert result.accuracy == 1.0
-    assert result.per_class == {1: 1.0, 2: 1.0}
     assert result.mean_class_accuracy == 1.0
 
 
@@ -996,9 +1025,6 @@ def test_evaluate_hand_built_confusion_case():
     model = _stub_model({(float(i), 0.0): p for i, p in enumerate(pred)}, 3)
     result = evaluate(model, *_rows(rows))
     assert result.accuracy == pytest.approx(5 / 10)
-    assert result.per_class[1] == pytest.approx(3 / 4)
-    assert result.per_class[2] == pytest.approx(2 / 3)
-    assert result.per_class[3] == 0.0
     assert result.mean_class_accuracy == pytest.approx((3 / 4 + 2 / 3 + 0.0) / 3)
 
 
@@ -1007,7 +1033,6 @@ def test_evaluate_missing_class_flagged():
     model = _stub_model({(0.0, 0.0): 1, (1.0, 0.0): 1}, 3)
     result = evaluate(model, *_rows(rows))
     # classes 2 and 3 have no rows: they are left out of the mean, not scored 0
-    assert result.per_class == {1: 1.0}
     assert result.mean_class_accuracy == 1.0
 
 
@@ -1035,13 +1060,39 @@ def test_evaluate_rejects_labels_outside_the_label_rule():
             evaluate(model, x, np.array(bad))
 
 
-def test_churn_identities():
-    assert pseudo_label_churn([1, 2, 3], [1, 2, 3]) == 0.0
-    assert pseudo_label_churn([1, 2, 1, 2], [2, 1, 2, 1]) == 1.0
-    labels = [1] * 9 + [2, 2, 2]
-    prev = [1] * 12
-    assert pseudo_label_churn(labels, prev) == 0.25
-    with pytest.raises(ContractError):
-        pseudo_label_churn([1, 2], [1])
-    with pytest.raises(ContractError, match="at least one row"):  # not a NaN and two warnings
-        pseudo_label_churn([], [])
+def test_churn_is_the_changed_fraction_of_consecutive_evaluations(tiny_pair, monkeypatch):
+    # the one evaluate() per epoch feeds both the accuracies and the churn
+    import caco.train as train_mod
+
+    predicted = []
+    real_evaluate = train_mod.evaluate
+
+    def evaluate(*args):
+        result = real_evaluate(*args)
+        predicted.append(result.predicted.copy())
+        return result
+
+    monkeypatch.setattr(train_mod, "evaluate", evaluate)
+    _, metrics = train_caco(tiny_config(epochs=5, warmup_epochs=1), tiny_pair)
+    churns = [r.pseudo_label_churn for r in metrics.records]
+    assert len(predicted) == len(churns) == 5 and churns[0] is None
+    for t in range(1, 5):
+        assert churns[t] == float(np.mean(predicted[t] != predicted[t - 1]))
+    assert any(churns[1:])  # some prediction changed, so the equality above bites
+
+
+def test_mean_class_accuracy_matches_a_per_class_loop():
+    # seeded cases with uneven counts and absent categories, against a loop over categories
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        num_categories = int(rng.integers(2, 8))
+        n = int(rng.integers(1, 60))
+        present = rng.choice(np.arange(1, num_categories + 1),
+                             size=int(rng.integers(1, num_categories + 1)), replace=False)
+        truth = rng.choice(present, size=n, p=rng.dirichlet(np.ones(present.size)))
+        pred = rng.integers(1, num_categories + 1, size=n)
+        model = _stub_model({(float(i), 0.0): int(p) for i, p in enumerate(pred)}, num_categories)
+        x = np.array([(float(i), 0.0) for i in range(n)])
+        rates = [float((pred[truth == c] == c).mean())
+                 for c in range(1, num_categories + 1) if (truth == c).any()]
+        assert evaluate(model, x, truth).mean_class_accuracy == float(np.mean(rates))
