@@ -219,46 +219,29 @@ def unit_normalize(a: Array) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def _check_linear(h: Array, w: Array, b: Array) -> None:
+def affine(h: Array, w: Array, b: Array) -> Array:
+    """h @ w + b in a new array, the shapes checked: every layer's one affine map."""
     if (h.ndim != 2 or w.ndim != 2 or b.ndim != 1
             or h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise DimensionError(f"linear shape mismatch: {h.shape} @ {w.shape} + {b.shape}")
+        raise DimensionError(f"affine shape mismatch: {h.shape} @ {w.shape} + {b.shape}")
+    out = h @ w
+    out += b
+    return out
 
 
 def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """h @ w + b over an (m,k) block, as one record.
+    """affine(h, w, b) as one record: the classifier's logits.
 
     Stands for add_rowvec(matmul(h, w), b), both in tests/reference_ops.py.
     The gradient for h is not formed when h requires none (input rows).
     """
     h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
-    _check_linear(h.data, w.data, b.data)
     hd, wd = h.data, w.data
 
     def grad_fn(g: Array):
         return (g @ wd.T if h.requires_grad else None), hd.T @ g, np.add.reduce(g, axis=0)
 
-    out = hd @ wd
-    out += b.data
-    return _emit(out, (h, w, b), grad_fn)
-
-
-def mlp_layers(x: Array, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> list[Array]:
-    """``x`` and each layer's output, h @ w + b in a new array, of a ReLU MLP (no ReLU after
-    the last layer) over one block of rows: normalized_mlp's blocks."""
-    if not weights or len(weights) != len(biases):
-        raise DimensionError(f"need one bias per weight, at least one layer; "
-                             f"got {len(weights)} and {len(biases)}")
-    hs = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        _check_linear(hs[i], w.data, b.data)
-        h = hs[i] @ w.data
-        h += b.data
-        if i < last:
-            relu_array(h, out=h)
-        hs.append(h)
-    return hs
+    return _emit(affine(hd, wd, b.data), (h, w, b), grad_fn)
 
 
 # a block's 64-wide hidden layer stays under glibc's 128 KiB mmap threshold
@@ -268,43 +251,48 @@ ROW_BLOCK = 128
 def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
     """A ReLU MLP over a (batch, D) block, each output row scaled to unit norm, as one record.
 
-    The one encoder forward: mlp_layers over k = ceil(n / ROW_BLOCK) near-equal
+    The one encoder forward: its layers over k = ceil(n / ROW_BLOCK) near-equal
     blocks of the n rows, block i being rows n*i//k to n*(i+1)//k (a training
     batch is one block), then one unit_normalize over all rows; unrecorded, it
-    keeps one block's hidden layers at a time. Stands for linear(h, w, b) per
-    layer with relu() after all but the last, then l2_normalize() (both in
+    keeps one block's hidden layers at a time, and recorded, one backward runs
+    over each layer's blocks joined. Stands for linear(h, w, b) per layer with
+    relu() after all but the last, then l2_normalize() (both in
     tests/reference_ops.py). x's gradient is not formed unless x requires one.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError(f"the encoder expects a (batch, D) block, got shape {x.shape}")
+    if not weights or len(weights) != len(biases):
+        raise DimensionError(f"need a bias per weight, one or more: got {len(weights)} and {len(biases)}")
     weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
     inputs = (x, *(t for layer in zip(weights, biases) for t in layer))
-    kept = 0 if _records(inputs) else -1  # a backward reads all layers but the last, popped below
+    records, last = _records(inputs), len(weights) - 1
     n = x.shape[0]
     k = -(-n // ROW_BLOCK) or 1  # a block of 0 rows still checks the shapes
-    spans = [(n * i // k, n * (i + 1) // k) for i in range(k)]
-    blocks = [mlp_layers(x.data[lo:hi], weights, biases)[kept:] for lo, hi in spans]
-    out, norms = unit_normalize(blocks[0].pop() if k == 1 else
-                                np.concatenate([hs.pop() for hs in blocks]))
+    blocks = []
+    for i in range(k):
+        hs = [x.data[n * i // k:n * (i + 1) // k]]
+        for j, (w, b) in enumerate(zip(weights, biases)):
+            hs.append(affine(hs[-1], w.data, b.data))
+            if j < last:
+                relu_array(hs[-1], out=hs[-1])
+        blocks.append(hs if records else hs[-1:])  # a backward reads every layer but the last
+    hs = blocks[0] if k == 1 else [np.concatenate(layer) for layer in zip(*blocks)]
+    out, norms = unit_normalize(hs.pop())
 
     def grad_fn(g: Array):
         # g may be shared with other records; every array written below is new
         pulled = np.add.reduce(g * out, axis=-1, keepdims=True) * out
         g = np.subtract(g, pulled, out=pulled)
         g /= norms
-        gxs, total = [], None
-        for (lo, hi), hs in zip(spans, blocks):
-            gb, grads = g[lo:hi], []
-            for i in reversed(range(len(weights))):
-                grads[:0] = (hs[i].T @ gb, np.add.reduce(gb, axis=0))
-                if i or x.requires_grad:
-                    gb = gb @ weights[i].data.T
-                if i:
-                    gb *= hs[i] > 0  # a ReLU output is positive exactly where its input was
-            gxs.append(gb)
-            total = grads if total is None else [a + b for a, b in zip(total, grads)]
-        return (np.concatenate(gxs) if x.requires_grad else None, *total)
+        grads = []
+        for i in reversed(range(len(weights))):
+            grads[:0] = (hs[i].T @ g, np.add.reduce(g, axis=0))
+            if i or x.requires_grad:
+                g = g @ weights[i].data.T
+            if i:
+                g *= hs[i] > 0  # a ReLU output is positive exactly where its input was
+        return (g if x.requires_grad else None, *grads)
 
     return _emit(out, inputs, grad_fn)
 

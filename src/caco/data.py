@@ -134,7 +134,8 @@ class DataConfig:
     def validate(self) -> None:
         check_integers({"num_categories": self.num_categories, "dim": self.dim}, at_least=2)
         check_integers({"n_per_class": self.n_per_class}, at_least=1)
-        check_reals({"separation": self.separation}, above=0)
+        # a class mean's squared norm, separation**2, must stay finite
+        check_reals({"separation": self.separation}, above=0, at_most=math.sqrt(np.finfo(float).max))
         check_reals({"angle": self.angle})
 
 

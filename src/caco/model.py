@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import check_integers, check_reals, is_integer
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, ParameterError
 
 _INIT_NAME = "caco-checkpoint"
 _INIT_VERSION = 1
@@ -109,14 +109,8 @@ def classifier_logits(clf: Classifier, embeddings: Tensor) -> Tensor:
 
 def classify(clf: Classifier, embeddings: np.ndarray) -> np.ndarray:
     """Per-row softmax probabilities of an embedding array on the simplex; no tape record."""
-    e = np.asarray(embeddings)
-    if e.ndim != 2 or e.shape[1] != clf.weight.shape[0]:
-        raise DimensionError(
-            f"classify expects (batch, {clf.weight.shape[0]}) embeddings, got {e.shape}"
-        )
-    # z - max, exp and the division in place on the one new array
-    p = e @ clf.weight.data
-    p += clf.bias.data
+    # z - max, exp and the division in place on affine's new array
+    p = ad.affine(np.asarray(embeddings), clf.weight.data, clf.bias.data)
     p -= ad.row_max(p)[:, None]
     np.exp(p, out=p)
     p /= ad.row_sum(p)[:, None]

@@ -247,24 +247,6 @@ def test_backward_skips_a_record_whose_output_never_reaches_the_loss():
     np.testing.assert_array_equal(grads[x], [3.0, 3.0])
 
 
-def test_mlp_layers_returns_every_layer():
-    rng = np.random.default_rng(9)
-    weights = [ad.Tensor(rng.normal(size=(3, 5))), ad.Tensor(rng.normal(size=(5, 2)))]
-    biases = [ad.Tensor(rng.normal(size=5)), ad.Tensor(rng.normal(size=2))]
-    x = rng.normal(size=(4, 3))
-    hs = ad.mlp_layers(x, weights, biases)
-    assert hs[0] is x and [h.shape for h in hs] == [(4, 3), (4, 5), (4, 2)]
-    assert hs[1].tobytes() == ad.relu_array(x @ weights[0].data + biases[0].data).tobytes()
-    assert hs[2].tobytes() == (hs[1] @ weights[1].data + biases[1].data).tobytes()
-    again = ad.mlp_layers(x, weights, biases)
-    assert not any(np.shares_memory(a, b) for a, b in zip(again[1:], hs[1:]))
-    # every layer is checked, the second too
-    with pytest.raises(DimensionError):
-        ad.mlp_layers(x, weights, [biases[0], ad.Tensor(np.zeros(3))])
-    with pytest.raises(DimensionError):
-        ad.mlp_layers(x, weights, biases[:1])
-
-
 def test_tapes_unwound_out_of_order_are_a_contract_error(monkeypatch):
     # what two threads recording at once do to the one stack of active tapes
     monkeypatch.setattr(ad, "_TAPE_STACK", [])
@@ -632,9 +614,9 @@ def test_normalized_mlp_bit_equal_to_linear_relu_l2_normalize():
         assert fused[2] == 3 and layered[2] == 2 * depth + 2
 
 
-def test_normalized_mlp_records_its_blocks_and_sums_their_gradients():
-    # over three blocks of rows the record keeps every block's layers; its
-    # gradients are the layered encoder's over all rows, up to the order of the sum
+def test_normalized_mlp_records_its_blocks_and_runs_one_backward_over_all_rows():
+    # over three blocks of rows the record keeps every block's layers and joins
+    # them; its gradients are the layered encoder's, up to the order of the sums
     rng = np.random.default_rng(36)
     x = rng.normal(size=(3 * ad.ROW_BLOCK - 7, 4))
     params = [rng.normal(size=(4, 6)), rng.normal(size=6) * 0.1,
@@ -727,6 +709,9 @@ def test_fused_records_check_shapes_and_indices():
         ad.linear(ad.Tensor(np.zeros((2, 3))), w, ad.Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
         ad.normalized_mlp(ad.Tensor(np.ones((2, 3))), [w, w], [b, b])  # 2 outputs into 3 inputs
+    with pytest.raises(DimensionError):  # every layer is checked, the second too
+        ad.normalized_mlp(ad.Tensor(np.ones((2, 3))), [w, ad.Tensor(np.zeros((2, 2)))],
+                          [b, ad.Tensor(np.zeros(3))])
     with pytest.raises(DimensionError):
         ad.normalized_mlp(ad.Tensor(np.ones((2, 3))), [w], [])
     with pytest.raises(DimensionError):

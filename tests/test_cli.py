@@ -1,7 +1,9 @@
 """CLI surface: spec parsing, subcommands, output files, determinism."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import re
 import tempfile
@@ -322,32 +324,60 @@ def _finite_metrics(run_dir) -> bool:
     return all(np.isfinite(v) for v in values if isinstance(v, float))
 
 
+def _ablate_goes_wrong(out, key, value):
+    """None if `caco ablate --seeds 1` on TINY with key=value finishes every run with finite
+    metrics, or exits 1 with one error line and no run directory; only a run that fails in
+    training (a divergence or a zero embedding) may leave the directories of the runs that
+    finished before it. Otherwise what went wrong."""
+    argv = ["ablate", "--seeds", "1", "--out", str(out)]
+    for item in (*TINY, f"{key}={value}"):
+        argv += ["--set", item]
+    stderr = io.StringIO()
+    with np.errstate(all="ignore"), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    runs = sorted(Path(out).glob("*/seed_1"))
+    complete = all(sorted(p.name for p in run.iterdir()) == RUN_FILES and _finite_metrics(run)
+                   for run in runs)
+    if code == 0:
+        ok = err == "" and len(runs) == len(VARIANTS) and complete
+    else:
+        in_training = "training diverged" in err or "as zero at epoch" in err
+        ok = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
+              and complete and (in_training or not runs))
+    return None if ok else (value, code, err.strip(), [str(run.relative_to(out)) for run in runs])
+
+
 @pytest.mark.parametrize("key", SPEC_KEYS)
-def test_a_hostile_value_trains_or_fails_by_name_before_any_partial_output(tmp_path, capsys, key):
-    # every run finishes with finite metrics, or the command exits 1 with one error
-    # line and no run directory; only a run that fails in training (a divergence or
-    # a zero embedding) may leave the directories of the runs that finished before it
-    wrong = []
-    for i, value in enumerate(HOSTILE_VALUES + (() if key in SIZE_KEYS else HUGE_VALUES)):
-        out = tmp_path / str(i)
-        argv = ["ablate", "--seeds", "1", "--out", str(out)]
-        for item in (*TINY, f"{key}={value}"):
-            argv += ["--set", item]
-        with np.errstate(all="ignore"):
-            code = main(argv)
-        err = capsys.readouterr().err
-        runs = sorted(out.glob("*/seed_1"))
-        complete = all(sorted(p.name for p in run.iterdir()) == RUN_FILES and _finite_metrics(run)
-                       for run in runs)
-        if code == 0:
-            ok = err == "" and len(runs) == len(VARIANTS) and complete
-        else:
-            in_training = "training diverged" in err or "as zero at epoch" in err
-            ok = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
-                  and complete and (in_training or not runs))
-        if not ok:
-            wrong.append((value, code, err.strip(), [str(run.relative_to(out)) for run in runs]))
-    assert wrong == []
+def test_a_hostile_value_trains_or_fails_by_name_before_any_partial_output(tmp_path, key):
+    values = HOSTILE_VALUES + (() if key in SIZE_KEYS else HUGE_VALUES)
+    wrong = [_ablate_goes_wrong(tmp_path / str(i), key, value) for i, value in enumerate(values)]
+    assert [w for w in wrong if w] == []
+
+
+def _drawn_values(key):
+    """--set values for one spec key: sizes of at most 40, so nothing huge is allocated;
+    any integer for the seed and warmup_epochs; any real or integer for a real field;
+    the table's hostile values for every key."""
+    if key == "train.hidden":
+        drawn = st.lists(st.integers(-1, 40), max_size=3).map(lambda ws: ",".join(map(str, ws)))
+    elif key in SIZE_KEYS:
+        drawn = st.integers(-2, 40).map(str)
+    elif key == "train.variant":
+        drawn = st.sampled_from(VARIANTS)
+    elif key in ("seed", "train.warmup_epochs"):
+        drawn = st.integers(-2**70, 2**70).map(str)
+    else:
+        drawn = st.one_of(st.floats().map(repr), st.integers(-2**70, 2**70).map(str))
+    return st.tuples(st.just(key), st.one_of(drawn, st.sampled_from(HOSTILE_VALUES)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SPEC_KEYS).flatmap(_drawn_values))
+def test_a_drawn_value_trains_or_fails_by_name_before_any_partial_output(item):
+    # the table test's two outcomes, for values drawn per key
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _ablate_goes_wrong(Path(tmp) / "out", *item) is None
 
 
 def test_ablate_comparison_csv_shape(tmp_path):

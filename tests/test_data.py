@@ -256,6 +256,15 @@ def test_data_config_rejects_each_invalid_field_before_drawing(field, value, mon
         data_mod.build_domain_pair(cfg, 1)
 
 
+def test_separation_whose_class_means_overflow_is_rejected():
+    # a class mean's squared norm is separation**2: at 9e307 the rows are finite,
+    # but the first training step fails with a norm that is not finite
+    for value in (9e307, 1e308, 1.4e154):
+        with pytest.raises(ParameterError, match="separation"):
+            DataConfig(separation=value).validate()
+    DataConfig(separation=1e154).validate()
+
+
 @pytest.mark.parametrize("root_seed", [1.5, True])
 def test_build_domain_pair_rejects_a_non_integer_root_seed(root_seed):
     # once truncated, so that both built seed 1's pair

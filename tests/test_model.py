@@ -302,7 +302,9 @@ def test_classify_hand_set_two_by_two():
 @pytest.mark.parametrize("shape", [(5, 4), (3,)])
 def test_classify_rejects_embeddings_of_the_wrong_shape(shape):
     # a block one column too wide, and a single row of the right length
-    with pytest.raises(DimensionError, match="classify expects"):
+    # affine's message names the three shapes
+    message = f"affine shape mismatch: {shape} @ (3, 2) + (2,)"
+    with pytest.raises(DimensionError, match=re.escape(message)):
         classify(init_classifier(3, 2, 0), np.zeros(shape))
 
 

@@ -79,16 +79,24 @@ def test_np_log_appears_only_inside_the_three_log_losses():
     assert not stray, f"np.log outside mean_nll, grouped_nll and prediction_entropy: {stray}"
 
 
-def test_mlp_layers_and_row_block_appear_only_inside_normalized_mlp():
+def test_row_block_appears_only_inside_normalized_mlp():
     # one encoder forward: encode and embed both run normalized_mlp's blocks of rows
-    names = ("mlp_layers", "ROW_BLOCK")
-    stray = _attributes_outside(("normalized_mlp",), None, names)
+    stray = _attributes_outside(("normalized_mlp",), None, ("ROW_BLOCK",))
     for name, node in _nodes_outside(("normalized_mlp",)):
-        if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Name) and node.id == "ROW_BLOCK" and isinstance(node.ctx, ast.Load):
             stray.append(f"{name}:{node.lineno} {node.id}")
         elif isinstance(node, ast.ImportFrom):
-            stray += [f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in names]
-    assert not stray, f"mlp_layers or ROW_BLOCK outside normalized_mlp: {stray}"
+            stray += [f"{name}:{node.lineno} import {a.name}" for a in node.names
+                      if a.name == "ROW_BLOCK"]
+    assert not stray, f"ROW_BLOCK outside normalized_mlp: {stray}"
+
+
+def test_model_has_no_matrix_product():
+    # one affine map: every layer of the model computes through caco.autodiff
+    tree = _tree(SOURCES[0].parent / "model.py")
+    stray = [f"model.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not stray, f"a matrix product (@) in model.py: {stray}"
 
 
 def test_checkpoint_array_names_are_spelled_only_inside_array_layout():
