@@ -1,21 +1,21 @@
 """Dense float64 tensors with a reverse-mode tape.
 
-Every op takes and returns ``Tensor`` values. While a ``Tape`` is active
-(used as a context manager), ops whose inputs require gradients append a
-record of the output tensor, the input tensors and a closure that maps
-the output gradient to input gradients. ``backward`` replays the records
-in reverse, summing gradient arrays per tensor object, so the
-accumulation order is fixed by the tape and runs are bit-reproducible.
+Every op takes and returns ``Tensor`` values (``normalized_mlp`` wraps its
+row arrays). An op records while a ``Tape`` is active (a context manager)
+and one of its inputs requires a gradient, and its output requires one
+exactly then: the record holds the output, the inputs and a closure from
+the output gradient to input gradients. ``backward`` replays the records in
+reverse, summing gradients per tensor object, so runs are bit-reproducible.
 
 One recording thread per process: the active tapes form one module-global
 stack, so a second recording thread would write to the first one's tapes.
 Tensors may move between threads; parallel runs use processes.
 
-Only the ops that training and ``caco gradcheck`` record live here: ``add``
-and ``scale`` (the step's total loss) and four fused records. The
-primitives that the fused records stand for (``matmul``, ``relu``,
-``l2_normalize``, ``sub`` and the rest) live beside the tests that compare
-against them, in ``tests/reference_ops.py``.
+Only the records that training and ``caco gradcheck`` make live here:
+``add`` (the step's total loss, ``a + weight * b``) and four fused
+records. The primitives they stand for (``matmul``, ``relu``,
+``l2_normalize``, ``scale`` and the rest) live beside the tests that
+compare against them, in ``tests/reference_ops.py``.
 """
 
 from __future__ import annotations
@@ -86,13 +86,19 @@ class Tape:
 
 
 def _records(inputs: tuple[Tensor, ...]) -> bool:
-    """An op is recorded when a tape is active and one of its inputs requires a gradient."""
-    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+    """The recording rule: a tape is active and one of the inputs requires a gradient."""
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
 
 
-def _emit(data: Array, inputs: tuple[Tensor, ...], grad_fn: GradFn) -> Tensor:
-    records = _records(inputs)
-    out = Tensor(data, requires_grad=records or any(t.requires_grad for t in inputs))
+def _emit(data: Array, inputs: tuple[Tensor, ...], grad_fn: GradFn, records=None) -> Tensor:
+    """The op's output, recorded and grad-enabled iff _records holds (``records`` if asked)."""
+    if records is None:
+        records = _records(inputs)
+    out = Tensor(data, records)
     if records:
         _TAPE_STACK[-1]._records.append((out, inputs, grad_fn))
     return out
@@ -121,23 +127,12 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
     return grads
 
 
-# ---------------------------------------------------------------------------
-# Primitive ops
-# ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor, weight: float) -> Tensor:
+    """a + weight * b, the weight a constant: add(a, scale(b, weight)) in tests/reference_ops.py."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) scalar constant."""
-    x = as_tensor(x)
-    c = float(c)
-    return _emit(c * x.data, (x,), lambda g: (c * g,))
+    c = float(weight)
+    return _emit(a.data + c * b.data, (a, b), lambda g: (g, c * g))
 
 
 def relu_array(z: Array, out: Array | None = None) -> Array:
@@ -235,7 +230,6 @@ def linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Stands for add_rowvec(matmul(h, w), b), both in tests/reference_ops.py.
     The gradient for h is not formed when h requires none (input rows).
     """
-    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
     hd, wd = h.data, w.data
 
     def grad_fn(g: Array):
@@ -257,16 +251,19 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
     keeps one block's hidden layers at a time, and recorded, one backward runs
     over each layer's blocks joined. Stands for linear(h, w, b) per layer with
     relu() after all but the last, then l2_normalize() (both in
-    tests/reference_ops.py). x's gradient is not formed unless x requires one.
+    tests/reference_ops.py). Its inputs, (x, *weights, *biases), may be arrays
+    (embed's are), and its gradients come in that order; x's is not formed
+    unless x requires one.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError(f"the encoder expects a (batch, D) block, got shape {x.shape}")
     if not weights or len(weights) != len(biases):
         raise DimensionError(f"need a bias per weight, one or more: got {len(weights)} and {len(biases)}")
-    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
-    inputs = (x, *(t for layer in zip(weights, biases) for t in layer))
-    records, last = _records(inputs), len(weights) - 1
+    depth = len(weights)
+    inputs = (x, *map(as_tensor, weights), *map(as_tensor, biases))
+    weights, biases = inputs[1:depth + 1], inputs[depth + 1:]
+    records, last = _records(inputs), depth - 1
     n = x.shape[0]
     k = -(-n // ROW_BLOCK) or 1  # a block of 0 rows still checks the shapes
     blocks = []
@@ -285,26 +282,27 @@ def normalized_mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor
         pulled = np.add.reduce(g * out, axis=-1, keepdims=True) * out
         g = np.subtract(g, pulled, out=pulled)
         g /= norms
-        grads = []
-        for i in reversed(range(len(weights))):
-            grads[:0] = (hs[i].T @ g, np.add.reduce(g, axis=0))
+        grads = [None] * (2 * depth)  # the weights' gradients, then the biases'
+        for i in reversed(range(depth)):
+            grads[i], grads[depth + i] = hs[i].T @ g, np.add.reduce(g, axis=0)
             if i or x.requires_grad:
                 g = g @ weights[i].data.T
             if i:
                 g *= hs[i] > 0  # a ReLU output is positive exactly where its input was
         return (g if x.requires_grad else None, *grads)
 
-    return _emit(out, inputs, grad_fn)
+    return _emit(out, inputs, grad_fn, records)
 
 
 def mean_nll(x: Tensor, idx) -> Tensor:
     """Mean over rows i of -log softmax(x[i])[idx[i]], as one record.
 
     Stands for neg(reduce_mean(take_per_row(log_softmax(x, 1.0), idx))),
-    all four in tests/reference_ops.py.
+    all four in tests/reference_ops.py. A block without rows is a ContractError.
     """
-    x = as_tensor(x)
     idx = _row_index("mean_nll", x.shape, idx)
+    if not idx.size:
+        raise ContractError("mean_nll needs at least one row")
     rows = np.arange(x.shape[0])
     shape = x.shape
     z = x.data  # log_softmax at tau 1.0; z / 1.0 is z exactly
@@ -325,7 +323,7 @@ def mean_nll(x: Tensor, idx) -> Tensor:
 
 
 def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
-    """Mean NLL of softmax groups of q @ keys.T against a constant key block.
+    """Mean NLL of softmax groups of q @ keys.T against a constant float64 key block.
 
     Each row of the (m, n) logits splits into n / width consecutive groups
     of ``width``; group r (row-major over the whole block) is one softmax
@@ -334,10 +332,8 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     reduce_mean(sub(row_logsumexp(G), take_per_row(G, idx))) with
     G = reshape(matmul(q, Tensor(keys.T)), (-1, width)); all of them are
     in tests/reference_ops.py. The keys are constants: their gradient is
-    never formed.
+    never formed. A block without groups is a ContractError.
     """
-    q = as_tensor(q)
-    keys = np.asarray(keys, dtype=np.float64)
     rows = q.data[None] if q.data.ndim == 1 else q.data
     if rows.ndim != 2 or keys.ndim != 2 or rows.shape[1] != keys.shape[1]:
         raise DimensionError(f"grouped_nll shape mismatch: {q.shape} against keys {keys.shape}")
@@ -346,6 +342,8 @@ def grouped_nll(q: Tensor, keys: Array, idx, width: int) -> Tensor:
     logits = rows @ keys.T
     groups = logits.reshape((-1, width))
     idx = _row_index("grouped_nll", groups.shape, idx)
+    if not idx.size:
+        raise ContractError("grouped_nll needs at least one group")
     # flat position of each group's positive in the C-contiguous logits
     pos = np.arange(0, groups.size, width) + idx
     m = row_max(groups)

@@ -166,20 +166,19 @@ def _seed_list(text: str) -> list[int]:
 def _run_all(args, default_out: str, report, variants: tuple[str, ...] = ()):
     """The run loop: every variant (the spec's own by default) and seed, in that order.
 
-    Validates the data config, builds each seed's pair once and checks
-    every run's training config against its pair, all before the first run
-    directory is made. Under ablate, the runs of one seed share the steps
-    they have in common: the end of warm-up, and for S, T and full the end
-    of the cold dictionary fill (train_caco's ``warmups``, one dict per
-    command). The other commands run one variant per seed, so no run could
-    restore a share point, and they store none. Calls
-    report(run_dir, pair, model, metrics) after each run; returns the
-    output directory and every run's metrics.
+    Validates every run's training config, then builds each seed's pair
+    once (build_domain_pair validates the data config) and checks each
+    config against its pair, all before the first run directory is made.
+    Under ablate, the runs of one seed share the steps they have in common:
+    the end of warm-up, and for S, T and full the end of the cold dictionary
+    fill (train_caco's ``warmups``, one dict per command). The other
+    commands run one variant per seed, so no run could restore a share
+    point, and they store none. Calls report(run_dir, pair, model, metrics)
+    after each run; returns the output directory and every run's metrics.
     """
     spec = load_spec(args.spec, args.set or [])
     out = Path(args.out or default_out)
     seeds = [spec.seed] if args.seeds is None else _seed_list(args.seeds)
-    spec.data.validate()
     configs = [dataclasses.replace(spec.train, variant=variant, seed=seed)
                for variant in variants or (spec.train.variant,) for seed in seeds]
     for config in configs:

@@ -450,7 +450,7 @@ def train_caco(
                         q_idx = _next_queries(run, pair, n_queries)
                         q_emb = encode(run.model.encoders.query, pair.target_x[q_idx])
                         cat = cat_nce(q_emb, run.row_labels[q_idx], run.dictionary.snapshot())
-                        total = ad.add(total, ad.scale(cat, config.catnce_weight))
+                        total = ad.add(total, cat, config.catnce_weight)
                         run.cat_losses.append(cat.item())
                 if not np.isfinite(total.data):
                     raise DivergenceError(run.epoch, run.step, f"loss {total.item()}")

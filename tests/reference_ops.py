@@ -1,13 +1,14 @@
 """Primitive tape ops that serve as references for the fused records.
 
-Training and ``caco gradcheck`` record only ``add``, ``scale`` and the fused
-records of ``caco.autodiff``. The ops below are the primitives those records
-stand for: ``linear``, ``normalized_mlp``, ``mean_nll`` and ``grouped_nll``
-(under both ``cat_nce`` and ``info_nce``) compute the expressions of these
-primitives in the same order, so forward values and leaf gradients are
-bit-equal to theirs. ``tests/test_autodiff.py`` and ``tests/test_losses.py``
-compare them bit for bit and check each against finite differences. They
-record on the same tape as the library's ops.
+Training and ``caco gradcheck`` record only the five records of
+``caco.autodiff``. The ops below are the primitives those records stand
+for: ``add`` with its weight, ``linear``, ``normalized_mlp``, ``mean_nll``
+and ``grouped_nll`` (under both ``cat_nce`` and ``info_nce``) compute the
+expressions of these primitives in the same order, so forward values and
+leaf gradients are bit-equal to theirs. ``tests/test_autodiff.py`` and
+``tests/test_losses.py`` compare them bit for bit and check each against
+finite differences. They record on the same tape as the library's ops,
+by the same rule; unlike the records, they wrap array inputs as constants.
 """
 
 from __future__ import annotations
@@ -44,6 +45,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return _emit(ad @ bd, (a, b), grad_fn)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    """Multiply by a plain (non-differentiated) scalar constant."""
+    x = as_tensor(x)
+    c = float(c)
+    return _emit(c * x.data, (x,), lambda g: (c * g,))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

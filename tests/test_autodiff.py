@@ -200,7 +200,7 @@ def test_backward_half_square_norm_gives_x():
     x = ad.Tensor([1.5, -0.5, 2.0], requires_grad=True)
     with ad.Tape() as tape:
         sq = ref.take_per_row(ref.matmul(ref.reshape(x, (3, 1)), ref.reshape(x, (1, 3))), [0, 1, 2])
-        loss = ad.scale(ref.reduce_sum(sq), 0.5)
+        loss = ref.scale(ref.reduce_sum(sq), 0.5)
     grads = ad.backward(loss, tape)
     np.testing.assert_allclose(grads[x], x.data, atol=1e-12)
 
@@ -216,7 +216,7 @@ def test_backward_rejects_non_scalar():
 def test_backward_accumulates_shared_input():
     x = ad.Tensor([2.0, 3.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ref.reduce_sum(ad.add(x, x))
+        loss = ref.reduce_sum(ref.add(x, x))
     grads = ad.backward(loss, tape)
     np.testing.assert_array_equal(grads[x], [2.0, 2.0])
 
@@ -228,7 +228,7 @@ def test_backward_keys_exactly_the_leaves_by_identity():
     const = ad.Tensor([[3.0]])
     with ad.Tape() as tape:
         hidden = ref.matmul(x, w)
-        loss = ref.reduce_sum(ad.add(ad.add(hidden, ref.matmul(x, twin)), const))
+        loss = ref.reduce_sum(ref.add(ref.add(hidden, ref.matmul(x, twin)), const))
     grads = ad.backward(loss, tape)
     assert set(grads) == {x, w, twin}  # no intermediate, no constant
     assert all(type(g) is np.ndarray for g in grads.values())
@@ -239,7 +239,7 @@ def test_backward_skips_a_record_whose_output_never_reaches_the_loss():
     x = ad.Tensor([2.0, 3.0], requires_grad=True)
     w = ad.Tensor([5.0, 7.0], requires_grad=True)
     with ad.Tape() as tape:
-        loss = ref.reduce_sum(ad.scale(x, 3.0))
+        loss = ref.reduce_sum(ref.scale(x, 3.0))
         ref.sub(x, w)  # recorded after the loss, so the reverse sweep meets it first
     assert tape_length(tape) == 3
     grads = ad.backward(loss, tape)
@@ -282,7 +282,7 @@ def test_finite_diff_quadratic():
     # 0.5 * v.v, whose central differences are exact up to rounding too
     def half_square(v):
         row, col = ref.reshape(v, (1, 2)), ref.reshape(v, (2, 1))
-        return ad.scale(ref.reduce_sum(ref.matmul(row, col)), 0.5)
+        return ref.scale(ref.reduce_sum(ref.matmul(row, col)), 0.5)
 
     assert gradient_error(half_square, np.array([1.0, 2.0])) <= 1e-8
 
@@ -307,12 +307,17 @@ OP_CASES = {
         rng.normal(size=(2, 4)),
     ),
     "add_sub_neg": lambda rng: (
-        lambda x: ref.reduce_sum(ref.sub(ref.neg(x), ad.add(x, x))),
+        lambda x: ref.reduce_sum(ref.sub(ref.neg(x), ref.add(x, x))),
         rng.normal(size=(3, 2)),
     ),
     "scale": lambda rng: (
-        lambda x: ref.reduce_sum(ad.scale(x, -2.5)),
+        lambda x: ref.reduce_sum(ref.scale(x, -2.5)),
         rng.normal(size=5),
+    ),
+    "add_weighted": lambda rng: (  # the step's total loss, both terms depending on x
+        lambda x: ad.add(ref.reduce_sum(ref.take_per_row(x, [1, 0, 2])),
+                         ref.reduce_mean(ref.log_softmax(x, 0.7)), -2.5),
+        rng.normal(size=(3, 3)),
     ),
     "add_rowvec": lambda rng: (
         lambda x: ref.reduce_sum(
@@ -452,6 +457,49 @@ def _layered_encoder(x, weights, biases):
     return ref.l2_normalize(h)
 
 
+_FINITE = st.floats(-1e6, 1e6)
+_WEIGHTS = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, -1, 3]), st.integers(-7, 7),
+                     st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FINITE, _FINITE, _WEIGHTS, st.floats(-1e3, 1e3))
+def test_weighted_add_bit_equal_to_add_of_scale(a, b, weight, upstream):
+    # one record for the step's total loss where the primitives take two; the
+    # upstream scale makes the gradient reaching the record other than 1.0
+    def loss_of(add):
+        return lambda a, b: ref.scale(add(a, b), upstream)
+
+    fused = _run(loss_of(lambda a, b: ad.add(a, b, weight)), (a, b), (True, True))
+    primitive = _run(loss_of(lambda a, b: ref.add(a, ref.scale(b, weight))), (a, b), (True, True))
+    _assert_bit_equal(fused, primitive)
+    assert fused[2] == 2 and primitive[2] == 3
+    # one leaf as both terms: its two gradients add in the same order
+    _assert_bit_equal(_run(lambda x: ad.add(x, x, weight), (a,), (True,)),
+                      _run(lambda x: ref.add(x, ref.scale(x, weight)), (a,), (True,)))
+
+
+def test_an_op_outside_a_tape_returns_a_constant():
+    # no record could carry a gradient to such an output, so it asks for none;
+    # on a tape an output requires a gradient exactly when its op recorded
+    x = ad.Tensor(_pin((2, 3), 50), True)
+    w, b = ad.Tensor(_pin((3, 2), 51), True), ad.Tensor(_pin(2, 52), True)
+    scalar = ad.Tensor(1.5, True)
+
+    def outputs(x, w, b, scalar):
+        return [ad.add(scalar, scalar, 0.5), ad.linear(x, w, b), ad.normalized_mlp(x, [w], [b]),
+                ad.mean_nll(x, [0, 2]), ad.grouped_nll(x, _pin((4, 3), 53), [0, 1, 1, 0], 2),
+                ref.neg(x)]
+
+    assert not any(out.requires_grad for out in outputs(x, w, b, scalar))
+    with ad.Tape() as tape:
+        assert all(out.requires_grad for out in outputs(x, w, b, scalar))
+        assert tape_length(tape) == 6
+        constants = [ad.Tensor(t.data) for t in (x, w, b, scalar)]
+        assert not any(out.requires_grad for out in outputs(*constants))
+        assert tape_length(tape) == 6
+
+
 def test_relu_array_bit_equal_to_where_except_nan():
     z = np.array([0.0, -0.0, -1.5, 2.0, 5e-324, -5e-324, 1e308, -np.inf, np.inf])
     out = ad.relu_array(z)
@@ -541,7 +589,7 @@ def test_linear_hand_set_kink():
     for sign in (1.0, -1.0):
 
         def loss_of(encoder):
-            return lambda h, w, b, w_out, b_out: ref.reduce_sum(ad.scale(ref.matmul(
+            return lambda h, w, b, w_out, b_out: ref.reduce_sum(ref.scale(ref.matmul(
                 encoder(h, [w, w_out], [b, b_out]), ad.Tensor(_pin((2, 1), 35))), sign))
 
         arrays = (h, w, b, w_out, b_out)
@@ -569,7 +617,7 @@ def test_one_encoder_used_twice_sums_gradients_in_tape_order():
             def build(x1, x2, *p):
                 first = ref.reduce_sum(ref.matmul(encoder(x1, p[0::2], p[1::2]), ad.Tensor(pin1)))
                 second = ref.reduce_mean(ref.matmul(encoder(x2, p[0::2], p[1::2]), ad.Tensor(pin2)))
-                return ad.add(first, ad.scale(second, 0.7))
+                return ref.add(first, ref.scale(second, 0.7))
             return build
 
         arrays = (x1, x2, *params)
@@ -648,8 +696,8 @@ def test_mean_nll_bit_equal_to_neg_mean_take_log_softmax():
             return ref.neg(ref.reduce_mean(ref.take_per_row(ref.log_softmax(x, 1.0), idx)))
 
         # scaled so the gradient reaching the record is not 1.0
-        fused = _run(lambda x: ad.scale(ad.mean_nll(x, idx), pin), (x,), (True,))
-        _assert_bit_equal(fused, _run(lambda x: ad.scale(primitive(x), pin), (x,), (True,)))
+        fused = _run(lambda x: ref.scale(ad.mean_nll(x, idx), pin), (x,), (True,))
+        _assert_bit_equal(fused, _run(lambda x: ref.scale(primitive(x), pin), (x,), (True,)))
         assert fused[2] == 2
 
 
@@ -680,8 +728,8 @@ def test_grouped_nll_bit_equal_to_matmul_reshape_take_row_logsumexp():
             positives = ref.take_per_row(per_group, idx)
             return ref.reduce_mean(ref.sub(ref.row_logsumexp(per_group), positives))
 
-        fused = _run(lambda q: ad.scale(ad.grouped_nll(q, keys, idx, width), pin), (q,), (True,))
-        _assert_bit_equal(fused, _run(lambda q: ad.scale(primitive(q), pin), (q,), (True,)))
+        fused = _run(lambda q: ref.scale(ad.grouped_nll(q, keys, idx, width), pin), (q,), (True,))
+        _assert_bit_equal(fused, _run(lambda q: ref.scale(primitive(q), pin), (q,), (True,)))
         assert fused[2] == 2
 
 
@@ -701,6 +749,8 @@ def test_grouped_nll_one_query_is_one_row_bit_for_bit():
 
 
 def test_fused_records_check_shapes_and_indices():
+    with pytest.raises(DimensionError):
+        ad.add(ad.Tensor(0.0), ad.Tensor(np.zeros(2)), 1.0)
     w, b = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(2))
     for bad in (np.zeros((2, 4)), np.zeros(3)):
         with pytest.raises(DimensionError):

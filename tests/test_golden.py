@@ -5,6 +5,7 @@ that moves them on purpose is a behaviour change: it re-records the
 hashes below and says why.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
@@ -16,6 +17,10 @@ from caco.cli import main
 SPEC = Path(__file__).resolve().parents[1] / "configs" / "default.spec"
 OVERRIDES = ("data.n_per_class=100", "train.epochs=7", "train.queue_size=10")
 FILES = ("metrics.jsonl", "keys.jsonl", "model.ckpt")
+
+# the OpenBLAS core type the hashes were recorded under; another core's
+# kernels round some matrix products differently
+GOLDEN_CORE = "SkylakeX"
 
 GOLDEN = {
     "baseline": {
@@ -41,6 +46,18 @@ GOLDEN = {
 }
 
 
+def _openblas_core() -> str:
+    """The core type of the OpenBLAS loaded in this process, or "unknown"."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    try:
+        corename = ctypes.CDLL(paths[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # no OpenBLAS, or not scipy-openblas's
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def _train(out: Path, variant: str) -> None:
     argv = ["train", "--spec", str(SPEC), "--out", str(out), "--set", f"train.variant={variant}"]
     for item in OVERRIDES:
@@ -52,7 +69,8 @@ def _train(out: Path, variant: str) -> None:
 def test_run_files_match_golden_hashes(tmp_path, variant):
     _train(tmp_path, variant)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FILES}
-    assert got == GOLDEN[variant]
+    assert got == GOLDEN[variant], (
+        f"hashes recorded under core {GOLDEN_CORE}; this process runs core {_openblas_core()}")
 
 
 def test_golden_full_run_reaches_the_contrastive_loss(tmp_path):

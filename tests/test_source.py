@@ -73,6 +73,15 @@ def test_a_dtype_kind_test_appears_only_inside_as_label_array():
     assert not stray, f".kind outside as_label_array: {stray}"
 
 
+def test_as_tensor_appears_only_where_arrays_enter_the_tape():
+    # records take the step's Tensors; only the encoder record (row arrays, and embed's
+    # parameter arrays) and info_nce (caco gradcheck's array keys) wrap arrays
+    stray = [f"{name}:{node.lineno}" for name, node in _nodes_outside(("normalized_mlp", "info_nce"))
+             if isinstance(node, ast.Name) and node.id == "as_tensor"
+             or isinstance(node, ast.Attribute) and node.attr == "as_tensor"]
+    assert not stray, f"as_tensor outside normalized_mlp and info_nce: {stray}"
+
+
 def test_np_log_appears_only_inside_the_three_log_losses():
     # no third log-sum-exp: a new softmax loss is a group of grouped_nll or a mean_nll
     stray = _attributes_outside(("mean_nll", "grouped_nll", "prediction_entropy"), "np", ("log",))

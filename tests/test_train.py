@@ -104,6 +104,22 @@ def test_config_validation():
     TrainConfig(hidden=(1,), embed_dim=2).validate()
 
 
+def test_training_entry_points_validate_their_config_before_any_step(tiny_pair, monkeypatch):
+    # a caller other than the cli gets the config's own error, before the first
+    # update: unchecked, a baseline run trains on, and a full run fails only at
+    # its first key write, after warm-up
+    import caco.train as train_mod
+
+    steps = []
+    monkeypatch.setattr(train_mod._Sgd, "step", lambda self, grads: steps.append(grads))
+    for train, variant in ((train_caco, "baseline"), (train_source_only, "baseline"),
+                           (train_caco, "full")):
+        config = tiny_config(variant=variant, tau_base=float("nan"), epochs=2, warmup_epochs=1)
+        with pytest.raises(ParameterError, match="^tau_base must be finite and real, got nan$"):
+            train(config, tiny_pair)
+        assert not steps
+
+
 def test_tau_base_whose_key_temperatures_overflow_is_rejected():
     # key temperatures reach twice tau_base: 9e307 would fail at the first key write
     for value in (9e307, 1e308, float(np.finfo(float).max), 10**308):
@@ -543,8 +559,9 @@ def test_collapsed_embedding_names_its_epoch_and_step(tiny_pair, monkeypatch):
 def test_tape_records_per_step(tiny_pair, monkeypatch):
     # one record per encoder pass and per loss. A step holds the encoder, the
     # classifier and the mean NLL (3); a warm full step adds the target encode,
-    # the category NCE, its weight and the sum (7). With one record per layer
-    # the same steps held 6 and 13 records, and unfused 15 and 32.
+    # the category NCE and the weighted sum (6). With the weight and the sum
+    # as two records the same steps held 3 and 7, with one record per layer
+    # 6 and 13, and unfused 15 and 32.
     import caco.train as train_mod
 
     real_backward = train_mod.backward
@@ -559,7 +576,7 @@ def test_tape_records_per_step(tiny_pair, monkeypatch):
     assert set(records) == {3}
     records.clear()
     train_caco(tiny_config(hidden=(16, 16), queue_size=2, epochs=2), tiny_pair)
-    assert records[0] == 3 and records[-1] == 7 and set(records) == {3, 7}
+    assert records[0] == 3 and records[-1] == 6 and set(records) == {3, 6}
 
 
 def test_categories_come_from_the_label_space():
